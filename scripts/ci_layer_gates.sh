@@ -76,6 +76,12 @@ RTCM_CHECK_ADMISSION_ORACLE=1 RTCM_CHECK_BOOK_ORACLE=1 \
   "${BUILD_DIR}/bench_fig5_accept_ratio" --seeds=1 --horizon_s=10
 echo "::endgroup::"
 
+echo "::group::Event routing layer (keyed router vs predicate reference)"
+# Shadows every push of the Figure-5 grid, the huge topology and a
+# reconfiguration storm with the pre-key predicate router.
+"${CTEST[@]}" -R RoutingEquivalence
+echo "::endgroup::"
+
 echo "::group::SoA storage layer (slab/arena/small-vec + shadow-book churn)"
 "${CTEST[@]}" -R SoaEquivalence
 echo "::endgroup::"

@@ -24,11 +24,12 @@ a flaky nightly diff.  Rules:
   pointer-keyed         std::map/std::set keyed on a pointer type: ordered
                         iteration over addresses is allocation-order
                         dependent, i.e. nondeterministic across runs.
-  sim-path-alloc        std::function or raw `new` in simulation event-path
-                        code (any file under a sim/ directory).  Event
-                        paths must use InlineFunction and slab/arena
-                        storage: zero per-event heap allocations is an
-                        enforced contract (tests/sim_alloc_test.cpp).
+  sim-path-alloc        std::function or raw `new` in event-path code: the
+                        simulation kernel and the event channels (any file
+                        under a sim/ or events/ directory).  Event paths
+                        must use InlineFunction and slab/arena storage:
+                        zero per-event heap allocations is an enforced
+                        contract (tests/sim_alloc_test.cpp).
 
 Suppressions:
   * inline: `// rtcm-lint: allow(<rule>) <reason>` on the offending line or
@@ -65,7 +66,7 @@ RULES = {
     ),
     "wall-clock": "wall-clock / ambient-randomness source",
     "pointer-keyed": "ordered container keyed on a pointer",
-    "sim-path-alloc": "std::function or raw new on a sim event path",
+    "sim-path-alloc": "std::function or raw new on an event path",
 }
 
 ALLOW_RE = re.compile(r"//\s*rtcm-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
@@ -190,7 +191,8 @@ def collect_unordered_names(code: str) -> set[str]:
 
 
 def on_sim_path(path: Path) -> bool:
-    return "sim" in path.parts
+    """The event path: the simulation kernel and the event channels."""
+    return "sim" in path.parts or "events" in path.parts
 
 
 def lint_text(
@@ -321,7 +323,7 @@ def lint_text(
                     path,
                     line_of(m.start()),
                     "sim-path-alloc",
-                    "std::function on a sim event path: use "
+                    "std::function on an event path: use "
                     "rtcm::InlineFunction (util/inline_fn.h)",
                 )
             )
@@ -337,7 +339,7 @@ def lint_text(
                     path,
                     lineno,
                     "sim-path-alloc",
-                    "raw new on a sim event path: use slab/arena storage",
+                    "raw new on an event path: use slab/arena storage",
                 )
             )
 

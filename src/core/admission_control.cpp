@@ -135,10 +135,10 @@ Status AdmissionControl::on_activate() {
     }
   }
   auto& channel = context().local_channel();
-  channel.subscribe({EventType::kTaskArrive}, [this](const events::Event& e) {
+  channel.subscribe(EventType::kTaskArrive, [this](const events::Event& e) {
     handle_task_arrive(events::payload_as<TaskArrivePayload>(e));
   });
-  channel.subscribe({EventType::kIdleReset}, [this](const events::Event& e) {
+  channel.subscribe(EventType::kIdleReset, [this](const events::Event& e) {
     handle_idle_reset(events::payload_as<IdleResetPayload>(e));
   });
   return Status::ok();

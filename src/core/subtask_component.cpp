@@ -34,7 +34,11 @@ Status SubtaskComponentBase::on_configure(
 
   auto stage = attributes.get_int(kStageAttr);
   if (!stage.is_ok()) return Status::error(stage.message());
-  if (stage.value() < 0) return Status::error("Stage must be >= 0");
+  // kAnyStage and beyond cannot be named by a subscription key.
+  if (stage.value() < 0 ||
+      stage.value() >= events::SubscriptionKey::kAnyStage) {
+    return Status::error("Stage must be >= 0 and < 2^32 - 1");
+  }
   stage_ = static_cast<std::size_t>(stage.value());
 
   auto execution = attributes.get_duration(kExecutionAttr);
@@ -66,18 +70,15 @@ Status SubtaskComponentBase::on_activate() {
   if (!task_.valid()) {
     return Status::error("subtask component activated before configuration");
   }
-  const TaskId task = task_;
-  const std::size_t stage = stage_;
-  const ProcessorId me = context().processor;
+  // Triggers of this stage of this task, addressed to this processor by
+  // the payload's placement[stage].
   context().local_channel().subscribe(
-      {EventType::kTrigger},
+      events::SubscriptionKey(EventType::kTrigger)
+          .for_task(task_)
+          .for_stage(static_cast<std::uint32_t>(stage_))
+          .to_this_processor(),
       [this](const events::Event& e) {
         handle_trigger(events::payload_as<TriggerPayload>(e));
-      },
-      [task, stage, me](const events::Event& e) {
-        const auto& p = events::payload_as<TriggerPayload>(e);
-        return p.task == task && p.stage == stage &&
-               stage < p.placement.size() && p.placement[stage] == me;
       });
   return Status::ok();
 }

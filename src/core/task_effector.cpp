@@ -35,26 +35,18 @@ Status TaskEffector::on_configure(const ccm::AttributeMap& attributes) {
 }
 
 Status TaskEffector::on_activate() {
-  const ProcessorId me = context().processor;
+  // Accept reaches the arrival TE and the TE hosting placement[0]; Reject
+  // reaches the arrival TE (events::addressees()).
+  using events::SubscriptionKey;
   auto& channel = context().local_channel();
-  channel.subscribe(
-      {EventType::kAccept},
-      [this](const events::Event& e) {
-        handle_accept(events::payload_as<AcceptPayload>(e));
-      },
-      [me](const events::Event& e) {
-        const auto& p = events::payload_as<AcceptPayload>(e);
-        return p.arrival_processor == me ||
-               (!p.placement.empty() && p.placement.front() == me);
-      });
-  channel.subscribe(
-      {EventType::kReject},
-      [this](const events::Event& e) {
-        handle_reject(events::payload_as<RejectPayload>(e));
-      },
-      [me](const events::Event& e) {
-        return events::payload_as<RejectPayload>(e).arrival_processor == me;
-      });
+  channel.subscribe(SubscriptionKey(EventType::kAccept).to_this_processor(),
+                    [this](const events::Event& e) {
+                      handle_accept(events::payload_as<AcceptPayload>(e));
+                    });
+  channel.subscribe(SubscriptionKey(EventType::kReject).to_this_processor(),
+                    [this](const events::Event& e) {
+                      handle_reject(events::payload_as<RejectPayload>(e));
+                    });
   return Status::ok();
 }
 

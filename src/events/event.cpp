@@ -18,6 +18,21 @@ const char* to_string(EventType type) {
   return "?";
 }
 
+Addressees addressees(const EventPayload& payload) {
+  if (const auto* trigger = std::get_if<TriggerPayload>(&payload)) {
+    if (trigger->stage < trigger->placement.size()) {
+      return {trigger->placement[trigger->stage], ProcessorId()};
+    }
+  } else if (const auto* accept = std::get_if<AcceptPayload>(&payload)) {
+    return {accept->arrival_processor, accept->placement.empty()
+                                           ? ProcessorId()
+                                           : accept->placement.front()};
+  } else if (const auto* reject = std::get_if<RejectPayload>(&payload)) {
+    return {reject->arrival_processor, ProcessorId()};
+  }
+  return {};
+}
+
 std::string Event::to_string() const {
   // Sequential appends, not `" " + x.to_string() + ...`: the literal+rvalue
   // operator+ chain trips GCC 12's -Wrestrict false positive when inlined

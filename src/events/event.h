@@ -4,7 +4,8 @@
 // federated event channel: "Task Arrive" (TE -> AC), "Accept" / "Reject"
 // (AC -> TE), "Trigger" (F/I Subtask -> next Subtask) and "Idle Resetting"
 // (IR -> AC).  Each event carries a typed payload; consumers subscribe by
-// payload type plus an optional predicate (the gateway-side filter).
+// payload type plus optional keys (local_channel.h), and the addressed
+// payloads name their own destination processors (addressees() below).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,8 @@ enum class EventType : std::uint8_t {
   kTrigger,
   kIdleReset,
 };
+
+inline constexpr std::size_t kEventTypeCount = 5;
 
 [[nodiscard]] const char* to_string(EventType type);
 
@@ -102,6 +105,22 @@ struct Event {
   }
   [[nodiscard]] std::string to_string() const;
 };
+
+/// The processors an addressed payload names as its destinations: Accept
+/// goes to the arrival processor and placement[0], Reject to the arrival
+/// processor, and Trigger to placement[stage].  A slot the payload does not
+/// fill (an unaddressed type, an empty placement, a stage past its end)
+/// holds the invalid id; the two may be equal.
+struct Addressees {
+  ProcessorId first;
+  ProcessorId second;
+
+  [[nodiscard]] bool contains(ProcessorId p) const {
+    return p.valid() && (first == p || second == p);
+  }
+};
+
+[[nodiscard]] Addressees addressees(const EventPayload& payload);
 
 /// Helper: the payload of type T, asserting the event holds one.
 template <typename T>

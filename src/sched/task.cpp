@@ -67,15 +67,26 @@ Status TaskSet::add(TaskSpec spec) {
   if (find(spec.id) != nullptr) {
     return Status::error("duplicate task id " + spec.id.to_string());
   }
+  if (!index_) index_ = std::make_unique<util::IdSlotMap>();
+  index_->insert(spec.id.value(), static_cast<std::uint32_t>(tasks_.size()));
   tasks_.push_back(std::move(spec));
   return Status::ok();
 }
 
+TaskSet::TaskSet(const TaskSet& other)
+    : tasks_(other.tasks_),
+      index_(other.index_ ? std::make_unique<util::IdSlotMap>(*other.index_)
+                          : nullptr) {}
+
+TaskSet& TaskSet::operator=(const TaskSet& other) {
+  if (this != &other) *this = TaskSet(other);
+  return *this;
+}
+
 const TaskSpec* TaskSet::find(TaskId id) const {
-  for (const auto& t : tasks_) {
-    if (t.id == id) return &t;
-  }
-  return nullptr;
+  if (!index_ || !id.valid()) return nullptr;
+  const std::uint32_t index = index_->lookup(id.value());
+  return index == util::IdSlotMap::kNoSlot ? nullptr : &tasks_[index];
 }
 
 std::vector<ProcessorId> TaskSet::processors() const {

@@ -9,11 +9,13 @@
 // subtask's synthetic utilization on its processor is C_i,j / D_i.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/ids.h"
 #include "util/result.h"
+#include "util/slab.h"
 #include "util/time.h"
 
 namespace rtcm::sched {
@@ -62,6 +64,10 @@ struct TaskSpec {
 class TaskSet {
  public:
   TaskSet() = default;
+  TaskSet(const TaskSet& other);
+  TaskSet& operator=(const TaskSet& other);
+  TaskSet(TaskSet&&) noexcept = default;
+  TaskSet& operator=(TaskSet&&) noexcept = default;
 
   /// Append a task.  Returns an error (and leaves the set unchanged) if the
   /// spec is malformed or the id duplicates an existing task.
@@ -70,6 +76,7 @@ class TaskSet {
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   [[nodiscard]] bool empty() const { return tasks_.empty(); }
   [[nodiscard]] const std::vector<TaskSpec>& tasks() const { return tasks_; }
+  /// The task with this id, or null (for an unknown or invalid id).
   [[nodiscard]] const TaskSpec* find(TaskId id) const;
 
   /// Every processor referenced by any subtask (primaries and replicas),
@@ -84,6 +91,10 @@ class TaskSet {
 
  private:
   std::vector<TaskSpec> tasks_;
+  /// id -> index into tasks_ (hashed, so any id value costs one slot).
+  /// Behind a pointer, null while empty: scenario specs embed a TaskSet
+  /// each, mostly empty, so its size is paid once per spec.
+  std::unique_ptr<util::IdSlotMap> index_;
 };
 
 }  // namespace rtcm::sched

@@ -218,5 +218,36 @@ TEST(RuntimeLifecycleTest, InjectUnknownTaskIsRefused) {
   EXPECT_NE(s.message().find("unknown task"), std::string::npos);
 }
 
+// Task ids at both ends of the id range run end to end, and arrivals of
+// absent ids (unknown, negative, the invalid marker) fail with a Status.
+TEST(RuntimeLifecycleTest, ExtremeTaskIdsRunAndUnknownIdsFailCleanly) {
+  constexpr std::int32_t kLargest = 2147483646;  // 2^31 - 2
+  sched::TaskSet tasks;
+  ASSERT_TRUE(tasks
+                  .add(testing::make_periodic(0, Duration::milliseconds(100),
+                                              {{0, 1000}, {1, 2000}}))
+                  .is_ok());
+  ASSERT_TRUE(tasks
+                  .add(testing::make_aperiodic(
+                      kLargest, Duration::milliseconds(200), {{1, 3000}}))
+                  .is_ok());
+  SystemConfig config;
+  config.strategies = StrategyCombination::parse("J_J_J").value();
+  SystemRuntime runtime(config, std::move(tasks));
+  ASSERT_TRUE(runtime.assemble().is_ok());
+  RTCM_EXPECT_OK(runtime.inject_arrival(TaskId(0), Time(0)));
+  RTCM_EXPECT_OK(runtime.inject_arrival(TaskId(kLargest), Time(1000)));
+  for (const TaskId absent :
+       {TaskId(1), TaskId(kLargest - 1), TaskId(-7), TaskId()}) {
+    const Status s = runtime.inject_arrival(absent, Time(0));
+    EXPECT_FALSE(s.is_ok()) << absent.to_string();
+  }
+  runtime.run_until(Time(Duration::seconds(1).usec()));
+  const auto& total = runtime.metrics().total();
+  EXPECT_EQ(total.arrivals, 2u);
+  EXPECT_EQ(total.completions, 2u);
+  EXPECT_EQ(total.deadline_misses, 0u);
+}
+
 }  // namespace
 }  // namespace rtcm::core

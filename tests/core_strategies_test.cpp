@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "core/criteria.h"
 #include "core/strategies.h"
@@ -91,12 +92,27 @@ TEST(StrategyTest, Names) {
 // --- Criteria mapping (Table 1 + §6 question 4) ------------------------------
 
 struct MappingCase {
+  MappingCase(bool c1, bool c2, bool c3, OverheadTolerance tolerance,
+              const char* label)
+      : c1_job_skipping(c1),
+        c2_state_persistency(c2),
+        c3_replication(c3),
+        overhead(tolerance),
+        expected_label(label) {}
+
   bool c1_job_skipping;
   bool c2_state_persistency;
   bool c3_replication;
+  // gtest prints a parameter without a PrintTo overload as a raw byte dump,
+  // and ctest names each case after that dump. Without this member the byte
+  // would be padding holding whatever the stack held, so a case's name could
+  // change from one test discovery to the next.
+  bool unused = false;
   OverheadTolerance overhead;
   const char* expected_label;
 };
+static_assert(std::has_unique_object_representations_v<MappingCase>,
+              "MappingCase must have no padding bytes");
 
 class CriteriaMappingTest : public ::testing::TestWithParam<MappingCase> {};
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "events/event.h"
 #include "events/federated_channel.h"
 #include "events/local_channel.h"
@@ -52,34 +56,23 @@ TEST(EventTest, ToStringMentionsTypeAndIds) {
   EXPECT_NE(s.find("J2"), std::string::npos);
 }
 
-TEST(EventTypeSetTest, Contains) {
-  const EventTypeSet set{EventType::kAccept, EventType::kReject};
-  EXPECT_TRUE(set.contains(EventType::kAccept));
-  EXPECT_TRUE(set.contains(EventType::kReject));
-  EXPECT_FALSE(set.contains(EventType::kTrigger));
-  EXPECT_FALSE(EventTypeSet{}.contains(EventType::kAccept));
-}
-
 // --- LocalEventChannel -------------------------------------------------------
 
 TEST(LocalChannelTest, DeliversToMatchingType) {
   LocalEventChannel channel(ProcessorId(0));
   int hits = 0;
-  channel.subscribe({EventType::kTrigger}, [&](const Event&) { ++hits; });
+  channel.subscribe(EventType::kTrigger, [&](const Event&) { ++hits; });
   channel.deliver(make_trigger(ProcessorId(0), TaskId(1), 0, {ProcessorId(0)}));
   channel.deliver(Event{ProcessorId(0), Time(0), AcceptPayload{}});
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(channel.delivered_count(), 1u);
 }
 
-TEST(LocalChannelTest, FilterNarrowsDelivery) {
+TEST(LocalChannelTest, KeyNarrowsDelivery) {
   LocalEventChannel channel(ProcessorId(0));
   int hits = 0;
-  channel.subscribe(
-      {EventType::kTrigger}, [&](const Event&) { ++hits; },
-      [](const Event& e) {
-        return payload_as<TriggerPayload>(e).task == TaskId(7);
-      });
+  channel.subscribe(SubscriptionKey(EventType::kTrigger).for_task(TaskId(7)),
+                    [&](const Event&) { ++hits; });
   channel.deliver(make_trigger(ProcessorId(0), TaskId(7), 0, {ProcessorId(0)}));
   channel.deliver(make_trigger(ProcessorId(0), TaskId(8), 0, {ProcessorId(0)}));
   EXPECT_EQ(hits, 1);
@@ -87,7 +80,7 @@ TEST(LocalChannelTest, FilterNarrowsDelivery) {
 
 TEST(LocalChannelTest, MatchesQueriesWithoutDelivering) {
   LocalEventChannel channel(ProcessorId(0));
-  channel.subscribe({EventType::kAccept}, [](const Event&) {});
+  channel.subscribe(EventType::kAccept, [](const Event&) {});
   EXPECT_TRUE(channel.matches(Event{ProcessorId(0), Time(0), AcceptPayload{}}));
   EXPECT_FALSE(
       channel.matches(Event{ProcessorId(0), Time(0), RejectPayload{}}));
@@ -97,9 +90,9 @@ TEST(LocalChannelTest, MatchesQueriesWithoutDelivering) {
 TEST(LocalChannelTest, MultipleConsumersInSubscriptionOrder) {
   LocalEventChannel channel(ProcessorId(0));
   std::vector<int> order;
-  channel.subscribe({EventType::kAccept},
+  channel.subscribe(EventType::kAccept,
                     [&](const Event&) { order.push_back(1); });
-  channel.subscribe({EventType::kAccept},
+  channel.subscribe(EventType::kAccept,
                     [&](const Event&) { order.push_back(2); });
   channel.deliver(Event{ProcessorId(0), Time(0), AcceptPayload{}});
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -109,7 +102,7 @@ TEST(LocalChannelTest, Unsubscribe) {
   LocalEventChannel channel(ProcessorId(0));
   int hits = 0;
   const auto id =
-      channel.subscribe({EventType::kAccept}, [&](const Event&) { ++hits; });
+      channel.subscribe(EventType::kAccept, [&](const Event&) { ++hits; });
   EXPECT_EQ(channel.subscription_count(), 1u);
   EXPECT_TRUE(channel.unsubscribe(id));
   EXPECT_FALSE(channel.unsubscribe(id));
@@ -120,8 +113,8 @@ TEST(LocalChannelTest, Unsubscribe) {
 TEST(LocalChannelTest, ConsumerMaySubscribeDuringDelivery) {
   LocalEventChannel channel(ProcessorId(0));
   int late_hits = 0;
-  channel.subscribe({EventType::kAccept}, [&](const Event&) {
-    channel.subscribe({EventType::kAccept},
+  channel.subscribe(EventType::kAccept, [&](const Event&) {
+    channel.subscribe(EventType::kAccept,
                       [&](const Event&) { ++late_hits; });
   });
   channel.deliver(Event{ProcessorId(0), Time(0), AcceptPayload{}});
@@ -130,6 +123,99 @@ TEST(LocalChannelTest, ConsumerMaySubscribeDuringDelivery) {
   EXPECT_EQ(late_hits, 0);
   channel.deliver(Event{ProcessorId(0), Time(0), AcceptPayload{}});
   EXPECT_EQ(late_hits, 1);
+}
+
+TEST(LocalChannelTest, ConsumersRunInSubscriptionOrderAcrossKeys) {
+  LocalEventChannel channel(ProcessorId(1));
+  std::string order;
+  const auto record = [&order](char c) {
+    return [&order, c](const Event&) { order += c; };
+  };
+  const SubscriptionKey trigger(EventType::kTrigger);
+  channel.subscribe(trigger, record('a'));
+  channel.subscribe(trigger.for_task(TaskId(7)), record('b'));
+  channel.subscribe(trigger.for_task(TaskId(7)).for_stage(1).to_this_processor(),
+                    record('c'));
+  channel.subscribe(trigger, record('d'));
+  channel.subscribe(trigger.for_task(TaskId(8)), record('x'));
+  channel.subscribe(trigger.for_stage(1), record('e'));
+  channel.subscribe(trigger.for_stage(0), record('y'));
+  channel.subscribe(trigger.for_task(TaskId(7)).for_stage(1), record('f'));
+  channel.subscribe(EventType::kAccept, record('z'));
+  channel.deliver(make_trigger(ProcessorId(0), TaskId(7), 1,
+                               {ProcessorId(0), ProcessorId(1)}));
+  EXPECT_EQ(order, "abcdef");
+  std::vector<SubscriptionId> ids;
+  channel.consumers(make_trigger(ProcessorId(0), TaskId(7), 1,
+                                 {ProcessorId(0), ProcessorId(1)}),
+                    ids);
+  EXPECT_EQ(ids.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+}
+
+TEST(LocalChannelTest, AddressedKeysFollowThePayloadsDestinations) {
+  LocalEventChannel channel(ProcessorId(2));
+  int accepts = 0;
+  int rejects = 0;
+  int arrivals = 0;
+  channel.subscribe(SubscriptionKey(EventType::kAccept).to_this_processor(),
+                    [&](const Event&) { ++accepts; });
+  channel.subscribe(SubscriptionKey(EventType::kReject).to_this_processor(),
+                    [&](const Event&) { ++rejects; });
+  channel.subscribe(
+      SubscriptionKey(EventType::kTaskArrive).to_this_processor(),
+      [&](const Event&) { ++arrivals; });
+  const auto accept = [](ProcessorId arrival,
+                         std::vector<ProcessorId> placement) {
+    return Event{ProcessorId(0), Time(0),
+                 AcceptPayload{TaskId(1), JobId(1), arrival,
+                               std::move(placement), Time(99), false}};
+  };
+  channel.deliver(accept(ProcessorId(2), {ProcessorId(3)}));  // arrival
+  channel.deliver(accept(ProcessorId(3), {ProcessorId(2)}));  // placement[0]
+  channel.deliver(accept(ProcessorId(3), {ProcessorId(4), ProcessorId(2)}));
+  channel.deliver(accept(ProcessorId(3), {}));
+  EXPECT_EQ(accepts, 2);
+  channel.deliver(
+      Event{ProcessorId(0), Time(0),
+            RejectPayload{TaskId(1), JobId(1), ProcessorId(2)}});
+  channel.deliver(
+      Event{ProcessorId(0), Time(0),
+            RejectPayload{TaskId(1), JobId(1), ProcessorId(3)}});
+  EXPECT_EQ(rejects, 1);
+  // TaskArrive names no destination, so an addressed key never takes it.
+  channel.deliver(Event{ProcessorId(2), Time(0),
+                        TaskArrivePayload{TaskId(1), JobId(1), ProcessorId(2),
+                                          Time(0), true}});
+  EXPECT_EQ(arrivals, 0);
+  // A Trigger goes to placement[stage] only; a stage past the end to nobody.
+  EXPECT_TRUE(channel.subscription_count() == 3u);
+  int triggers = 0;
+  channel.subscribe(SubscriptionKey(EventType::kTrigger).to_this_processor(),
+                    [&](const Event&) { ++triggers; });
+  channel.deliver(make_trigger(ProcessorId(0), TaskId(1), 1,
+                               {ProcessorId(2), ProcessorId(5)}));
+  channel.deliver(make_trigger(ProcessorId(0), TaskId(1), 0,
+                               {ProcessorId(2), ProcessorId(5)}));
+  channel.deliver(make_trigger(ProcessorId(0), TaskId(1), 2,
+                               {ProcessorId(2), ProcessorId(5)}));
+  EXPECT_EQ(triggers, 1);
+}
+
+TEST(LocalChannelTest, ConsumerRemovedDuringDeliveryIsNotCalled) {
+  LocalEventChannel channel(ProcessorId(0));
+  int later_hits = 0;
+  SubscriptionId later;
+  channel.subscribe(EventType::kAccept, [&](const Event&) {
+    EXPECT_TRUE(channel.unsubscribe(later));
+  });
+  later = channel.subscribe(EventType::kAccept,
+                            [&](const Event&) { ++later_hits; });
+  channel.deliver(Event{ProcessorId(0), Time(0), AcceptPayload{}});
+  EXPECT_EQ(later_hits, 0);
+  EXPECT_EQ(channel.subscription_count(), 1u);
+  EXPECT_EQ(channel.delivered_count(), 1u);
+  EXPECT_EQ(channel.subscriptions().size(), 1u);
 }
 
 // --- FederatedEventChannel ---------------------------------------------------
@@ -150,9 +236,9 @@ TEST_F(FederationFixture, RoutesOnlyToInterestedChannels) {
   int p1_hits = 0;
   int p2_hits = 0;
   federation_.channel(ProcessorId(1))
-      .subscribe({EventType::kTrigger}, [&](const Event&) { ++p1_hits; });
+      .subscribe(EventType::kTrigger, [&](const Event&) { ++p1_hits; });
   federation_.channel(ProcessorId(2))
-      .subscribe({EventType::kAccept}, [&](const Event&) { ++p2_hits; });
+      .subscribe(EventType::kAccept, [&](const Event&) { ++p2_hits; });
 
   federation_.push(ProcessorId(0),
                    TriggerPayload{TaskId(1), JobId(1), 0,
@@ -169,7 +255,7 @@ TEST_F(FederationFixture, RoutesOnlyToInterestedChannels) {
 TEST_F(FederationFixture, RemoteDeliveryIncursLatency) {
   Time delivered;
   federation_.channel(ProcessorId(1))
-      .subscribe({EventType::kAccept},
+      .subscribe(EventType::kAccept,
                  [&](const Event&) { delivered = sim_.now(); });
   federation_.push(ProcessorId(0),
                    AcceptPayload{TaskId(1), JobId(1), ProcessorId(1),
@@ -181,7 +267,7 @@ TEST_F(FederationFixture, RemoteDeliveryIncursLatency) {
 TEST_F(FederationFixture, LocalDeliveryUsesLoopback) {
   Time delivered;
   federation_.channel(ProcessorId(0))
-      .subscribe({EventType::kAccept},
+      .subscribe(EventType::kAccept,
                  [&](const Event&) { delivered = sim_.now(); });
   federation_.push(ProcessorId(0),
                    AcceptPayload{TaskId(1), JobId(1), ProcessorId(0),
@@ -195,7 +281,7 @@ TEST_F(FederationFixture, FanOutToMultipleProcessors) {
   int hits = 0;
   for (int p = 1; p <= 3; ++p) {
     federation_.channel(ProcessorId(p))
-        .subscribe({EventType::kIdleReset}, [&](const Event&) { ++hits; });
+        .subscribe(EventType::kIdleReset, [&](const Event&) { ++hits; });
   }
   federation_.push(ProcessorId(0), IdleResetPayload{ProcessorId(0), {}});
   sim_.run_all();
@@ -206,7 +292,7 @@ TEST_F(FederationFixture, FanOutToMultipleProcessors) {
 TEST_F(FederationFixture, PublishedTimestampIsPushTime) {
   Time published;
   federation_.channel(ProcessorId(1))
-      .subscribe({EventType::kAccept},
+      .subscribe(EventType::kAccept,
                  [&](const Event& e) { published = e.published; });
   sim_.schedule_at(Time(500), [&] {
     federation_.push(ProcessorId(0),
@@ -215,6 +301,80 @@ TEST_F(FederationFixture, PublishedTimestampIsPushTime) {
   });
   sim_.run_all();
   EXPECT_EQ(published, Time(500));
+}
+
+TEST_F(FederationFixture, ExaminesOnlyAddressedAndListeningChannels) {
+  int hits = 0;
+  for (std::int32_t p = 1; p <= 3; ++p) {
+    federation_.channel(ProcessorId(p))
+        .subscribe(SubscriptionKey(EventType::kTrigger)
+                       .for_task(TaskId(p))
+                       .for_stage(0)
+                       .to_this_processor(),
+                   [&](const Event&) { ++hits; });
+  }
+  const SubscriptionId idle =
+      federation_.channel(ProcessorId(4))
+          .subscribe(EventType::kIdleReset, [&](const Event&) { ++hits; });
+
+  federation_.push(ProcessorId(0),
+                   TriggerPayload{TaskId(2), JobId(1), 0,
+                                  {ProcessorId(2)}, Time(1000), Time(0)});
+  EXPECT_EQ(federation_.stats().channel_visits, 1u);
+  // Addressed to P3, but P3 hosts task 3, not task 2: examined, not sent.
+  federation_.push(ProcessorId(0),
+                   TriggerPayload{TaskId(2), JobId(2), 0,
+                                  {ProcessorId(3)}, Time(1000), Time(0)});
+  EXPECT_EQ(federation_.stats().channel_visits, 2u);
+  // Addressed to a processor without a channel: nothing to examine.
+  federation_.push(ProcessorId(0),
+                   TriggerPayload{TaskId(2), JobId(3), 0,
+                                  {ProcessorId(9)}, Time(1000), Time(0)});
+  EXPECT_EQ(federation_.stats().channel_visits, 2u);
+  federation_.push(ProcessorId(0), IdleResetPayload{ProcessorId(0), {}});
+  EXPECT_EQ(federation_.stats().channel_visits, 3u);
+  EXPECT_TRUE(federation_.channel(ProcessorId(4)).unsubscribe(idle));
+  federation_.push(ProcessorId(0), IdleResetPayload{ProcessorId(0), {}});
+  EXPECT_EQ(federation_.stats().channel_visits, 3u);
+
+  sim_.run_all();
+  // Both sends arrive, but the IdleReset consumer was removed in flight.
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(network_.stats().messages_sent, 2u);
+  EXPECT_EQ(federation_.stats().remote_deliveries, 2u);
+}
+
+TEST_F(FederationFixture, SendsInAscendingProcessorOrder) {
+  std::vector<std::int32_t> order;
+  for (const std::int32_t p : {5, 1, 3}) {
+    federation_.channel(ProcessorId(p))
+        .subscribe(SubscriptionKey(EventType::kAccept).to_this_processor(),
+                   [&order, p](const Event&) { order.push_back(p); });
+  }
+  federation_.channel(ProcessorId(3))
+      .subscribe(EventType::kAccept,
+                 [&order](const Event&) { order.push_back(30); });
+  // Addressed to P5 (arrival) and P1 (placement[0]); P3 listens to all.
+  federation_.push(ProcessorId(0),
+                   AcceptPayload{TaskId(1), JobId(1), ProcessorId(5),
+                                 {ProcessorId(1)}, Time(99), false});
+  sim_.run_all();
+  EXPECT_EQ(order, (std::vector<std::int32_t>{1, 30, 5}));
+  EXPECT_EQ(federation_.stats().channel_visits, 3u);
+}
+
+TEST_F(FederationFixture, SubscriptionMadeDuringDeliveryIsRoutedAtOnce) {
+  int late_hits = 0;
+  LocalEventChannel& p1 = federation_.channel(ProcessorId(1));
+  p1.subscribe(EventType::kTaskArrive, [&](const Event&) {
+    p1.subscribe(EventType::kAccept, [&](const Event&) { ++late_hits; });
+    federation_.push(ProcessorId(1), AcceptPayload{});
+  });
+  federation_.push(ProcessorId(0),
+                   TaskArrivePayload{TaskId(1), JobId(1), ProcessorId(0),
+                                     Time(0), true});
+  sim_.run_all();
+  EXPECT_EQ(late_hits, 1);
 }
 
 TEST_F(FederationFixture, ChannelCreatedOnDemand) {

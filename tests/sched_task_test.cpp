@@ -43,6 +43,35 @@ TEST(TaskSetTest, AddAndFind) {
   EXPECT_EQ(set.find(TaskId(9)), nullptr);
 }
 
+// The id lookup is hashed, not a table indexed by the id's value: the
+// largest ids cost no more than small ones, and unknown or negative ids
+// are simply absent.
+TEST(TaskSetTest, FindHandlesExtremeAndUnknownIds) {
+  constexpr std::int32_t kLargest = 2147483646;  // 2^31 - 2
+  TaskSet set;
+  ASSERT_TRUE(
+      set.add(make_periodic(0, Duration::seconds(1), {{0, 1000}})).is_ok());
+  ASSERT_TRUE(set.add(make_aperiodic(kLargest, Duration::seconds(2),
+                                     {{1, 1000}}))
+                  .is_ok());
+  ASSERT_NE(set.find(TaskId(kLargest)), nullptr);
+  EXPECT_EQ(set.find(TaskId(kLargest))->kind, TaskKind::kAperiodic);
+  ASSERT_NE(set.find(TaskId(0)), nullptr);
+  EXPECT_EQ(set.find(TaskId(0))->kind, TaskKind::kPeriodic);
+  EXPECT_EQ(set.find(TaskId(1)), nullptr);
+  EXPECT_EQ(set.find(TaskId(kLargest - 1)), nullptr);
+  EXPECT_EQ(set.find(TaskId(kLargest + 1)), nullptr);
+  EXPECT_EQ(set.find(TaskId()), nullptr);
+  EXPECT_EQ(set.find(TaskId(-7)), nullptr);
+  EXPECT_FALSE(set.add(make_periodic(kLargest, Duration::seconds(1),
+                                     {{0, 1000}}))
+                   .is_ok());
+  // Copies keep their own lookup.
+  const TaskSet copy = set;
+  ASSERT_NE(copy.find(TaskId(kLargest)), nullptr);
+  EXPECT_EQ(copy.find(TaskId(kLargest)), &copy.tasks()[1]);
+}
+
 TEST(TaskSetTest, RejectsDuplicateIds) {
   TaskSet set;
   EXPECT_TRUE(

@@ -32,6 +32,8 @@
 #include <utility>
 
 #include "core/scheduling_state.h"
+#include "events/federated_channel.h"
+#include "sim/network.h"
 #include "sim/processor.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
@@ -223,6 +225,57 @@ TEST_P(SimAllocTest, ProcessorCompletionPathAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(sink, 2u * 3u * 64u);  // ids 1 + 2 completed per wave, twice
+}
+
+// Event routing shares the contract: a push examines and delivers through
+// preallocated tables, so pushing a Trigger and delivering it allocates
+// exactly the wire copy of its placement vector (one per destination) —
+// no snapshot, no routing list, no consumer-side allocation.
+TEST_P(SimAllocTest, TriggerPushAllocatesOnlyThePlacementCopy) {
+  Simulator sim(GetParam());
+  Network network(sim, std::make_unique<ConstantLatency>(Duration(322)));
+  events::FederatedEventChannel federation(sim, network);
+  using events::EventType;
+  using events::SubscriptionKey;
+  std::uint64_t delivered = 0;
+  std::uint64_t unexpected = 0;
+  // Three processors hosting the stages of tasks 0..3, plus the task
+  // manager's generic TaskArrive subscription.
+  for (std::int32_t p = 1; p <= 3; ++p) {
+    events::LocalEventChannel& channel = federation.channel(ProcessorId(p));
+    channel.subscribe(SubscriptionKey(EventType::kAccept).to_this_processor(),
+                      [&unexpected](const events::Event&) { ++unexpected; });
+    for (std::int32_t task = 0; task < 4; ++task) {
+      channel.subscribe(SubscriptionKey(EventType::kTrigger)
+                            .for_task(TaskId(task))
+                            .for_stage(static_cast<std::uint32_t>(p - 1))
+                            .to_this_processor(),
+                        [&delivered](const events::Event&) { ++delivered; });
+    }
+  }
+  federation.channel(ProcessorId(9))
+      .subscribe(EventType::kTaskArrive,
+                 [&unexpected](const events::Event&) { ++unexpected; });
+
+  // Payloads are built up front: only routing and delivery are measured.
+  constexpr int kPushes = 256;
+  std::vector<events::TriggerPayload> payloads;
+  for (int i = 0; i < 2 * kPushes; ++i) {
+    payloads.push_back(events::TriggerPayload{
+        TaskId(i % 4), JobId(i), static_cast<std::size_t>(i % 3),
+        {ProcessorId(1), ProcessorId(2), ProcessorId(3)}, Time(1000000),
+        Time(0)});
+  }
+  std::size_t next = 0;
+  const std::uint64_t allocs = measured_allocations(sim, [&] {
+    for (int i = 0; i < kPushes; ++i) {
+      federation.push(ProcessorId(0), std::move(payloads[next++]));
+    }
+  });
+  EXPECT_EQ(allocs, static_cast<std::uint64_t>(kPushes));
+  EXPECT_EQ(delivered, 2u * kPushes);
+  EXPECT_EQ(unexpected, 0u);
+  EXPECT_EQ(federation.stats().channel_visits, 2u * kPushes);
 }
 
 }  // namespace
