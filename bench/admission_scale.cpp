@@ -12,7 +12,8 @@
 //   incremental_nN    AdmissionIndex::admission_test (the production path)
 //   full_rescan_nN    current_footprints() + aub_admission_test (the old
 //                     per-arrival rescan, kept as the in-bench baseline and
-//                     as the RTCM_CHECK_ADMISSION_ORACLE cross-check)
+//                     as the reference tests/oracle_differential_test.cpp
+//                     holds the index to)
 //   admit_expire_nN   steady-state book churn: expire one resident job and
 //                     admit a replacement, holding the population constant
 //                     (the struct-of-arrays slabs make this O(stages) and

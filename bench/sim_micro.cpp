@@ -6,9 +6,8 @@
 //
 //   schedule_dispatch_fifo    in-order schedule + drain (arrival streams)
 //   schedule_dispatch_random  scrambled times (worst-case heap sifts)
-//   bulk_drain                dense calendar bulk-loaded then drained — the
-//                             pattern where the heap pays an O(log n) sift
-//                             per pop and the wheel stays amortized O(1)
+//   bulk_drain                dense calendar bulk-loaded then drained: one
+//                             O(log n) sift per pop
 //   steady_state_window       bounded pending set (~256), schedule and
 //                             dispatch interleaved — the shape real runs
 //                             have
@@ -20,24 +19,18 @@
 //   reschedule_churn          one event re-timed repeatedly (the preemptive
 //                             processor's completion-event pattern)
 //   processor_preempt_storm   end-to-end Processor preempt/resume chains
-//   baseline_map_fifo /       the pre-PR-4 kernel's data structure — a
-//   baseline_map_random       std::map<(time,seq), std::function> — run on
-//   baseline_map_steady_state identical workloads
 //
-// Every kernel-sensitive operation runs twice: the bare name measures the
-// production timer-wheel kernel, and the `_heap` twin measures the 4-ary
-// heap reference oracle on the identical workload, so each report carries
-// its own wheel-vs-heap comparison alongside the historical map baseline.
+// Each operation runs --repeats times and reports the minimum, the median
+// and the spread (max - min) of its ns/op over those repeats.
 //
 // Times are host wall times (not deterministic), so the report shares only
 // the envelope with the sweep benches: check_bench_regression.py
 // schema-checks it and tracks the numbers through CI artifacts, like
 // fig8_overheads.  Flags: --events=N --repeats=N --json_out=PATH
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,9 +49,10 @@ namespace {
 
 struct OpResult {
   std::string name;
-  double ns_per_op = 0.0;       // best repeat (least scheduler noise)
-  double mean_ns_per_op = 0.0;  // mean across repeats
-  std::uint64_t ops = 0;        // operations timed per repeat
+  double min_ns_per_op = 0.0;     // best repeat (least scheduler noise)
+  double median_ns_per_op = 0.0;  // median across repeats
+  double spread_ns_per_op = 0.0;  // max - min across repeats
+  std::uint64_t ops = 0;          // operations timed per repeat
 };
 
 using Clock = std::chrono::steady_clock;
@@ -80,56 +74,30 @@ class Scramble {
   std::uint64_t state_;
 };
 
-/// Time `op(events)` `repeats` times; ns/op over `ops_per_run` operations.
+/// Time `op()` `repeats` times; ns/op over `ops_per_run` operations.
 template <typename Op>
 OpResult time_op(std::string name, int repeats, std::uint64_t ops_per_run,
                  Op op) {
-  OpResult result;
-  result.name = std::move(name);
-  result.ops = ops_per_run;
-  double best = 0.0;
-  double sum = 0.0;
+  std::vector<double> ns;
   for (int r = 0; r < repeats; ++r) {
     const auto started = Clock::now();
     op();
-    const double ns =
+    ns.push_back(
         std::chrono::duration<double, std::nano>(Clock::now() - started)
             .count() /
-        static_cast<double>(ops_per_run);
-    sum += ns;
-    if (r == 0 || ns < best) best = ns;
+        static_cast<double>(ops_per_run));
   }
-  result.ns_per_op = best;
-  result.mean_ns_per_op = sum / repeats;
+  std::sort(ns.begin(), ns.end());
+  const std::size_t mid = ns.size() / 2;
+  OpResult result;
+  result.name = std::move(name);
+  result.ops = ops_per_run;
+  result.min_ns_per_op = ns.front();
+  result.median_ns_per_op =
+      ns.size() % 2 == 1 ? ns[mid] : (ns[mid - 1] + ns[mid]) / 2.0;
+  result.spread_ns_per_op = ns.back() - ns.front();
   return result;
 }
-
-/// The previous kernel's queue, reconstructed as a reference baseline: one
-/// red-black-tree node plus one type-erased std::function per event.
-class MapQueue {
- public:
-  void schedule(std::int64_t at, std::function<void()> fn) {
-    queue_.emplace(Key{at, next_seq_++}, std::move(fn));
-  }
-  bool step() {
-    if (queue_.empty()) return false;
-    auto it = queue_.begin();
-    now_ = it->first.first;
-    std::function<void()> fn = std::move(it->second);
-    queue_.erase(it);
-    fn();
-    return true;
-  }
-  /// Virtual time of the last dispatched event — mirrors Simulator::now()
-  /// so the steady-state baseline runs the exact same workload.
-  [[nodiscard]] std::int64_t now() const { return now_; }
-
- private:
-  using Key = std::pair<std::int64_t, std::uint64_t>;
-  std::uint64_t next_seq_ = 1;
-  std::int64_t now_ = 0;
-  std::map<Key, std::function<void()>> queue_;
-};
 
 }  // namespace
 
@@ -137,7 +105,8 @@ int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   const auto events =
       static_cast<std::uint64_t>(flags.get_int("events", 200000));
-  const int repeats = static_cast<int>(flags.get_int("repeats", 5));
+  const int repeats =
+      std::max(1, static_cast<int>(flags.get_int("repeats", 5)));
   const std::string json_out = flags.get_string("json_out", "");
   if (!bench::check_flags(flags, {"events", "repeats", "json_out"})) {
     return 2;
@@ -145,7 +114,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Simulation-kernel micro-benchmarks\n"
-      "%llu events per run, %d repeats (ns/op = best repeat)\n\n",
+      "%llu events per run, %d repeats\n\n",
       static_cast<unsigned long long>(events), repeats);
 
   // Sinks the callbacks write to, so the closures are not optimized away.
@@ -153,18 +122,13 @@ int main(int argc, char** argv) {
 
   std::vector<OpResult> results;
 
-  // Run `body(kind)` as two operations: `name` on the production wheel
-  // kernel and `name_heap` on the 4-ary heap oracle, identical workloads.
-  const auto both_kernels = [&](const std::string& name,
-                                std::uint64_t ops_per_run, auto body) {
-    results.push_back(time_op(name, repeats, ops_per_run,
-                              [&] { body(sim::KernelKind::kWheel); }));
-    results.push_back(time_op(name + "_heap", repeats, ops_per_run,
-                              [&] { body(sim::KernelKind::kHeap); }));
+  const auto run = [&](const std::string& name, std::uint64_t ops_per_run,
+                       auto body) {
+    results.push_back(time_op(name, repeats, ops_per_run, body));
   };
 
-  both_kernels("schedule_dispatch_fifo", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("schedule_dispatch_fifo", events, [&] {
+    sim::Simulator sim;
     for (std::uint64_t i = 0; i < events; ++i) {
       sim.schedule_at(Time(static_cast<std::int64_t>(i)),
                       [&sink, i] { sink += i; });
@@ -172,8 +136,8 @@ int main(int argc, char** argv) {
     sim.run_all();
   });
 
-  both_kernels("schedule_dispatch_random", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("schedule_dispatch_random", events, [&] {
+    sim::Simulator sim;
     Scramble scramble(42);
     for (std::uint64_t i = 0; i < events; ++i) {
       const auto at = static_cast<std::int64_t>(scramble.next() >> 24);
@@ -184,8 +148,8 @@ int main(int argc, char** argv) {
 
   // Bulk drain over a dense calendar: every event loaded before the first
   // dispatch, times packed ~8 usec apart, so the drain phase dominates.
-  both_kernels("bulk_drain", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("bulk_drain", events, [&] {
+    sim::Simulator sim;
     Scramble scramble(17);
     const std::uint64_t span = events * 8;
     for (std::uint64_t i = 0; i < events; ++i) {
@@ -199,8 +163,8 @@ int main(int argc, char** argv) {
   // (releases, completions, backstops) with schedule and dispatch
   // interleaved, not a bulk load followed by a bulk drain.
   constexpr std::uint64_t kWindow = 256;
-  both_kernels("steady_state_window", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("steady_state_window", events, [&] {
+    sim::Simulator sim;
     Scramble scramble(7);
     for (std::uint64_t i = 0; i < kWindow; ++i) {
       sim.schedule_at(Time(static_cast<std::int64_t>(scramble.next() % 1000)),
@@ -220,9 +184,9 @@ int main(int argc, char** argv) {
   // uniformly inside a ~400 ms horizon, so the heap sifts through ~17
   // levels while the wheel files into one of its buckets.
   constexpr std::uint64_t kBigWindow = 100000;
-  both_kernels("steady_state_pending_100k", events,
-               [&](sim::KernelKind kind) {
-                 sim::Simulator sim(kind);
+  run("steady_state_pending_100k", events,
+               [&] {
+                 sim::Simulator sim;
                  Scramble scramble(11);
                  const std::uint64_t spread = kBigWindow * 4;
                  for (std::uint64_t i = 0; i < kBigWindow; ++i) {
@@ -242,25 +206,8 @@ int main(int argc, char** argv) {
                  // steady state, not a trailing bulk drain.
                });
 
-  results.push_back(time_op("baseline_map_steady_state", repeats, events, [&] {
-    MapQueue queue;
-    Scramble scramble(7);
-    for (std::uint64_t i = 0; i < kWindow; ++i) {
-      queue.schedule(static_cast<std::int64_t>(scramble.next() % 1000),
-                     [&sink] { ++sink; });
-    }
-    for (std::uint64_t i = 0; i < events; ++i) {
-      queue.step();
-      const std::int64_t at =
-          queue.now() + static_cast<std::int64_t>(scramble.next() % 1000);
-      queue.schedule(at, [&sink] { ++sink; });
-    }
-    while (queue.step()) {
-    }
-  }));
-
-  both_kernels("schedule_cancel", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("schedule_cancel", events, [&] {
+    sim::Simulator sim;
     std::vector<sim::EventHandle> handles;
     handles.reserve(events);
     for (std::uint64_t i = 0; i < events; ++i) {
@@ -271,8 +218,8 @@ int main(int argc, char** argv) {
     sim.run_all();  // reaps the dead entries
   });
 
-  both_kernels("reschedule_churn", events, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("reschedule_churn", events, [&] {
+    sim::Simulator sim;
     sim::EventHandle h =
         sim.schedule_at(Time(static_cast<std::int64_t>(events) + 1),
                         [&sink] { ++sink; });
@@ -287,8 +234,8 @@ int main(int argc, char** argv) {
   // a high-priority item that preempts it — exercising submit, the
   // completion-event reschedule, and resume.
   const std::uint64_t waves = events / 4;
-  both_kernels("processor_preempt_storm", waves, [&](sim::KernelKind kind) {
-    sim::Simulator sim(kind);
+  run("processor_preempt_storm", waves, [&] {
+    sim::Simulator sim;
     sim::Processor cpu(sim, ProcessorId(0));
     for (std::uint64_t w = 0; w < waves; ++w) {
       const auto base = static_cast<std::int64_t>(w) * 100;
@@ -304,31 +251,12 @@ int main(int argc, char** argv) {
     sim.run_all();
   });
 
-  results.push_back(time_op("baseline_map_fifo", repeats, events, [&] {
-    MapQueue queue;
-    for (std::uint64_t i = 0; i < events; ++i) {
-      queue.schedule(static_cast<std::int64_t>(i), [&sink, i] { sink += i; });
-    }
-    while (queue.step()) {
-    }
-  }));
-
-  results.push_back(time_op("baseline_map_random", repeats, events, [&] {
-    MapQueue queue;
-    Scramble scramble(42);
-    for (std::uint64_t i = 0; i < events; ++i) {
-      const auto at = static_cast<std::int64_t>(scramble.next() >> 24);
-      queue.schedule(at, [&sink, i] { sink += i; });
-    }
-    while (queue.step()) {
-    }
-  }));
-
-  std::printf("  %-28s %12s %12s %12s\n", "operation", "ns/op", "mean ns/op",
-              "ops/run");
+  std::printf("  %-28s %10s %10s %10s %10s\n", "operation", "min ns/op",
+              "median", "spread", "ops/run");
   for (const OpResult& r : results) {
-    std::printf("  %-28s %12.1f %12.1f %12llu\n", r.name.c_str(), r.ns_per_op,
-                r.mean_ns_per_op, static_cast<unsigned long long>(r.ops));
+    std::printf("  %-28s %10.1f %10.1f %10.1f %10llu\n", r.name.c_str(),
+                r.min_ns_per_op, r.median_ns_per_op, r.spread_ns_per_op,
+                static_cast<unsigned long long>(r.ops));
   }
   std::printf("\n(checksum %llu)\n", static_cast<unsigned long long>(sink));
 
@@ -345,8 +273,9 @@ int main(int argc, char** argv) {
     for (const OpResult& r : results) {
       json::Value entry = json::Value::object();
       entry.set("name", r.name);
-      entry.set("ns_per_op", r.ns_per_op);
-      entry.set("mean_ns_per_op", r.mean_ns_per_op);
+      entry.set("min_ns_per_op", r.min_ns_per_op);
+      entry.set("median_ns_per_op", r.median_ns_per_op);
+      entry.set("spread_ns_per_op", r.spread_ns_per_op);
       entry.set("ops", static_cast<std::int64_t>(r.ops));
       operations.push_back(std::move(entry));
     }

@@ -35,7 +35,7 @@ if [[ "${THREADS_ONLY}" == 1 ]]; then
   # still gated at full speed in every other job.
   "${CTEST[@]}" -R 'Sweep|Shard|ThreadPool' -E ShardMergeFig5Binary
   echo "::endgroup::"
-  echo "::group::Simulation-kernel layer under TSan (both kernels)"
+  echo "::group::Simulation-kernel layer under TSan"
   "${CTEST[@]}" -L sim
   echo "::endgroup::"
   exit 0
@@ -47,17 +47,6 @@ echo "::group::Reconfiguration layer (unit label + property tests)"
 echo "::endgroup::"
 
 echo "::group::Simulation-kernel layer (unit + alloc labels, determinism)"
-# The sim label registers every test twice: once against the default
-# timer-wheel kernel and once (".heap_kernel" suffix, RTCM_SIM_KERNEL=heap)
-# against the 4-ary heap oracle, so this single invocation gates BOTH
-# kernels — in the sanitizer job too.  Assert the double registration is
-# actually wired before trusting the label run: a lost suffix would
-# silently halve the coverage.
-sim_listing="$(ctest --test-dir "${BUILD_DIR}" -N -L sim)"
-if ! grep -q '\.heap_kernel' <<<"${sim_listing}"; then
-  echo "sim label lost its .heap_kernel registrations" >&2
-  exit 1
-fi
 "${CTEST[@]}" -L sim
 "${CTEST[@]}" -R Determinism
 echo "::endgroup::"
@@ -66,14 +55,12 @@ echo "::group::Scenario API layer (spec round trips, library, validation)"
 "${CTEST[@]}" -L scenario
 echo "::endgroup::"
 
-echo "::group::Admission layer (incremental-index equivalence, oracle run)"
+echo "::group::Admission layer (incremental-index equivalence, oracles)"
 "${CTEST[@]}" -R IncrementalAub
-# Both admission cross-checks armed at once: the reference Equation (1)
-# rescan against the incremental index, and the map-backed shadow book
-# against the struct-of-arrays slabs.  Either aborts the bench on
-# divergence.
-RTCM_CHECK_ADMISSION_ORACLE=1 RTCM_CHECK_BOOK_ORACLE=1 \
-  "${BUILD_DIR}/bench_fig5_accept_ratio" --seeds=1 --horizon_s=10
+# Test-only differential harnesses: every library grid stepped with the
+# incremental index held to the full Equation (1) rescan, and the
+# struct-of-arrays book held to a map-backed shadow.
+"${CTEST[@]}" -R OracleDifferential
 echo "::endgroup::"
 
 echo "::group::Event routing layer (keyed router vs predicate reference)"

@@ -30,11 +30,17 @@ a flaky nightly diff.  Rules:
                         must use InlineFunction and slab/arena storage:
                         zero per-event heap allocations is an enforced
                         contract (tests/sim_alloc_test.cpp).
+  env-switch            getenv anywhere in the linted tree.  Each mechanism
+                        has one production implementation; a reference
+                        implementation belongs in tests/, not behind an
+                        environment switch.  Reads that only label or
+                        display output carry an inline allow saying so.
 
 Suppressions:
   * inline: `// rtcm-lint: allow(<rule>) <reason>` on the offending line or
-    the line directly above.  A reason is mandatory -- an allow without one
-    is itself reported.
+    in the run of comment lines directly above it (so it can share that
+    run with a clang-tidy NOLINTNEXTLINE).  A reason is mandatory -- an
+    allow without one is itself reported.
   * allowlist file (--allowlist, default scripts/rtcm_lint_allowlist.txt):
     lines of `<path-glob>:<rule>` with `#` comments.
 
@@ -67,6 +73,7 @@ RULES = {
     "wall-clock": "wall-clock / ambient-randomness source",
     "pointer-keyed": "ordered container keyed on a pointer",
     "sim-path-alloc": "std::function or raw new on an event path",
+    "env-switch": "environment variable read (behaviour switch)",
 }
 
 ALLOW_RE = re.compile(r"//\s*rtcm-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
@@ -169,6 +176,7 @@ POINTER_KEYED_RE = re.compile(
 
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 RAW_NEW_RE = re.compile(r"(?<![\w_])new\s+[\w:<(]")
+GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 
 def collect_unordered_names(code: str) -> set[str]:
@@ -343,10 +351,31 @@ def lint_text(
                 )
             )
 
+    # env-switch --------------------------------------------------------
+    for m in GETENV_RE.finditer(code):
+        raw.append(
+            Finding(
+                path,
+                line_of(m.start()),
+                "env-switch",
+                "getenv: a behaviour switch belongs in tests/, not behind "
+                "an environment variable",
+            )
+        )
+
+    def allow_rules(line: int) -> set[str]:
+        """Allows on `line`, the line above, and the comment run above."""
+        rules = {allows[n] for n in (line, line - 1) if n in allows}
+        above = line - 1
+        while above >= 1 and raw_lines[above - 1].lstrip().startswith("//"):
+            if above in allows:
+                rules.add(allows[above])
+            above -= 1
+        return rules
+
     suppressed: list[Finding] = []
     for f in raw:
-        allow_rule = allows.get(f.line) or allows.get(f.line - 1)
-        if allow_rule == f.rule:
+        if f.rule in allow_rules(f.line):
             suppressed.append(f)
         else:
             findings.append(f)

@@ -24,6 +24,9 @@
 # Usage: scripts/run_benches.sh [--build-dir DIR] [--report-dir DIR]
 #                               [--grids a,b,c] [--profile nightly]
 #                               [--shard K/N] [bench args...]
+#
+# The script's own options are recognized in any position, before or after
+# bench args; everything else passes through to the benches.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,6 +35,7 @@ REPORT_DIR="bench_reports"
 SCENARIO_GRIDS="bursty,jittered,imbalanced-heavy,drain-storm,long-horizon,huge-topology"
 PROFILE=""
 SHARD=""
+BENCH_ARGS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
@@ -44,7 +48,7 @@ while [[ $# -gt 0 ]]; do
     --profile=*) PROFILE="${1#*=}"; shift ;;
     --shard) SHARD="$2"; shift 2 ;;
     --shard=*) SHARD="${1#*=}"; shift ;;
-    *) break ;;
+    *) BENCH_ARGS+=("$1"); shift ;;
   esac
 done
 
@@ -70,7 +74,7 @@ if [[ -n "${SHARD}" ]]; then
 fi
 GRID_ARGS=("${PROFILE_ARGS[@]}")
 [[ -n "${SHARD}" ]] && GRID_ARGS+=("--shard=${SHARD}")
-GRID_ARGS+=("$@")
+GRID_ARGS+=("${BENCH_ARGS[@]}")
 
 if [[ ! -d "${BUILD_DIR}" ]]; then
   echo "build tree '${BUILD_DIR}' not found; run scripts/verify.sh first" >&2

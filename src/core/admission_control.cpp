@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <utility>
 
@@ -25,8 +23,6 @@ AdmissionControl::AdmissionControl(const sched::TaskSet& tasks,
     : Component(kTypeName),
       tasks_(tasks),
       metrics_(metrics),
-      // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time read
-      check_oracle_(std::getenv("RTCM_CHECK_ADMISSION_ORACLE") != nullptr),
       state_(arena) {
   declare_event_sink("TaskArrive", EventType::kTaskArrive);
   declare_event_sink("IdleReset", EventType::kIdleReset);
@@ -214,23 +210,6 @@ sched::AdmissionDecision AdmissionControl::test(
   ++counters_.admission_tests;
   const auto decision = state_.admission_index().admission_test(
       state_.ledger(), spec.id, stages);
-  if (check_oracle_) {
-    // Reference oracle: the pre-index full-task-set rescan must agree on
-    // the decision and on the candidate's own LHS.  (The blocking witness
-    // may legitimately differ when several footprints would fail.)
-    const auto oracle = sched::aub_admission_test(
-        state_.ledger(), spec.id, stages, state_.current_footprints());
-    if (oracle.admitted != decision.admitted ||
-        oracle.candidate_lhs != decision.candidate_lhs) {
-      std::fprintf(stderr,
-                   "RTCM_CHECK_ADMISSION_ORACLE: incremental admission "
-                   "diverged for %s: admitted %d vs %d, lhs %.17g vs %.17g\n",
-                   spec.id.to_string().c_str(), decision.admitted ? 1 : 0,
-                   oracle.admitted ? 1 : 0, decision.candidate_lhs,
-                   oracle.candidate_lhs);
-      std::abort();
-    }
-  }
   context().trace.record_lazy(
       context().sim.now(), sim::TraceKind::kAdmissionTest,
       context().processor, spec.id, JobId(), [&decision] {

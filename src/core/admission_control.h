@@ -148,9 +148,9 @@ class AdmissionControl final : public ccm::Component {
 
   /// Run Equation (1) for `spec` placed on `placement`, incrementally: only
   /// footprints intersecting the placement are re-checked (the book's
-  /// AdmissionIndex).  With RTCM_CHECK_ADMISSION_ORACLE set in the
-  /// environment, every decision is cross-checked against the reference
-  /// full-task-set rescan and a mismatch aborts.
+  /// AdmissionIndex).  tests/oracle_differential_test.cpp holds this to the
+  /// full-task-set rescan (sched::aub_admission_test) on every library
+  /// grid.
   [[nodiscard]] sched::AdmissionDecision test(
       const sched::TaskSpec& spec, const std::vector<ProcessorId>& placement);
 
@@ -171,8 +171,6 @@ class AdmissionControl final : public ccm::Component {
   LbStrategy lb_ = LbStrategy::kNone;
   AperiodicAnalysis analysis_ = AperiodicAnalysis::kAub;
   LocationService* location_ = nullptr;
-  /// RTCM_CHECK_ADMISSION_ORACLE was set when this AC was constructed.
-  bool check_oracle_ = false;
 
   SchedulingState state_;
   /// Frozen plans (LB per Task, periodic tasks), set at first arrival.

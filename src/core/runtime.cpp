@@ -55,8 +55,7 @@ Status validate_config(const SystemConfig& config) {
 }
 
 SystemRuntime::SystemRuntime(SystemConfig config, sched::TaskSet tasks)
-    : config_(std::move(config)), tasks_(std::move(tasks)),
-      sim_(config_.kernel) {
+    : config_(std::move(config)), tasks_(std::move(tasks)) {
   if (config_.enable_trace) trace_.enable();
   register_component_types();
 }

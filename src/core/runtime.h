@@ -56,12 +56,6 @@ struct SystemConfig {
   /// application processor with `ds_server` parameters.
   AperiodicAnalysis analysis = AperiodicAnalysis::kAub;
   sched::DsServerConfig ds_server{};
-  /// Which event-queue kernel orders the run's simulation events.  An
-  /// execution detail, not an experiment parameter: both kernels dispatch
-  /// byte-identically (enforced by the cross-kernel suite), so this is
-  /// deliberately NOT serialized with scenario specs — a spec re-run on
-  /// either kernel produces the same bytes.
-  sim::KernelKind kernel = sim::default_kernel_kind();
 };
 
 /// Validate a SystemConfig before any component is built: rejects invalid

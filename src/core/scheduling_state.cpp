@@ -2,141 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 
 namespace rtcm::core {
 
-// --- Shadow book (oracle mode) ----------------------------------------------
-//
-// The pre-slab, map-backed book kept as a cross-check: every mutation is
-// mirrored with the exact arithmetic (same operations, same order, same
-// snap-to-zero rules) the node-based implementation performed, then the
-// slab state is compared field by field.  Totals must match *bitwise* —
-// both sides run identical double sequences — so any layout bug that
-// perturbs accounting aborts immediately instead of drifting a trace.
-struct SchedulingState::ShadowBook {
-  struct Contribution {
-    ProcessorId proc;
-    double amount;
-  };
-  struct JobRec {
-    TaskId task;
-    std::vector<ProcessorId> placement;
-    Time deadline;
-    std::vector<sched::ContributionId> contributions;
-    sched::FootprintId footprint;
-  };
-  struct ResRec {
-    TaskId task;
-    std::vector<ProcessorId> placement;
-    std::vector<sched::ContributionId> contributions;
-    sched::FootprintId footprint;
-  };
-
-  std::map<sched::ContributionId, Contribution> contributions;
-  std::map<std::int32_t, double> totals;        // by ProcessorId::value
-  std::map<std::int32_t, std::size_t> live;     // by ProcessorId::value
-  std::map<std::int32_t, JobRec> jobs;          // by JobId::value
-  std::map<std::int32_t, ResRec> reservations;  // by TaskId::value
-
-  void ledger_add(sched::ContributionId id, ProcessorId proc, double amount) {
-    contributions.emplace(id, Contribution{proc, amount});
-    totals[proc.value()] += amount;
-    ++live[proc.value()];
-  }
-
-  bool ledger_remove(sched::ContributionId id) {
-    const auto it = contributions.find(id);
-    if (it == contributions.end()) return false;
-    const std::int32_t proc = it->second.proc.value();
-    double& total = totals[proc];
-    total -= it->second.amount;
-    const std::size_t remaining = --live[proc];
-    if (remaining == 0) {
-      total = 0.0;
-    } else if (total < 0.0) {
-      total = 0.0;
-    }
-    contributions.erase(it);
-    return true;
-  }
-
-  [[noreturn]] static void fail(const char* what) {
-    std::fprintf(stderr,
-                 "RTCM_CHECK_BOOK_ORACLE: slab book diverged from the "
-                 "map-backed shadow: %s\n",
-                 what);
-    std::abort();
-  }
-
-  void verify(const SchedulingState& state) const {
-    if (contributions.size() != state.ledger_.live()) {
-      fail("live contribution count");
-    }
-    for (const auto& [proc, total] : totals) {
-      if (state.ledger_.total(ProcessorId(proc)) != total) {
-        fail("processor total (bitwise)");
-      }
-    }
-    if (jobs.size() != state.job_ids_.size()) fail("active job count");
-    for (const auto& [id, rec] : jobs) {
-      const std::uint32_t row = state.job_index_.lookup(id);
-      if (row == util::IdSlotMap::kNoSlot) fail("job missing from slab");
-      if (state.job_task_[row] != rec.task) fail("job task");
-      if (state.job_deadline_[row] != rec.deadline) fail("job deadline");
-      if (state.job_footprint_[row] != rec.footprint) {
-        fail("job footprint handle");
-      }
-      if (!std::ranges::equal(state.job_placement_[row].span(),
-                              rec.placement)) {
-        fail("job placement");
-      }
-      if (!std::ranges::equal(state.job_contrib_[row].span(),
-                              rec.contributions)) {
-        fail("job contributions");
-      }
-    }
-    if (reservations.size() != state.res_ids_.size()) {
-      fail("reservation count");
-    }
-    for (const auto& [id, rec] : reservations) {
-      const std::uint32_t row = state.res_index_.lookup(id);
-      if (row == util::IdSlotMap::kNoSlot) {
-        fail("reservation missing from slab");
-      }
-      if (state.res_ids_[row] != rec.task) fail("reservation task");
-      if (state.res_footprint_[row] != rec.footprint) {
-        fail("reservation footprint handle");
-      }
-      if (!std::ranges::equal(state.res_placement_[row].span(),
-                              rec.placement)) {
-        fail("reservation placement");
-      }
-      if (!std::ranges::equal(state.res_contrib_[row].span(),
-                              rec.contributions)) {
-        fail("reservation contributions");
-      }
-    }
-  }
-};
-
-// --- SchedulingState ---------------------------------------------------------
-
-bool SchedulingState::book_oracle_from_env() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time read
-  return std::getenv("RTCM_CHECK_BOOK_ORACLE") != nullptr;
-}
-
-SchedulingState::SchedulingState(util::MonotonicArena* arena, bool book_oracle)
+SchedulingState::SchedulingState(util::MonotonicArena* arena)
     : own_arena_(arena == nullptr ? new util::MonotonicArena() : nullptr),
       arena_(arena == nullptr ? own_arena_.get() : arena),
-      index_(arena_) {
-  if (book_oracle) shadow_ = std::make_unique<ShadowBook>();
-}
-
-SchedulingState::~SchedulingState() = default;
+      index_(arena_) {}
 
 std::vector<sched::TaskFootprint> SchedulingState::current_footprints() const {
   std::vector<sched::TaskFootprint> out;
@@ -229,25 +101,11 @@ void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
     const sched::ContributionId c =
         ledger_.add(placement[j], spec.subtask_utilization(j));
     job_contrib_[row].push_back(c, *arena_);
-    if (shadow_) {
-      shadow_->ledger_add(c, placement[j], spec.subtask_utilization(j));
-    }
   }
   refresh_placement(placement);
   job_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
   job_index_.insert(job.value(), row);
   link_job_procs(row);
-  if (shadow_) {
-    ShadowBook::JobRec rec;
-    rec.task = spec.id;
-    rec.placement.assign(placement.begin(), placement.end());
-    rec.deadline = absolute_deadline;
-    rec.contributions.assign(job_contrib_[row].begin(),
-                             job_contrib_[row].end());
-    rec.footprint = job_footprint_[row];
-    shadow_->jobs.emplace(job.value(), std::move(rec));
-    shadow_->verify(*this);
-  }
 }
 
 std::optional<SchedulingState::JobView> SchedulingState::job(
@@ -274,10 +132,7 @@ void SchedulingState::expire_job(JobId job) {
   if (row == util::IdSlotMap::kNoSlot) return;
   index_.remove_footprint(job_footprint_[row]);
   for (const sched::ContributionId c : job_contrib_[row]) {
-    const bool removed = ledger_.remove(c);  // reset stages already gone
-    if (shadow_ && shadow_->ledger_remove(c) != removed) {
-      ShadowBook::fail("remove() outcome");
-    }
+    ledger_.remove(c);  // reset stages already gone
   }
   refresh_placement(job_placement_[row].span());
   unlink_job_procs(row);
@@ -303,10 +158,6 @@ void SchedulingState::expire_job(JobId job) {
   job_placement_.pop_back();
   job_contrib_.pop_back();
   job_proc_refs_.pop_back();
-  if (shadow_) {
-    shadow_->jobs.erase(job.value());
-    shadow_->verify(*this);
-  }
 }
 
 Time SchedulingState::latest_deadline_touching(
@@ -333,27 +184,17 @@ bool SchedulingState::reset_subjob(JobId job, std::size_t stage) {
   util::SmallVec<sched::ContributionId, 4>& contributions = job_contrib_[row];
   if (stage >= contributions.size()) return false;
   const bool removed = ledger_.remove(contributions[stage]);
-  if (shadow_ && shadow_->ledger_remove(contributions[stage]) != removed) {
-    ShadowBook::fail("remove() outcome");
-  }
   contributions[stage] = sched::ContributionId();
   // The job's footprint stays registered in full (matching the reference
   // test, which re-checks the whole placement until expiry); only the
   // stage's processor total — and so its cached term — changed.
   if (removed) index_.refresh(job_placement_[row][stage], ledger_);
-  if (shadow_) {
-    shadow_->jobs.at(job.value()).contributions[stage] =
-        sched::ContributionId();
-    shadow_->verify(*this);
-  }
   return removed;
 }
 
 void SchedulingState::add_background(ProcessorId proc, double utilization) {
-  const sched::ContributionId c = ledger_.add(proc, utilization);
-  if (shadow_) shadow_->ledger_add(c, proc, utilization);
+  (void)ledger_.add(proc, utilization);
   index_.refresh(proc, ledger_);
-  if (shadow_) shadow_->verify(*this);
 }
 
 void SchedulingState::reserve_task(const sched::TaskSpec& spec,
@@ -370,23 +211,10 @@ void SchedulingState::reserve_task(const sched::TaskSpec& spec,
     const sched::ContributionId c =
         ledger_.add(placement[j], spec.subtask_utilization(j));
     res_contrib_[row].push_back(c, *arena_);
-    if (shadow_) {
-      shadow_->ledger_add(c, placement[j], spec.subtask_utilization(j));
-    }
   }
   refresh_placement(placement);
   res_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
   res_index_.insert(spec.id.value(), row);
-  if (shadow_) {
-    ShadowBook::ResRec rec;
-    rec.task = spec.id;
-    rec.placement.assign(placement.begin(), placement.end());
-    rec.contributions.assign(res_contrib_[row].begin(),
-                             res_contrib_[row].end());
-    rec.footprint = res_footprint_[row];
-    shadow_->reservations.emplace(spec.id.value(), std::move(rec));
-    shadow_->verify(*this);
-  }
 }
 
 std::optional<SchedulingState::ReservationView> SchedulingState::reservation(
@@ -403,10 +231,7 @@ std::vector<ProcessorId> SchedulingState::release_reservation(
          "releasing a reservation that is not held");
   index_.remove_footprint(res_footprint_[row]);
   for (const sched::ContributionId c : res_contrib_[row]) {
-    const bool removed = ledger_.remove(c);
-    if (shadow_ && shadow_->ledger_remove(c) != removed) {
-      ShadowBook::fail("remove() outcome");
-    }
+    ledger_.remove(c);
   }
   std::vector<ProcessorId> placement(res_placement_[row].begin(),
                                      res_placement_[row].end());
@@ -424,10 +249,6 @@ std::vector<ProcessorId> SchedulingState::release_reservation(
   res_footprint_.pop_back();
   res_placement_.pop_back();
   res_contrib_.pop_back();
-  if (shadow_) {
-    shadow_->reservations.erase(spec.id.value());
-    shadow_->verify(*this);
-  }
   return placement;
 }
 

@@ -8,7 +8,8 @@
 //   - the footprints of everything currently admitted, mirrored into an
 //     incremental AdmissionIndex so an arrival only re-tests the footprints
 //     its placement intersects (sched/admission_index.h).  The full
-//     footprint list stays available for the reference-oracle test.
+//     footprint list stays available for the reconfiguration engine and for
+//     the full-rescan differential test.
 //
 // Storage is struct-of-arrays: jobs and reservations live in dense slabs
 // (parallel columns, swap-with-last removal) keyed by open-addressing
@@ -20,11 +21,10 @@
 // slabs are warm (tests/sim_alloc_test.cpp pins this with a counting
 // allocator).
 //
-// With RTCM_CHECK_BOOK_ORACLE set in the environment (or the oracle ctor
-// flag), a std::map-backed shadow book mirrors every mutation with the
-// exact arithmetic of the pre-slab implementation and cross-checks totals,
-// live counts and row contents after each one, aborting on divergence —
-// the same enforcement style as RTCM_CHECK_ADMISSION_ORACLE.
+// The pre-slab, std::map-backed book lives on as a test-only shadow
+// (tests/shadow_book.h): it mirrors every mutator with the exact arithmetic
+// of the node-based implementation and compares totals bitwise, live
+// counts and rows through the public views below after each one.
 #pragma once
 
 #include <cstdint>
@@ -68,15 +68,10 @@ class SchedulingState {
     std::span<const sched::ContributionId> contributions;
   };
 
-  /// True when RTCM_CHECK_BOOK_ORACLE is set in the environment.
-  [[nodiscard]] static bool book_oracle_from_env();
-
   /// Spill storage beyond the inline row capacity comes from `arena` (the
   /// owning SystemRuntime's cell arena); when null, the state owns a
-  /// private arena.  `book_oracle` enables the shadow-book cross-check.
-  explicit SchedulingState(util::MonotonicArena* arena = nullptr,
-                           bool book_oracle = book_oracle_from_env());
-  ~SchedulingState();
+  /// private arena.
+  explicit SchedulingState(util::MonotonicArena* arena = nullptr);
   SchedulingState(const SchedulingState&) = delete;
   SchedulingState& operator=(const SchedulingState&) = delete;
 
@@ -93,8 +88,8 @@ class SchedulingState {
 
   /// Footprints of every admitted-and-unexpired job plus every reservation,
   /// as Equation (1) must keep holding for all of them.  The incremental
-  /// path never materializes this list; it feeds the reference oracle and
-  /// the reconfiguration engine's scans.
+  /// path never materializes this list; it feeds the reconfiguration
+  /// engine's scans and the full-rescan differential test.
   [[nodiscard]] std::vector<sched::TaskFootprint> current_footprints() const;
 
   // --- Per-job admissions --------------------------------------------------
@@ -187,8 +182,6 @@ class SchedulingState {
   [[nodiscard]] const util::MonotonicArena& arena() const { return *arena_; }
 
  private:
-  struct ShadowBook;
-
   /// Where a job's row is registered in the per-processor job index.
   struct ProcRef {
     std::uint32_t proc_slot = 0;    // dense ledger slot of the processor
@@ -231,9 +224,6 @@ class SchedulingState {
   std::vector<sched::FootprintId> res_footprint_;
   std::vector<util::SmallVec<ProcessorId, 4>> res_placement_;
   std::vector<util::SmallVec<sched::ContributionId, 4>> res_contrib_;
-
-  /// Non-null only in oracle mode.
-  std::unique_ptr<ShadowBook> shadow_;
 };
 
 }  // namespace rtcm::core

@@ -31,8 +31,9 @@
 // Equation (1)": admissions re-check every footprint they affect, removals
 // only lower totals (aub_term is monotone), and an untouched footprint's
 // LHS is bitwise unchanged by a candidate that shares no processor with it.
-// The reference test remains available as a cross-check oracle
-// (RTCM_CHECK_ADMISSION_ORACLE in core/admission_control.cpp).
+// The reference test stays in src/ because it is Equation (1) itself;
+// tests/oracle_differential_test.cpp steps every library grid and holds
+// admission_test() to it bitwise (decision and candidate LHS).
 //
 // Storage is struct-of-arrays: footprints live in a generation-counted
 // slab (parallel task / lhs / saturation / visit columns; FootprintId is

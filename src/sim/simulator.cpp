@@ -1,10 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 namespace rtcm::sim {
@@ -17,23 +14,6 @@ constexpr std::size_t kArity = 4;
 /// Below this many stored entries, compaction is never worth the sweep.
 constexpr std::size_t kCompactMinEntries = 256;
 }  // namespace
-
-KernelKind default_kernel_kind() {
-  // Read once per Simulator construction, before any thread is spawned
-  // (sweep cells construct their simulators inside their own job).
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("RTCM_SIM_KERNEL");
-  if (env != nullptr && std::string_view(env) == "heap") {
-    return KernelKind::kHeap;
-  }
-  return KernelKind::kWheel;
-}
-
-Simulator::Simulator(KernelKind kind) : kind_(kind) {
-  if (kind_ == KernelKind::kWheel) {
-    wheel_.resize(static_cast<std::size_t>(kWheelLevels) * kWheelSlots);
-  }
-}
 
 std::uint32_t Simulator::acquire_slot(EventFn fn) {
   std::uint32_t slot;
@@ -57,67 +37,64 @@ void Simulator::release_slot(std::uint32_t slot) {
   --live_;
 }
 
-// --- shared 4-ary heap primitives -------------------------------------------
+// --- 4-ary heap --------------------------------------------------------------
 
-void Simulator::heap4_push(std::vector<Entry>& heap, const Entry& entry) {
+void Simulator::heap_push(const Entry& entry) {
   // Hole-based sift-up: bubble a hole to the entry's position and store
   // once, instead of swapping the entry level by level.  Events scheduled
   // in nondecreasing time order (arrival streams) place with one compare.
-  std::size_t i = heap.size();
-  heap.push_back(entry);
+  std::size_t i = heap_.size();
+  heap_.push_back(entry);
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!before(entry, heap[parent])) break;
-    heap[i] = heap[parent];
+    if (!before(entry, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  heap[i] = entry;
+  heap_[i] = entry;
 }
 
-// `moved` must not alias an element of `heap` (elements are overwritten
+// `moved` must not alias an element of heap_ (elements are overwritten
 // while it is still compared against) — callers pass a local copy.
-void Simulator::heap4_sift_down(std::vector<Entry>& heap, std::size_t i,
-                                const Entry& moved) {
+void Simulator::heap_sift_down(std::size_t i, const Entry& moved) {
   for (;;) {
     const std::size_t first = i * kArity + 1;
-    if (first >= heap.size()) break;
-    const std::size_t last = std::min(first + kArity, heap.size());
+    if (first >= heap_.size()) break;
+    const std::size_t last = std::min(first + kArity, heap_.size());
     std::size_t best = first;
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap[c], heap[best])) best = c;
+      if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap[best], moved)) break;
-    heap[i] = heap[best];
+    if (!before(heap_[best], moved)) break;
+    heap_[i] = heap_[best];
     i = best;
   }
-  heap[i] = moved;
+  heap_[i] = moved;
 }
 
-void Simulator::heap4_pop(std::vector<Entry>& heap) {
-  assert(!heap.empty());
-  const Entry moved = heap.back();
-  heap.pop_back();
-  if (!heap.empty()) heap4_sift_down(heap, 0, moved);
+void Simulator::heap_pop() {
+  assert(!heap_.empty());
+  const Entry moved = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) heap_sift_down(0, moved);
 }
 
-void Simulator::heap4_heapify(std::vector<Entry>& heap) {
-  if (heap.size() < 2) return;
-  for (std::size_t i = (heap.size() - 2) / kArity + 1; i-- > 0;) {
-    const Entry moved = heap[i];
-    heap4_sift_down(heap, i, moved);
+void Simulator::heapify() {
+  if (heap_.size() < 2) return;
+  for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+    const Entry moved = heap_[i];
+    heap_sift_down(i, moved);
   }
 }
 
-// --- heap kernel -------------------------------------------------------------
-
 void Simulator::settle_front() {
-  while (!heap_.empty() && entry_dead(heap_.front())) heap4_pop(heap_);
+  while (!heap_.empty() && entry_dead(heap_.front())) heap_pop();
 }
 
-void Simulator::heap_dispatch_front() {
+void Simulator::dispatch_front() {
   // settle_front() has already run; the front is live.
   const Entry top = heap_.front();
-  heap4_pop(heap_);
+  heap_pop();
   now_ = Time(top.time_usec);
   // Move the callback out and release the slot before invoking: the
   // callback may schedule, cancel, or reschedule other events (mutating the
@@ -129,7 +106,7 @@ void Simulator::heap_dispatch_front() {
   fn();
 }
 
-void Simulator::heap_maybe_compact() {
+void Simulator::maybe_compact() {
   // Every live event owns exactly one live heap entry, so the dead count is
   // size - live.  Rebuilding when dead exceeds live keeps queue memory
   // O(live) and costs O(1) amortized: a sweep of n entries discards > n/2
@@ -138,256 +115,17 @@ void Simulator::heap_maybe_compact() {
     return;
   }
   std::erase_if(heap_, [this](const Entry& e) { return entry_dead(e); });
-  heap4_heapify(heap_);
+  heapify();
 }
 
-// --- wheel kernel ------------------------------------------------------------
-
-void Simulator::wheel_place(const Entry& entry) {
-  // Level = most significant base-64 digit where the event time differs
-  // from now.  Because now only grows, a stored level is only ever too
-  // *high* for a later reference instant, never too low — wheel_advance's
-  // path cascade re-files such entries before they can be missed.
-  const std::uint64_t u = static_cast<std::uint64_t>(entry.time_usec);
-  const std::uint64_t diff = u ^ static_cast<std::uint64_t>(now_.usec());
-  const int level =
-      diff == 0 ? 0 : (std::bit_width(diff) - 1) / kSlotBits;
-  if (level >= kWheelLevels) {
-    heap4_push(overflow_, entry);
-    return;
-  }
-  const std::uint64_t slot = digit(entry.time_usec, level);
-  bucket(level, slot).push_back(entry);
-  occupied_[level] |= std::uint64_t{1} << slot;
-}
-
-void Simulator::wheel_purge_bucket(int level, std::uint64_t slot) {
-  std::vector<Entry>& b = bucket(level, slot);
-  assert(wheel_dead_ >= b.size());
-  wheel_dead_ -= b.size();
-  b.clear();
-  occupied_[level] &= ~(std::uint64_t{1} << slot);
-}
-
-void Simulator::wheel_advance(Time t) {
-  const std::uint64_t oldu = static_cast<std::uint64_t>(now_.usec());
-  const std::uint64_t newu = static_cast<std::uint64_t>(t.usec());
-  assert(newu >= oldu && "time cannot move backwards");
-  now_ = t;
-  const std::uint64_t diff = oldu ^ newu;
-  if (diff == 0) return;
-  int top = (std::bit_width(diff) - 1) / kSlotBits;
-  if (top >= kWheelLevels) {
-    // Crossed the wheel's full span: overflow events whose time lies in the
-    // new span are now representable — file them.  The overflow heap pops
-    // in (time, seq) order, so draining while the front is in-span moves
-    // exactly the reachable ones.
-    const int span_shift = kSlotBits * kWheelLevels;
-    const std::uint64_t span = newu >> span_shift;
-    while (!overflow_.empty()) {
-      if (entry_dead(overflow_.front())) {
-        heap4_pop(overflow_);
-        --wheel_dead_;
-        continue;
-      }
-      const Entry front = overflow_.front();
-      if (static_cast<std::uint64_t>(front.time_usec) >> span_shift != span) {
-        break;
-      }
-      heap4_pop(overflow_);
-      wheel_place(front);
-    }
-    top = kWheelLevels - 1;
-  }
-  // Cascade the new instant's digit path top-down.  Entries here match
-  // now_ at their bucket's digit, so re-placing files them strictly below
-  // their source level (level 0 for events at exactly now_) and never onto
-  // another path bucket — each entry is touched once per advance, and at
-  // most kWheelLevels times over its whole life.
-  for (int l = top; l >= 1; --l) {
-    const std::uint64_t slot = digit(t.usec(), l);
-    if ((occupied_[l] & (std::uint64_t{1} << slot)) == 0) continue;
-    std::vector<Entry>& b = bucket(l, slot);
-    occupied_[l] &= ~(std::uint64_t{1} << slot);
-    for (const Entry& e : b) {
-      if (entry_dead(e)) {
-        --wheel_dead_;
-        continue;
-      }
-      wheel_place(e);
-    }
-    b.clear();
-  }
-}
-
-bool Simulator::wheel_settle() {
-  // Fast path: a live entry already at the head of the sorted due batch.
-  while (due_idx_ < due_.size()) {
-    if (!entry_dead(due_[due_idx_])) {
-      wheel_front_time_ = due_[due_idx_].time_usec;
-      return true;
-    }
-    ++due_idx_;
-    --wheel_dead_;
-  }
-  if (!due_.empty()) {
-    due_.clear();  // keeps capacity for the next bucket pull
-    due_idx_ = 0;
-  }
-  if (live_ == 0) {
-    // Everything stored is dead — reap it now so an emptied-out simulator
-    // leaves no residue behind (and the next workload's buckets start at
-    // their warmed capacity, not warmed-capacity-minus-leftover-dead).
-    if (wheel_dead_ != 0) {
-      for (int l = 0; l < kWheelLevels; ++l) {
-        std::uint64_t mask = occupied_[l];
-        while (mask != 0) {
-          wheel_purge_bucket(
-              l, static_cast<std::uint64_t>(std::countr_zero(mask)));
-          mask &= mask - 1;
-        }
-      }
-      assert(wheel_dead_ >= overflow_.size());
-      wheel_dead_ -= overflow_.size();
-      overflow_.clear();
-      assert(wheel_dead_ == 0);
-    }
-    return false;
-  }
-  // Scan levels bottom-up.  A live entry stored at level l matches now_ on
-  // every digit above l and exceeds now_'s digit at l, so (a) within a
-  // level, lower slots hold earlier events, and (b) any live entry at a
-  // lower level beats every live entry at a higher one — the first bucket
-  // with a live entry wins, and it is dismantled by the dispatch that
-  // follows (pulled into due_ or cascaded by wheel_advance), so its
-  // content scan is not repeated.
-  for (int l = 0; l < kWheelLevels; ++l) {
-    const std::uint64_t p = digit(now_.usec(), l);
-    // Level 0's path bucket holds events at exactly now_; path buckets at
-    // higher levels are always empty (wheel_advance cascades them and a
-    // fresh placement's slot digit differs from now_'s by construction),
-    // so levels >= 1 scan strictly above the path.
-    std::uint64_t mask =
-        l == 0 ? occupied_[0] & (~std::uint64_t{0} << p)
-        : p >= kSlotMask
-            ? 0
-            : occupied_[l] & (~std::uint64_t{0} << (p + 1));
-    while (mask != 0) {
-      const auto slot = static_cast<std::uint64_t>(std::countr_zero(mask));
-      const std::vector<Entry>& b = bucket(l, slot);
-      const Entry* best = nullptr;
-      for (const Entry& e : b) {
-        if (!entry_dead(e) && (best == nullptr || before(e, *best))) {
-          best = &e;
-        }
-      }
-      if (best != nullptr) {
-        wheel_front_time_ = best->time_usec;
-        return true;
-      }
-      wheel_purge_bucket(l, slot);
-      mask &= mask - 1;
-    }
-  }
-  // Nothing live in the wheel: the front is the overflow minimum.
-  while (!overflow_.empty() && entry_dead(overflow_.front())) {
-    heap4_pop(overflow_);
-    --wheel_dead_;
-  }
-  assert(!overflow_.empty() && "live_ > 0 implies a reachable live entry");
-  wheel_front_time_ = overflow_.front().time_usec;
-  return true;
-}
-
-void Simulator::wheel_dispatch_front() {
-  // wheel_settle() has already run: the earliest live event is at
-  // wheel_front_time_.  Commit time first; the cascade then guarantees the
-  // front sits either at the head of due_ or in level 0's path bucket.
-  if (wheel_front_time_ != now_.usec()) wheel_advance(Time(wheel_front_time_));
-  for (;;) {
-    if (due_idx_ < due_.size()) {
-      const Entry e = due_[due_idx_];
-      ++due_idx_;
-      if (entry_dead(e)) {
-        --wheel_dead_;
-        continue;
-      }
-      assert(e.time_usec == now_.usec());
-      EventFn fn = std::move(slots_[e.slot].fn);
-      release_slot(e.slot);
-      ++executed_;
-      fn();
-      return;
-    }
-    due_.clear();
-    due_idx_ = 0;
-    const std::uint64_t slot = digit(now_.usec(), 0);
-    std::vector<Entry>& b = bucket(0, slot);
-    assert(!b.empty() && "settled front must be reachable");
-    // Copy rather than swap: due_ keeps its high-water capacity and the
-    // bucket keeps its own, so steady-state dispatch allocates nothing (a
-    // swap would leave the bucket with due_'s *previous* capacity, one pull
-    // behind what it needs).
-    due_.insert(due_.end(), b.begin(), b.end());
-    b.clear();
-    occupied_[0] &= ~(std::uint64_t{1} << slot);
-    // A level-0 bucket's live entries share one instant, but cascaded
-    // arrivals interleave with direct ones, so seq order needs restoring
-    // (dead entries from older laps may carry earlier times; they sort
-    // first and are skipped).
-    std::sort(due_.begin(), due_.end(),
-              [](const Entry& a, const Entry& b2) { return before(a, b2); });
-  }
-}
-
-void Simulator::wheel_maybe_compact() {
-  // Same bound as the heap kernel: sweep every structure once dead entries
-  // outnumber live ones, so reschedule storms keep memory O(live).  The
-  // sweep also reaps buckets the scan window has moved past (slots below
-  // now_'s digit path hold only dead entries).
-  if (wheel_dead_ <= kCompactMinEntries || wheel_dead_ <= live_) return;
-  for (int l = 0; l < kWheelLevels; ++l) {
-    std::uint64_t mask = occupied_[l];
-    while (mask != 0) {
-      const auto slot = static_cast<std::uint64_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      std::vector<Entry>& b = bucket(l, slot);
-      std::erase_if(b, [this](const Entry& e) { return entry_dead(e); });
-      if (b.empty()) occupied_[l] &= ~(std::uint64_t{1} << slot);
-    }
-  }
-  // Drop due_'s consumed prefix, then its dead entries; the live tail keeps
-  // its (already sorted) order.
-  due_.erase(due_.begin(), due_.begin() + static_cast<std::ptrdiff_t>(due_idx_));
-  due_idx_ = 0;
-  std::erase_if(due_, [this](const Entry& e) { return entry_dead(e); });
-  std::erase_if(overflow_, [this](const Entry& e) { return entry_dead(e); });
-  heap4_heapify(overflow_);
-  wheel_dead_ = 0;
-}
-
-// --- shared API --------------------------------------------------------------
-
-void Simulator::note_dead_entry() {
-  if (kind_ == KernelKind::kHeap) {
-    heap_maybe_compact();
-  } else {
-    ++wheel_dead_;
-    wheel_maybe_compact();
-  }
-}
+// --- public API --------------------------------------------------------------
 
 EventHandle Simulator::schedule_at(Time at, EventFn fn) {
   assert(at >= now_ && "cannot schedule in the past");
   assert(fn && "null event callback");
   const std::uint32_t slot = acquire_slot(std::move(fn));
   const std::uint32_t gen = slots_[slot].gen;
-  const Entry entry{at.usec(), next_seq_++, slot, gen};
-  if (kind_ == KernelKind::kHeap) {
-    heap4_push(heap_, entry);
-  } else {
-    wheel_place(entry);
-  }
+  heap_push({at.usec(), next_seq_++, slot, gen});
   ++live_;
   return EventHandle(slot, gen);
 }
@@ -402,7 +140,7 @@ bool Simulator::cancel(EventHandle handle) {
   if (slots_[handle.slot_].gen != handle.gen_) return false;
   assert(slots_[handle.slot_].fn && "live generation implies armed slot");
   release_slot(handle.slot_);
-  note_dead_entry();
+  maybe_compact();
   return true;
 }
 
@@ -413,61 +151,33 @@ bool Simulator::reschedule(EventHandle& handle, Time at) {
   if (s.gen != handle.gen_) return false;
   assert(s.fn && "live generation implies armed slot");
   ++s.gen;  // the currently-queued entry is now dead
-  const Entry entry{at.usec(), next_seq_++, handle.slot_, s.gen};
-  if (kind_ == KernelKind::kHeap) {
-    heap4_push(heap_, entry);
-  } else {
-    wheel_place(entry);
-  }
+  heap_push({at.usec(), next_seq_++, handle.slot_, s.gen});
   handle.gen_ = s.gen;
-  note_dead_entry();
+  maybe_compact();
   return true;
 }
 
 bool Simulator::step() {
-  if (kind_ == KernelKind::kHeap) {
-    settle_front();
-    if (heap_.empty()) return false;
-    heap_dispatch_front();
-  } else {
-    if (!wheel_settle()) return false;
-    wheel_dispatch_front();
-  }
+  settle_front();
+  if (heap_.empty()) return false;
+  dispatch_front();
   return true;
 }
 
 void Simulator::run_until(Time deadline) {
-  // Settle once per dispatch: the dispatch helpers assume a settled front,
-  // so the dead-entry scan that used to run twice per event (settle in the
-  // loop head, again inside step) runs exactly once.
-  if (kind_ == KernelKind::kHeap) {
-    for (;;) {
-      settle_front();
-      if (heap_.empty() || Time(heap_.front().time_usec) > deadline) break;
-      heap_dispatch_front();
-    }
-    if (now_ < deadline) now_ = deadline;
-  } else {
-    for (;;) {
-      if (!wheel_settle() || Time(wheel_front_time_) > deadline) break;
-      wheel_dispatch_front();
-    }
-    // Commit the horizon through wheel_advance, not a bare assignment: the
-    // digit path must stay cascaded for every observable now_.
-    if (now_ < deadline) wheel_advance(deadline);
+  // Settle once per dispatch: dispatch_front() assumes a settled front, so
+  // the dead-entry scan runs exactly once per event.
+  for (;;) {
+    settle_front();
+    if (heap_.empty() || Time(heap_.front().time_usec) > deadline) break;
+    dispatch_front();
   }
+  if (now_ < deadline) now_ = deadline;
 }
 
 void Simulator::run_all() {
   while (step()) {
   }
-}
-
-std::size_t Simulator::queue_entries() const {
-  // Every live event stores exactly one live entry; dead entries are
-  // size - live for the heap and counted explicitly for the wheel.
-  if (kind_ == KernelKind::kHeap) return heap_.size();
-  return live_ + wheel_dead_;
 }
 
 }  // namespace rtcm::sim

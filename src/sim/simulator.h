@@ -6,47 +6,32 @@
 //
 // The queue is built for throughput — every paper figure and sweep cell is
 // produced through it, so event dispatch is the hottest path in the
-// codebase.  Two interchangeable kernels order the events, selected at
-// construction (KernelKind) and proven byte-identical in dispatch order by
-// the cross-kernel property suite (tests/sim_kernel_test.cpp):
-//
-//   - KernelKind::kHeap — a 4-ary min-heap of plain (time, seq) keys with
-//     hole-based sifts: one O(log n) sift per schedule, no tree nodes.  The
-//     deterministic reference oracle.
-//   - KernelKind::kWheel — a hierarchical timer wheel: 6 levels of 64
-//     buckets (level l buckets span 64^l microseconds), a 64-bit occupancy
-//     bitmap per level so advancing to the next event skips empty buckets
-//     with a count-trailing-zeros, and a 4-ary overflow heap for events
-//     beyond the top level's ~19-hour span.  Scheduling appends to the
-//     bucket of the highest base-64 digit where the event time differs from
-//     now (O(1)); as time advances, buckets on the new instant's digit path
-//     cascade down one level at a time, so each event is touched at most 6
-//     times before it reaches a level-0 bucket, whose entries share a
-//     single microsecond and dispatch in sequence order.  Bulk drains stay
-//     O(1) amortized per event instead of paying a heap sift each.
-//
-// Shared by both kernels:
+// codebase:
+//   - pending events are ordered by a 4-ary min-heap of plain (time, seq)
+//     keys with hole-based sifts: one O(log n) sift per schedule, no tree
+//     nodes,
 //   - callbacks live in a slab of generation-counted slots recycled through
 //     a free list, stored as small-buffer `EventFn` delegates: scheduling
 //     performs zero heap allocations for captures within the inline
 //     capacity,
 //   - cancellation is O(1) and lazy: the slot is released (and its
-//     generation bumped) immediately, and the dead queue entry is skipped
+//     generation bumped) immediately, and the dead heap entry is skipped
 //     when it surfaces,
 //   - `reschedule` moves a pending event to a new instant while keeping its
 //     slot and callback — the preemptive processor model re-times its
 //     completion event this way instead of cancel + re-allocate,
 //   - cancel/reschedule storms cannot grow queue memory without bound:
-//     when dead entries outnumber live ones the queue compacts in place
-//     (rebuilds the heap / sweeps the buckets), keeping stored entries
-//     O(live) at O(1) amortized cost.
+//     when dead entries outnumber live ones the heap is rebuilt in place
+//     from its live entries, keeping stored entries O(live) at O(1)
+//     amortized cost.
 //
-// Dispatch order is exactly the historical (time, seq) contract: seq is
-// consumed once per schedule/reschedule, so traces stay byte-identical
-// whichever kernel runs them.
+// Dispatch order is exactly the (time, seq) contract: seq is consumed once
+// per schedule/reschedule, so a program's trace is a function of its inputs.
+// tests/sim_kernel_test.cpp replays randomized churn against a
+// std::multimap reference kept in the test and requires the identical
+// dispatch sequence and now() trajectory.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,16 +45,6 @@ namespace rtcm::sim {
 /// per-destination event copy, 88 bytes); larger captures fall back to one
 /// heap allocation.
 using EventFn = InlineFunction<void(), 88>;
-
-/// Which data structure orders pending events.  Both kernels implement the
-/// identical (time, seq) dispatch contract; kWheel is the production
-/// default, kHeap the reference oracle the property tests compare against.
-enum class KernelKind { kHeap, kWheel };
-
-/// The kernel a default-constructed Simulator uses: KernelKind::kWheel,
-/// unless the RTCM_SIM_KERNEL environment variable is set to "heap" — the
-/// A/B switch CI uses to run the whole suite against the oracle kernel.
-[[nodiscard]] KernelKind default_kernel_kind();
 
 /// Identifies one scheduled event for cancellation or rescheduling.  A
 /// handle is a (slot, generation) pair: the slot's generation moves on when
@@ -96,12 +71,9 @@ class EventHandle {
 
 class Simulator {
  public:
-  Simulator() : Simulator(default_kernel_kind()) {}
-  explicit Simulator(KernelKind kind);
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] KernelKind kernel() const { return kind_; }
 
   /// Current virtual time.
   [[nodiscard]] Time now() const { return now_; }
@@ -141,10 +113,10 @@ class Simulator {
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Entries currently stored in the ordering structure (live + lazily
-  /// dead).  Exposed so tests can pin the compaction bound: cancel or
-  /// reschedule storms must keep this O(pending()), not O(total churn).
-  [[nodiscard]] std::size_t queue_entries() const;
+  /// Entries currently stored in the heap (live + lazily dead).  Exposed
+  /// so tests can pin the compaction bound: cancel or reschedule storms
+  /// must keep this O(pending()), not O(total churn).
+  [[nodiscard]] std::size_t queue_entries() const { return heap_.size(); }
 
  private:
   /// One queue entry: the ordering key plus the slot the callback lives in.
@@ -162,15 +134,6 @@ class Simulator {
     std::uint32_t gen = 0;
   };
 
-  // Wheel geometry: 6 levels of 64 buckets.  Level l holds events whose
-  // time first differs from now in base-64 digit l, i.e. between 64^l and
-  // 64^(l+1) microseconds of shared-prefix distance; beyond 64^6 usec
-  // (~19 simulated hours) events wait in the overflow heap.
-  static constexpr int kSlotBits = 6;
-  static constexpr std::uint64_t kWheelSlots = 1u << kSlotBits;
-  static constexpr int kWheelLevels = 6;
-  static constexpr std::uint64_t kSlotMask = kWheelSlots - 1;
-
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
     return a.time_usec != b.time_usec ? a.time_usec < b.time_usec
                                       : a.seq < b.seq;
@@ -179,84 +142,31 @@ class Simulator {
     return slots_[e.slot].gen != e.gen;
   }
 
-  // 4-ary min-heap primitives, shared by the heap kernel (on heap_) and the
-  // wheel kernel's overflow structure (on overflow_).
-  static void heap4_push(std::vector<Entry>& heap, const Entry& entry);
-  static void heap4_sift_down(std::vector<Entry>& heap, std::size_t i,
-                              const Entry& moved);
-  static void heap4_pop(std::vector<Entry>& heap);
+  // 4-ary min-heap primitives on heap_.
+  void heap_push(const Entry& entry);
+  void heap_sift_down(std::size_t i, const Entry& moved);
+  void heap_pop();
   /// Rebuild the heap property bottom-up after bulk edits; O(n).
-  static void heap4_heapify(std::vector<Entry>& heap);
+  void heapify();
 
-  // --- heap kernel ----------------------------------------------------------
   /// Drop dead entries off the heap top so front() is a live event.
   void settle_front();
   /// Pop and run the (settled, live) front event.
-  void heap_dispatch_front();
-  /// Rebuild heap_ from live entries when dead ones dominate, so
-  /// cancel/reschedule storms keep queue memory O(live).
-  void heap_maybe_compact();
-
-  // --- wheel kernel ---------------------------------------------------------
-  [[nodiscard]] static std::uint64_t digit(std::int64_t usec, int level) {
-    return (static_cast<std::uint64_t>(usec) >> (kSlotBits * level)) &
-           kSlotMask;
-  }
-  [[nodiscard]] std::vector<Entry>& bucket(int level, std::uint64_t slot) {
-    return wheel_[static_cast<std::size_t>(level) * kWheelSlots + slot];
-  }
-  /// File an entry by the highest base-64 digit where its time differs from
-  /// now_ (level 0 when equal); beyond the top level it goes to overflow_.
-  void wheel_place(const Entry& entry);
-  /// Commit virtual time to `t` (>= now_): advances now_, pulls overflow
-  /// events whose time entered the wheel's span, and cascades the buckets
-  /// on the new instant's digit path down to level 0.  Every now_ change
-  /// goes through here so placements are never stale *below* the digit
-  /// path (only ever filed too high, which the path cascade heals).
-  void wheel_advance(Time t);
-  /// Discard an entire bucket of dead entries.
-  void wheel_purge_bucket(int level, std::uint64_t slot);
-  /// Settle the wheel on its earliest live event: skips dead entries,
-  /// drains due overflow, cascades stale buckets, and leaves the front's
-  /// time in wheel_front_time_.  Returns false when no live event remains.
-  bool wheel_settle();
-  /// Run the (settled, live) front event; advances now_ to it first.
-  void wheel_dispatch_front();
-  void wheel_maybe_compact();
+  void dispatch_front();
 
   std::uint32_t acquire_slot(EventFn fn);
   void release_slot(std::uint32_t slot);
-  /// New dead entry just created by cancel/reschedule: update the counters
-  /// and compact the owning structure if dead entries now dominate.
-  void note_dead_entry();
+  /// Rebuild heap_ from live entries when dead ones dominate, so
+  /// cancel/reschedule storms keep queue memory O(live).
+  void maybe_compact();
 
-  KernelKind kind_;
   Time now_ = Time::epoch();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
   std::vector<Slot> slots_;                // slab of callbacks
   std::vector<std::uint32_t> free_slots_;  // LIFO recycler (deterministic)
-
-  // Heap kernel state.
-  std::vector<Entry> heap_;  // 4-ary min-heap on (time, seq)
-
-  // Wheel kernel state.  wheel_ is level-major: level l's buckets occupy
-  // [l * 64, (l + 1) * 64).  occupied_[l] has bit s set iff bucket (l, s)
-  // is non-empty (live or dead entries).
-  std::vector<std::vector<Entry>> wheel_;
-  std::array<std::uint64_t, kWheelLevels> occupied_{};
-  std::vector<Entry> overflow_;  // 4-ary min-heap on (time, seq)
-  /// The level-0 bucket currently being dispatched, sorted by (time, seq);
-  /// due_idx_ is the dispatch cursor.  Kept as a member so its capacity is
-  /// reused and so callbacks scheduling at the current instant append to
-  /// the (now empty) level-0 bucket, which is re-pulled when due_ drains.
-  std::vector<Entry> due_;
-  std::size_t due_idx_ = 0;
-  /// Dead entries currently stored across buckets/overflow/due_ tail.
-  std::size_t wheel_dead_ = 0;
-  /// Time of the live front event found by wheel_settle().
-  std::int64_t wheel_front_time_ = 0;
+  std::vector<Entry> heap_;                // 4-ary min-heap on (time, seq)
 };
 
 }  // namespace rtcm::sim

@@ -269,6 +269,7 @@ Result<Report> merge_reports(const std::vector<Report>& shards) {
 
 std::string git_head_sha() {
   // Env reads happen before any worker thread exists.
+  // rtcm-lint: allow(env-switch) provenance label; no result depends on it
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* env = std::getenv("RTCM_GIT_SHA");
       env != nullptr && env[0] != '\0') {

@@ -22,6 +22,7 @@ class SweepProgress {
  public:
   explicit SweepProgress(std::size_t total)
       : total_(total),
+        // rtcm-lint: allow(env-switch) display-only: stderr progress lines
         // NOLINTNEXTLINE(concurrency-mt-unsafe): read before workers spawn
         enabled_(std::getenv("RTCM_SWEEP_PROGRESS") != nullptr),
         stride_(total <= 100 ? 1 : total / 100) {}

@@ -2,21 +2,15 @@
 //
 // The kernel's contract is that scheduling, cancelling, rescheduling and
 // dispatching events performs ZERO heap allocations once the slab and the
-// ordering structure are warm, for any capture within EventFn's inline
-// capacity — and it holds for BOTH kernels (the 4-ary heap and the timer
-// wheel), so every test below is parameterized over KernelKind.  This
-// binary overrides global operator new/delete with counting pass-throughs
+// event heap are warm, for any capture within EventFn's inline capacity.
+// This binary overrides global operator new/delete with counting pass-throughs
 // and asserts exact deltas around the hot paths — if someone reintroduces a
 // std::function (16-byte inline capacity on libstdc++) or an allocating
 // container on the event path, these tests fail with a nonzero delta.
 //
 // Warming is rehearse-then-measure: the workload runs once to grow the
-// slab, free list, heap, and wheel buckets it needs, then runs again and
-// the second pass must allocate nothing.  Between passes the simulator is
-// advanced to the next multiple of the wheel's level-3 granularity (64^3
-// usec): bucket placement depends only on event times modulo that phase
-// while relative offsets stay below it, so both passes of a now()-relative
-// workload target exactly the same buckets.
+// slab, free list and heap it needs, then runs again and the second pass
+// must allocate nothing.
 //
 // The operator overrides are binary-global, which is why these tests live
 // in their own test executable instead of sim_test.
@@ -28,7 +22,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <string>
 #include <utility>
 
 #include "core/scheduling_state.h"
@@ -73,42 +66,20 @@ namespace {
 static_assert(EventFn::fits_inline<std::array<std::byte, 88>>);
 static_assert(CompletionFn::fits_inline<std::array<std::byte, 64>>);
 
-/// Wheel level-3 bucket granularity: runs whose start times are congruent
-/// modulo this (and whose offsets stay below it) place every event in the
-/// same bucket, so a rehearsal pass warms exactly what the measured pass
-/// touches.
-constexpr std::int64_t kPhase = 64LL * 64 * 64;
-
-/// Advance (without dispatching anything new) to the next kPhase multiple.
-void align(Simulator& sim) {
-  sim.run_until(Time((sim.now().usec() / kPhase + 1) * kPhase));
-}
-
-/// Run `workload` twice — rehearsal, then phase-aligned measured pass — and
-/// return the measured pass's allocation count.
+/// Run `workload` twice — rehearsal, then measured pass — and return the
+/// measured pass's allocation count.
 template <typename Workload>
 std::uint64_t measured_allocations(Simulator& sim, Workload&& workload) {
-  align(sim);
-  workload();  // rehearsal: grows slab, free list, heap, buckets, due batch
+  workload();  // rehearsal: grows slab, free list and heap
   sim.run_all();
-  align(sim);
   const std::uint64_t before = allocation_count();
   workload();
   sim.run_all();
   return allocation_count() - before;
 }
 
-class SimAllocTest : public ::testing::TestWithParam<KernelKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, SimAllocTest,
-    ::testing::Values(KernelKind::kHeap, KernelKind::kWheel),
-    [](const ::testing::TestParamInfo<KernelKind>& info) {
-      return std::string(info.param == KernelKind::kHeap ? "heap" : "wheel");
-    });
-
-TEST_P(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
+  Simulator sim;
   std::uint64_t sink = 0;
   struct Payload {
     std::uint64_t a, b, c;
@@ -124,8 +95,8 @@ TEST_P(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
   EXPECT_EQ(sink, 2u * 2048u * 4u);  // both passes dispatched everything
 }
 
-TEST_P(SimAllocTest, CapacityEdgeCaptureStaysInline) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, CapacityEdgeCaptureStaysInline) {
+  Simulator sim;
   std::uint64_t sink = 0;
   // Exactly EventFn::kCapacity bytes of capture.
   struct Edge {
@@ -143,8 +114,8 @@ TEST_P(SimAllocTest, CapacityEdgeCaptureStaysInline) {
   EXPECT_EQ(sink, 2u * 128u);
 }
 
-TEST_P(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
+  Simulator sim;
   std::uint64_t sink = 0;
   struct Oversized {
     std::uint64_t* sink;
@@ -158,8 +129,8 @@ TEST_P(SimAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
   EXPECT_EQ(sink, 2u);
 }
 
-TEST_P(SimAllocTest, CancelAndLazyDrainAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, CancelAndLazyDrainAllocationFree) {
+  Simulator sim;
   std::uint64_t sink = 0;
   std::array<EventHandle, 1024> handles;
   std::size_t cancelled = 0;
@@ -181,8 +152,8 @@ TEST_P(SimAllocTest, CancelAndLazyDrainAllocationFree) {
   EXPECT_EQ(sink, 0u);
 }
 
-TEST_P(SimAllocTest, RescheduleChurnAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, RescheduleChurnAllocationFree) {
+  Simulator sim;
   std::uint64_t sink = 0;
   int rescheduled = 0;
 
@@ -201,8 +172,8 @@ TEST_P(SimAllocTest, RescheduleChurnAllocationFree) {
   EXPECT_EQ(sink, 2u);
 }
 
-TEST_P(SimAllocTest, ProcessorCompletionPathAllocationFree) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, ProcessorCompletionPathAllocationFree) {
+  Simulator sim;
   Processor cpu(sim, ProcessorId(0));
   std::uint64_t sink = 0;
 
@@ -231,8 +202,8 @@ TEST_P(SimAllocTest, ProcessorCompletionPathAllocationFree) {
 // preallocated tables, so pushing a Trigger and delivering it allocates
 // exactly the wire copy of its placement vector (one per destination) —
 // no snapshot, no routing list, no consumer-side allocation.
-TEST_P(SimAllocTest, TriggerPushAllocatesOnlyThePlacementCopy) {
-  Simulator sim(GetParam());
+TEST(SimAllocTest, TriggerPushAllocatesOnlyThePlacementCopy) {
+  Simulator sim;
   Network network(sim, std::make_unique<ConstantLatency>(Duration(322)));
   events::FederatedEventChannel federation(sim, network);
   using events::EventType;
@@ -289,9 +260,7 @@ namespace {
 // once the slabs, id tables and arena spill are warm
 // (core/scheduling_state.h).  Same rehearse-then-measure discipline — the
 // first churn pass grows every structure to its steady-state footprint,
-// the second must not touch the heap.  This binary registers under both
-// sim kernels (CMake's .heap_kernel suffix), so the contract is pinned in
-// both configurations even though the book itself is kernel-independent.
+// the second must not touch the heap.
 TEST(AdmissionAllocTest, AdmitExpireResetChurnAllocationFree) {
   SchedulingState state;
 

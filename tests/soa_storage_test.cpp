@@ -1,15 +1,14 @@
 // Equivalence and invariant tests for the struct-of-arrays storage
 // primitives behind the admission book of record (util/slab.h,
 // util/arena.h, util/small_vec.h) and for the book itself run against its
-// std::map-backed shadow oracle.
+// std::map-backed shadow.
 //
 // The slab/arena/small-vec trio replaces std::map nodes with dense columns;
 // these tests pin the behavioural contract of each piece against a
 // straightforward reference (std::unordered_map, std::vector) under
-// randomized churn, and the final test drives SchedulingState with
-// book_oracle=true so the ShadowBook cross-check (which aborts on
-// divergence) runs over a workload with heavy slot reuse and swap-with-last
-// removals.  CI gates on `ctest -R SoaEquivalence` in both the plain and
+// randomized churn, and the final test drives SchedulingState through the
+// map-backed shadow of tests/shadow_book.h over a workload with heavy slot
+// reuse, swap-with-last removals, arena-spilled rows and background load.  CI gates on `ctest -R SoaEquivalence` in both the plain and
 // the ASan+UBSan jobs (scripts/ci_layer_gates.sh).
 #include <gtest/gtest.h>
 
@@ -17,13 +16,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/scheduling_state.h"
-#include "test_helpers.h"
+#include "shadow_book.h"
 #include "util/arena.h"
 #include "util/ids.h"
+#include "util/rng.h"
 #include "util/slab.h"
 #include "util/small_vec.h"
 #include "util/time.h"
+#include "workload/generator.h"
 
 namespace rtcm {
 namespace {
@@ -156,92 +156,32 @@ TEST(SoaEquivalence, SlabHandlesGoStaleOnRelease) {
 }
 
 TEST(SoaEquivalence, BookMatchesShadowOracleUnderChurn) {
-  // book_oracle=true arms the ShadowBook: every mutation below is mirrored
-  // into std::map-backed state with the pre-slab arithmetic and
-  // cross-checked (totals bitwise, rows field-for-field); divergence
-  // aborts.  The workload leans on slot reuse: expiries out of the middle
-  // force swap-with-last moves, resets punch holes in contribution lists,
-  // and reservations interleave with jobs on shared processors.
-  const sched::TaskSet tasks = rtcm::testing::make_imbalanced_workload(13);
-  core::SchedulingState state(nullptr, /*book_oracle=*/true);
+  // The map-backed shadow mirrors every mutation with the pre-slab
+  // arithmetic and compares totals bitwise and rows field for field
+  // (tests/shadow_book.h).  The workload leans on slot reuse: expiries out
+  // of the middle force swap-with-last moves, resets punch holes in
+  // contribution lists, and reservations interleave with jobs on shared
+  // processors.  The random shape's 1-5 stage chains put 5-stage rows
+  // into the arena, and background load raises totals permanently.
   Rng rng(13);
+  const sched::TaskSet tasks =
+      workload::generate_workload(workload::random_workload_shape(), rng);
+  rtcm::testing::ShadowedBook book;
+  const rtcm::testing::ChurnCoverage coverage =
+      rtcm::testing::run_book_churn(book, tasks, 13, 1500);
 
-  struct LiveJob {
-    JobId job;
-    const sched::TaskSpec* spec;
-  };
-  std::vector<LiveJob> live;
-  std::vector<const sched::TaskSpec*> reserved;
-  std::int32_t next_job = 0;
-
-  for (int step = 0; step < 1500; ++step) {
-    switch (rng.index(5)) {
-      case 0:
-      case 1: {  // admit
-        const sched::TaskSpec& spec = tasks.tasks()[rng.index(tasks.size())];
-        std::vector<ProcessorId> placement;
-        for (const sched::SubtaskSpec& st : spec.subtasks) {
-          placement.push_back(st.primary);
-        }
-        const JobId job(next_job++);
-        state.admit_job(spec, job, placement, Time(step * 1000 + 100000));
-        live.push_back({job, &spec});
-        break;
-      }
-      case 2: {  // expire (random position -> swap-with-last move)
-        if (live.empty()) break;
-        const std::size_t i = rng.index(live.size());
-        state.expire_job(live[i].job);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-      case 3: {  // reset one stage
-        if (live.empty()) break;
-        const LiveJob& pick = live[rng.index(live.size())];
-        (void)state.reset_subjob(pick.job,
-                                 rng.index(pick.spec->subtasks.size()));
-        break;
-      }
-      default: {  // reserve / release
-        const sched::TaskSpec& spec = tasks.tasks()[rng.index(tasks.size())];
-        if (state.is_reserved(spec.id)) {
-          (void)state.release_reservation(spec);
-          std::erase(reserved, &spec);
-        } else {
-          std::vector<ProcessorId> placement;
-          for (const sched::SubtaskSpec& st : spec.subtasks) {
-            placement.push_back(st.primary);
-          }
-          state.reserve_task(spec, placement);
-          reserved.push_back(&spec);
-        }
-        break;
-      }
-    }
-  }
-
-  EXPECT_EQ(state.active_jobs(), live.size());
-  EXPECT_EQ(state.reservation_count(), reserved.size());
-
-  // Drain everything; the oracle keeps checking through teardown and the
-  // ledger must land exactly at zero.
-  for (const LiveJob& j : live) state.expire_job(j.job);
-  for (const sched::TaskSpec* spec : reserved) {
-    (void)state.release_reservation(*spec);
-  }
-  EXPECT_EQ(state.active_jobs(), 0u);
-  EXPECT_EQ(state.reservation_count(), 0u);
-  EXPECT_DOUBLE_EQ(state.ledger().total_all(), 0.0);
-}
-
-TEST(SoaEquivalence, BookOracleEnvFlagIsRead) {
-  // The env hook mirrors RTCM_CHECK_ADMISSION_ORACLE's contract: set means
-  // armed, unset means off (the ctor default routes through it).
-  unsetenv("RTCM_CHECK_BOOK_ORACLE");
-  EXPECT_FALSE(core::SchedulingState::book_oracle_from_env());
-  setenv("RTCM_CHECK_BOOK_ORACLE", "1", 1);
-  EXPECT_TRUE(core::SchedulingState::book_oracle_from_env());
-  unsetenv("RTCM_CHECK_BOOK_ORACLE");
+  EXPECT_EQ(book.mismatches(), 0u);
+  EXPECT_GT(book.checks(), 1500u);
+  EXPECT_GT(coverage.spilled_admits, 0u);
+  EXPECT_GT(coverage.backgrounds, 0u);
+  EXPECT_GT(coverage.resets, 0u);
+  EXPECT_GT(coverage.releases, 0u);
+  EXPECT_GT(book.book().arena().allocated_bytes(), 0u);
+  // Drained: only the background load is left on the ledger.
+  EXPECT_EQ(book.book().active_jobs(), 0u);
+  EXPECT_EQ(book.book().reservation_count(), 0u);
+  EXPECT_EQ(book.book().ledger().live(), coverage.backgrounds);
+  EXPECT_GT(book.book().ledger().total_all(), 0.0);
 }
 
 }  // namespace
