@@ -27,6 +27,10 @@
 // the resident population — the memory-per-task figure the struct-of-arrays
 // layout is accountable for.
 //
+// Each path runs --repeats times and reports the minimum, the median and
+// the spread (max - min) of its ns/arrival over those repeats;
+// arrivals_per_sec is derived from the median.
+//
 // The 10^6-resident point runs on a 4096-processor topology (256 would
 // saturate Equation (1)); full_rescan there is capped to a handful of
 // arrivals — each one materializes and rescans a million footprints.
@@ -36,6 +40,7 @@
 // schema-checks it and CI tracks the numbers through artifacts, like
 // sim_micro.  Flags: --arrivals=N --repeats=N --max_resident=N
 // --json_out=PATH
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -72,8 +77,10 @@ struct OpResult {
   std::string name;
   std::size_t resident = 0;
   std::uint64_t arrivals = 0;
-  double ns_per_arrival = 0.0;  // best repeat
-  double arrivals_per_sec = 0.0;
+  double min_ns_per_arrival = 0.0;     // best repeat (least scheduler noise)
+  double median_ns_per_arrival = 0.0;  // median across repeats
+  double spread_ns_per_arrival = 0.0;  // max - min across repeats
+  double arrivals_per_sec = 0.0;       // from the median
   double bytes_per_resident_task = 0.0;
 };
 
@@ -141,18 +148,20 @@ OpResult time_arrivals(std::string name, std::size_t resident, int repeats,
   result.name = std::move(name);
   result.resident = resident;
   result.arrivals = arrivals;
-  double best = 0.0;
+  std::vector<double> ns;
   for (int r = 0; r < repeats; ++r) {
     const auto started = Clock::now();
     op(arrivals);
-    const double ns =
+    ns.push_back(
         std::chrono::duration<double, std::nano>(Clock::now() - started)
             .count() /
-        static_cast<double>(arrivals);
-    if (r == 0 || ns < best) best = ns;
+        static_cast<double>(arrivals));
   }
-  result.ns_per_arrival = best;
-  result.arrivals_per_sec = 1e9 / best;
+  const bench::RepeatStats stats = bench::repeat_stats(std::move(ns));
+  result.min_ns_per_arrival = stats.min;
+  result.median_ns_per_arrival = stats.median;
+  result.spread_ns_per_arrival = stats.spread;
+  result.arrivals_per_sec = 1e9 / result.median_ns_per_arrival;
   return result;
 }
 
@@ -162,7 +171,8 @@ int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   const auto arrivals =
       static_cast<std::uint64_t>(flags.get_int("arrivals", 2000));
-  const int repeats = static_cast<int>(flags.get_int("repeats", 3));
+  const int repeats =
+      std::max(1, static_cast<int>(flags.get_int("repeats", 3)));
   // The 10^6 point takes tens of seconds to populate and rescan; smoke
   // passes can cut the sweep short with --max_resident=100000.
   const auto max_resident =
@@ -176,13 +186,21 @@ int main(int argc, char** argv) {
   std::printf(
       "Admission throughput vs resident-task count\n"
       "%zu-stage footprints, %.2f aggregate utilization per processor,\n"
-      "%llu timed arrivals (best of %d repeats)\n\n",
+      "%llu timed arrivals, min / median / spread over %d repeats\n\n",
       kStages, kTargetUtilization, static_cast<unsigned long long>(arrivals),
       repeats);
 
   std::vector<OpResult> results;
-  std::printf("  %-24s %12s %8s %14s %14s %10s\n", "path", "resident",
-              "procs", "ns/arrival", "arrivals/sec", "bytes/task");
+  std::printf("  %-16s %9s %6s %12s %12s %10s %14s %10s\n", "path",
+              "resident", "procs", "min ns/arr", "median", "spread",
+              "arrivals/sec", "bytes/task");
+  const auto print_row = [](const char* path, const OpResult& r,
+                            std::size_t processors) {
+    std::printf("  %-16s %9zu %6zu %12.1f %12.1f %10.1f %14.0f %10.1f\n",
+                path, r.resident, processors, r.min_ns_per_arrival,
+                r.median_ns_per_arrival, r.spread_ns_per_arrival,
+                r.arrivals_per_sec, r.bytes_per_resident_task);
+  };
 
   // `admitted` guards against the topology silently saturating (which would
   // make both paths trivially fast and the comparison meaningless).
@@ -212,9 +230,7 @@ int main(int argc, char** argv) {
         });
     incremental.bytes_per_resident_task = bytes_per_task;
     results.push_back(incremental);
-    std::printf("  %-24s %12zu %8zu %14.1f %14.0f %10.1f\n", "incremental",
-                resident, point.processors, incremental.ns_per_arrival,
-                incremental.arrivals_per_sec, bytes_per_task);
+    print_row("incremental", incremental, point.processors);
 
     // The old path materializes every footprint and rescans them all, so
     // each arrival costs O(resident); keep the timed stream short enough
@@ -237,10 +253,10 @@ int main(int argc, char** argv) {
         });
     full.bytes_per_resident_task = bytes_per_task;
     results.push_back(full);
-    std::printf("  %-24s %12zu %8zu %14.1f %14.0f %10s   (%.0fx speedup)\n",
-                "full_rescan", resident, point.processors, full.ns_per_arrival,
-                full.arrivals_per_sec, "",
-                full.ns_per_arrival / incremental.ns_per_arrival);
+    print_row("full_rescan", full, point.processors);
+    std::printf("  %-16s %9s %6s (%.0fx median speedup)\n", "", "", "",
+                full.median_ns_per_arrival /
+                    incremental.median_ns_per_arrival);
 
     // Steady-state churn, last because it rewrites the resident set: each
     // cycle expires the oldest surviving job and admits a replacement with
@@ -278,9 +294,7 @@ int main(int argc, char** argv) {
         });
     churn.bytes_per_resident_task = bytes_per_task;
     results.push_back(churn);
-    std::printf("  %-24s %12zu %8zu %14.1f %14.0f %10.1f\n", "admit_expire",
-                resident, point.processors, churn.ns_per_arrival,
-                churn.arrivals_per_sec, bytes_per_task);
+    print_row("admit_expire", churn, point.processors);
   }
 
   if (!all_admitted) {
@@ -307,7 +321,9 @@ int main(int argc, char** argv) {
       entry.set("name", r.name);
       entry.set("resident", static_cast<std::int64_t>(r.resident));
       entry.set("arrivals", static_cast<std::int64_t>(r.arrivals));
-      entry.set("ns_per_arrival", r.ns_per_arrival);
+      entry.set("min_ns_per_arrival", r.min_ns_per_arrival);
+      entry.set("median_ns_per_arrival", r.median_ns_per_arrival);
+      entry.set("spread_ns_per_arrival", r.spread_ns_per_arrival);
       entry.set("arrivals_per_sec", r.arrivals_per_sec);
       entry.set("bytes_per_resident_task", r.bytes_per_resident_task);
       operations.push_back(std::move(entry));

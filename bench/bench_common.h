@@ -6,6 +6,7 @@
 // per-bench seed loops this header used to contain live in src/sweep/ now.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -36,17 +37,14 @@ namespace rtcm::bench {
 [[nodiscard]] inline std::vector<std::string> grid_bench_flags(
     std::initializer_list<const char*> extra = {}) {
   std::vector<std::string> known = {"seeds",   "horizon_s", "aperiodic_factor",
-                                    "comm_us", "threads",   "json_out",
-                                    "shard"};
+                                    "comm_us", "threads",   "json_out"};
   known.insert(known.end(), extra.begin(), extra.end());
   return known;
 }
 
 /// Options shared by every grid bench.  Flags: --seeds=N --horizon_s=N
 /// --aperiodic_factor=F --comm_us=N --threads=N (0 = all cores)
-/// --shard=K/N (run the K-th of N disjoint partitions of the grid's
-/// canonical cell order; reports merge back via `bench_scenario_grids
-/// --merge`) --json_out=PATH (empty = no report file).
+/// --json_out=PATH (empty = no report file).
 struct BenchOptions {
   int seeds = 10;
   /// Override for every grid shape's aperiodic interarrival factor; only
@@ -74,7 +72,6 @@ struct BenchOptions {
     options.sweep.threads =
         static_cast<std::size_t>(flags.get_int("threads", 0));
     options.json_out = flags.get_string("json_out", "");
-    apply_shard_flag(flags, options);
     return options;
   }
 
@@ -101,20 +98,7 @@ struct BenchOptions {
     options.sweep.threads =
         static_cast<std::size_t>(flags.get_int("threads", 0));
     options.json_out = flags.get_string("json_out", "");
-    apply_shard_flag(flags, options);
     return options;
-  }
-
- private:
-  static void apply_shard_flag(const Flags& flags, BenchOptions& options) {
-    if (!flags.has("shard")) return;
-    const auto shard = sweep::Shard::parse(flags.get_string("shard", "1/1"));
-    if (!shard.is_ok()) {
-      // Surfaces through check_flags() like any other malformed value.
-      flags.record_error(shard.message());
-      return;
-    }
-    options.params.shard = shard.value();
   }
 };
 
@@ -135,15 +119,6 @@ inline sweep::Report run_grid(const std::string& name,
   sweep::Report report;
   report.name = name;
   report.git_sha = sweep::git_head_sha();
-  report.shard = options.params.shard;
-  if (report.shard.count > 1) {
-    std::printf("shard %s: %zu of %zu grid cells\n\n",
-                report.shard.label().c_str(),
-                sweep::shard_indices(sized_grid.cells().size(),
-                                     report.shard)
-                    .size(),
-                sized_grid.cells().size());
-  }
   report.params.set("seeds", options.seeds);
   report.params.set(
       "horizon_s",
@@ -195,6 +170,27 @@ inline sweep::Report run_grid(const std::string& name,
     return 1;
   }
   return 0;
+}
+
+/// A micro bench's per-repeat timings summarized: the minimum (best
+/// repeat, least scheduler noise), the median and the spread (max - min).
+struct RepeatStats {
+  double min = 0.0;
+  double median = 0.0;
+  double spread = 0.0;
+};
+
+/// Summarize `samples`; it must hold at least one repeat.
+[[nodiscard]] inline RepeatStats repeat_stats(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  RepeatStats stats;
+  stats.min = samples.front();
+  stats.median = samples.size() % 2 == 1
+                     ? samples[mid]
+                     : (samples[mid - 1] + samples[mid]) / 2.0;
+  stats.spread = samples.back() - samples.front();
+  return stats;
 }
 
 /// ASCII bar for a ratio in [0, 1].

@@ -12,7 +12,7 @@
 // workloads.
 //
 // Flags: --seeds=N --horizon_s=N --aperiodic_factor=F --comm_us=N
-//        --threads=N --shard=K/N --json_out=PATH
+//        --threads=N --json_out=PATH
 #include <cstdio>
 
 #include "bench_common.h"

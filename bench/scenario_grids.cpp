@@ -7,12 +7,7 @@
 // report.  scripts/run_benches.sh invokes it once per library entry that
 // has no dedicated figure bench.
 //
-// Two subcommands ride along because they share the report plumbing:
-//   --merge=OUT.json SHARD1.json SHARD2.json ...
-//       recombine per-shard reports (grid benches run with --shard=K/N)
-//       into the report an unsharded run would have written; the nightly
-//       CI workflow uses this to assemble paper-scale baselines from a
-//       runner matrix.
+// One subcommand rides along because it shares the report plumbing:
 //   --spec=FILE.json
 //       run one declarative ScenarioSpec document (see scenarios/) through
 //       scenario::run_scenario and print its headline metrics; with
@@ -20,8 +15,8 @@
 //
 // Flags: --grid=NAME (required; --list prints the registry)
 //        --seeds=N --horizon_s=N --aperiodic_factor=F --comm_us=N
-//        --threads=N --shard=K/N --json_out=PATH
-//        --merge=OUT.json IN.json...   |   --spec=FILE [--seed=N]
+//        --threads=N --json_out=PATH
+//        --spec=FILE [--seed=N]
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -42,56 +37,6 @@ Result<std::string> read_text_file(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
-}
-
-Result<sweep::Report> read_report(const std::string& path) {
-  auto text = read_text_file(path);
-  if (!text.is_ok()) return Result<sweep::Report>::error(text.message());
-  auto doc = json::Value::parse(text.value());
-  if (!doc.is_ok()) {
-    return Result<sweep::Report>::error(path + ": " + doc.message());
-  }
-  auto report = sweep::Report::from_json(doc.value());
-  if (!report.is_ok()) {
-    return Result<sweep::Report>::error(path + ": " + report.message());
-  }
-  return report;
-}
-
-/// `--merge=OUT.json IN1.json IN2.json...`: recombine shard reports.
-int run_merge(const Flags& flags) {
-  const std::string out_path = flags.get_string("merge", "");
-  const std::vector<std::string>& inputs = flags.positional();
-  if (out_path.empty() || inputs.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench_scenario_grids --merge=OUT.json "
-                 "SHARD1.json SHARD2.json ...\n");
-    return 2;
-  }
-  std::vector<sweep::Report> shards;
-  shards.reserve(inputs.size());
-  for (const std::string& path : inputs) {
-    auto report = read_report(path);
-    if (!report.is_ok()) {
-      std::fprintf(stderr, "%s\n", report.message().c_str());
-      return 1;
-    }
-    shards.push_back(std::move(report.value()));
-  }
-  auto merged = sweep::merge_reports(shards);
-  if (!merged.is_ok()) {
-    std::fprintf(stderr, "merge failed: %s\n", merged.message().c_str());
-    return 1;
-  }
-  if (Status status = merged.value().write_file(out_path); !status.is_ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", out_path.c_str(),
-                 status.message().c_str());
-    return 1;
-  }
-  std::printf("merged %zu shard report(s) of '%s' (%zu cells) into %s\n",
-              shards.size(), merged.value().name.c_str(),
-              merged.value().cells.size(), out_path.c_str());
-  return 0;
 }
 
 /// `--spec=FILE`: run one ScenarioSpec JSON document.
@@ -177,10 +122,6 @@ int run_spec_file(const Flags& flags) {
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
 
-  if (flags.has("merge")) {
-    if (!bench::check_flags(flags, {"merge"})) return 2;
-    return run_merge(flags);
-  }
   if (flags.has("spec")) {
     if (!bench::check_flags(flags,
                             {"spec", "seed", "horizon_s", "json_out"})) {
@@ -201,7 +142,6 @@ int main(int argc, char** argv) {
   if (name.empty()) {
     std::fprintf(stderr,
                  "usage: bench_scenario_grids --grid=NAME [--list]\n"
-                 "       bench_scenario_grids --merge=OUT.json IN.json...\n"
                  "       bench_scenario_grids --spec=FILE.json\n");
     return 1;
   }

@@ -87,15 +87,13 @@ OpResult time_op(std::string name, int repeats, std::uint64_t ops_per_run,
             .count() /
         static_cast<double>(ops_per_run));
   }
-  std::sort(ns.begin(), ns.end());
-  const std::size_t mid = ns.size() / 2;
+  const bench::RepeatStats stats = bench::repeat_stats(std::move(ns));
   OpResult result;
   result.name = std::move(name);
   result.ops = ops_per_run;
-  result.min_ns_per_op = ns.front();
-  result.median_ns_per_op =
-      ns.size() % 2 == 1 ? ns[mid] : (ns[mid - 1] + ns[mid]) / 2.0;
-  result.spread_ns_per_op = ns.back() - ns.front();
+  result.min_ns_per_op = stats.min;
+  result.median_ns_per_op = stats.median;
+  result.spread_ns_per_op = stats.spread;
   return result;
 }
 

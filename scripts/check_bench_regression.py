@@ -25,10 +25,8 @@ Cross-profile safety: a report's "params" block records the run parameters
 (seeds, horizon, ...).  When baseline and candidate were collected with
 different parameters, their cells describe different simulations and any
 "drift" would be noise — such report pairs are skipped with a note (the
-thread count is excluded: cell results are thread-count-invariant).  Use
---cells=subset when the candidate is a deliberate slice of the baseline
-grid (e.g. a PR gate running one shard of the nightly profile): baseline
-cells absent from the candidate then become a note instead of a failure.
+thread count is excluded: cell results are thread-count-invariant).  Every
+baseline cell must appear in the candidate; a missing cell is a failure.
 """
 
 import argparse
@@ -102,7 +100,7 @@ def comparable_params(doc):
     return {k: v for k, v in params.items() if k != "threads"}
 
 
-def compare_report(name, base, cand, eps, walltime_pct, cells_mode):
+def compare_report(name, base, cand, eps, walltime_pct):
     """Return a list of human-readable failure strings."""
     failures = []
     base_cells = {cell_key(c): c for c in base.get("cells", [])}
@@ -112,12 +110,7 @@ def compare_report(name, base, cand, eps, walltime_pct, cells_mode):
         return failures  # envelope-only report (fig8): schema check only
 
     missing = sorted(set(base_cells) - set(cand_cells))
-    if missing and cells_mode == "subset":
-        print(
-            f"note: {name}: candidate covers {len(base_cells) - len(missing)}"
-            f" of {len(base_cells)} baseline cells (--cells=subset)"
-        )
-    elif missing:
+    if missing:
         failures.append(
             f"{name}: {len(missing)} baseline cell(s) missing from "
             f"candidate (first: {missing[0]}); was the grid changed?"
@@ -194,14 +187,6 @@ def main():
         default=25.0,
         help="tolerated wall-time growth in percent (default: %(default)s)",
     )
-    parser.add_argument(
-        "--cells",
-        choices=("exact", "subset"),
-        default="exact",
-        help="exact: every baseline cell must appear in the candidate; "
-        "subset: the candidate may cover a slice of the baseline grid, "
-        "e.g. one --shard of it (default: %(default)s)",
-    )
     args = parser.parse_args()
 
     base_reports = load_reports(args.baseline)
@@ -242,7 +227,6 @@ def main():
                 cand_reports[name],
                 args.accept_ratio_eps,
                 args.walltime_pct,
-                args.cells,
             )
         )
     for name in sorted(set(cand_reports) - set(base_reports)):

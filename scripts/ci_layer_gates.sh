@@ -11,7 +11,7 @@
 # drop out of the layer gate without anyone noticing.
 #
 # `--threads-only` restricts the run to the genuinely multi-threaded layers
-# (thread pool, sweep engine, shard merge) — the selection the TSan lane
+# (thread pool, sweep engine) — the selection the TSan lane
 # uses, where re-running the single-threaded simulator suites would only
 # burn the sanitizer's 5-15x slowdown without exercising any concurrency.
 set -euo pipefail
@@ -27,13 +27,22 @@ for arg in "$@"; do
 done
 CTEST=(ctest --test-dir "${BUILD_DIR}" --output-on-failure)
 
+echo "::group::Test names (no raw parameter byte dumps)"
+# A value-parameterized suite whose parameter type has no PrintTo gets
+# ctest names built from gtest's byte dump of the parameter.  Those names
+# are unreadable, and when the parameter holds a pointer they change with
+# ASLR between discoveries, so tests silently come and go by name.
+TEST_NAMES="$("${CTEST[@]}" -N)"
+if grep 'byte object' <<<"${TEST_NAMES}"; then
+  echo "ctest names above embed a raw parameter byte dump; give the" \
+       "parameter struct a PrintTo" >&2
+  exit 1
+fi
+echo "::endgroup::"
+
 if [[ "${THREADS_ONLY}" == 1 ]]; then
-  echo "::group::Multi-threaded layers (sweep engine, thread pool, sharding)"
-  # ShardMergeFig5Binary runs four full fig5 shards plus the merge; at
-  # TSan's slowdown it would dominate the lane for no extra thread
-  # coverage beyond the sweep tests already selected — excluded here, and
-  # still gated at full speed in every other job.
-  "${CTEST[@]}" -R 'Sweep|Shard|ThreadPool' -E ShardMergeFig5Binary
+  echo "::group::Multi-threaded layers (sweep engine, thread pool)"
+  "${CTEST[@]}" -R 'Sweep|ThreadPool'
   echo "::endgroup::"
   echo "::group::Simulation-kernel layer under TSan"
   "${CTEST[@]}" -L sim
@@ -71,10 +80,6 @@ echo "::endgroup::"
 
 echo "::group::SoA storage layer (slab/arena/small-vec + shadow-book churn)"
 "${CTEST[@]}" -R SoaEquivalence
-echo "::endgroup::"
-
-echo "::group::Sweep sharding layer (partition properties, merge identity)"
-"${CTEST[@]}" -R Shard
 echo "::endgroup::"
 
 echo "::group::Scenario spec exemplars (scenarios/*.json smoke)"

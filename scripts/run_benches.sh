@@ -15,15 +15,11 @@
 # --profile=nightly expands to the paper-scale run parameters the nightly
 # CI baseline uses (seeds=10, horizon 100 s, all cores); explicit
 # pass-through flags still win because the bench flag parser keeps the last
-# occurrence.  --shard=K/N forwards the K-of-N grid partition to every grid
-# bench; the envelope-only micro benches (which have no grid to shard) run
-# on shard 1 only, so N shard invocations together produce each report
-# exactly once.  Shard reports merge back into full reports with
-# `bench_scenario_grids --merge` (see .github/workflows/nightly.yml).
+# occurrence.
 #
 # Usage: scripts/run_benches.sh [--build-dir DIR] [--report-dir DIR]
 #                               [--grids a,b,c] [--profile nightly]
-#                               [--shard K/N] [bench args...]
+#                               [bench args...]
 #
 # The script's own options are recognized in any position, before or after
 # bench args; everything else passes through to the benches.
@@ -34,7 +30,6 @@ BUILD_DIR="build"
 REPORT_DIR="bench_reports"
 SCENARIO_GRIDS="bursty,jittered,imbalanced-heavy,drain-storm,long-horizon,huge-topology"
 PROFILE=""
-SHARD=""
 BENCH_ARGS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -46,8 +41,6 @@ while [[ $# -gt 0 ]]; do
     --grids=*) SCENARIO_GRIDS="${1#*=}"; shift ;;
     --profile) PROFILE="$2"; shift 2 ;;
     --profile=*) PROFILE="${1#*=}"; shift ;;
-    --shard) SHARD="$2"; shift 2 ;;
-    --shard=*) SHARD="${1#*=}"; shift ;;
     *) BENCH_ARGS+=("$1"); shift ;;
   esac
 done
@@ -64,17 +57,7 @@ case "${PROFILE}" in
      exit 2 ;;
 esac
 
-SHARD_INDEX=1
-if [[ -n "${SHARD}" ]]; then
-  if [[ ! "${SHARD}" =~ ^[0-9]+/[0-9]+$ ]]; then
-    echo "malformed --shard '${SHARD}' (expected K/N)" >&2
-    exit 2
-  fi
-  SHARD_INDEX="${SHARD%%/*}"
-fi
-GRID_ARGS=("${PROFILE_ARGS[@]}")
-[[ -n "${SHARD}" ]] && GRID_ARGS+=("--shard=${SHARD}")
-GRID_ARGS+=("${BENCH_ARGS[@]}")
+GRID_ARGS=("${PROFILE_ARGS[@]}" "${BENCH_ARGS[@]}")
 
 if [[ ! -d "${BUILD_DIR}" ]]; then
   echo "build tree '${BUILD_DIR}' not found; run scripts/verify.sh first" >&2
@@ -103,16 +86,6 @@ for bench in "${BUILD_DIR}"/bench_*; do
   name="${bench##*/}"
   name="${name#bench_}"
   report="${REPORT_DIR}/BENCH_${name}.json"
-  if [[ -n "${SHARD}" && "${SHARD_INDEX}" != "1" ]]; then
-    case "${name}" in
-      # Envelope-only micro benches have no grid to shard: shard 1 runs
-      # them once; every other shard skips them so the merged set carries
-      # each report exactly once.
-      admission_micro|sim_micro|fig8_overheads|admission_scale)
-        echo "== bench_${name} == (skipped on shard ${SHARD})"
-        continue ;;
-    esac
-  fi
   echo "== bench_${name} =="
   case "${name}" in
     # Google-Benchmark binaries reject the sweep benches' flags (and exit 1

@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "workload/arrival.h"
@@ -45,17 +46,39 @@ ArrivalModel ArrivalModel::none() {
 
 namespace {
 
+/// Upper bounds on a generated shape's counts.  The generator sizes its
+/// vectors from these fields, so an absurd count (a typo, or 10^18) would
+/// abort the process with std::length_error or std::bad_alloc instead of
+/// failing with a Status.  The largest library grid (huge-topology) has
+/// 240 tasks of at most 3 subtasks; the paper's shapes use at most 5
+/// subtasks.  The bounds sit ~40x and ~12x above those, well past any
+/// shape a run on one machine can simulate in useful time.
+constexpr std::size_t kMaxShapeTasks = 10000;
+constexpr std::size_t kMaxShapeSubtasks = 64;
+
 /// The generator's preconditions as clean errors, so a bad generated-shape
 /// spec is refused up front instead of tripping an assert mid-run.
 Status validate_shape(const workload::WorkloadShape& shape) {
   if (shape.primary_processors.empty()) {
     return Status::error("workload shape needs at least 1 primary processor");
   }
+  // Each count is checked alone first, so the sum below cannot overflow.
+  if (shape.periodic_tasks > kMaxShapeTasks ||
+      shape.aperiodic_tasks > kMaxShapeTasks ||
+      shape.periodic_tasks + shape.aperiodic_tasks > kMaxShapeTasks) {
+    return Status::error("workload shape generates more than " +
+                         std::to_string(kMaxShapeTasks) + " tasks");
+  }
   if (shape.periodic_tasks + shape.aperiodic_tasks == 0) {
     return Status::error("workload shape generates no tasks");
   }
   if (shape.min_subtasks < 1 || shape.max_subtasks < shape.min_subtasks) {
     return Status::error("workload shape subtask range is empty");
+  }
+  if (shape.max_subtasks > kMaxShapeSubtasks) {
+    return Status::error("workload shape allows more than " +
+                         std::to_string(kMaxShapeSubtasks) +
+                         " subtasks per task");
   }
   if (shape.min_deadline <= Duration::zero() ||
       shape.max_deadline < shape.min_deadline) {

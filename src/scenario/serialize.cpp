@@ -36,6 +36,20 @@ Result<std::vector<ProcessorId>> ids_from_json(const json::Value& v,
   return out;
 }
 
+/// A count field of `v`, `fallback` when absent.  Negative values are
+/// refused: the cast to size_t would turn -1 into SIZE_MAX.
+Result<std::size_t> count_from_json(const json::Value& v, const char* field,
+                                    std::size_t fallback) {
+  const std::int64_t count =
+      v.get(field).as_int(static_cast<std::int64_t>(fallback));
+  if (count < 0) {
+    return Result<std::size_t>::error(std::string(field) +
+                                      " must be non-negative, got " +
+                                      std::to_string(count));
+  }
+  return static_cast<std::size_t>(count);
+}
+
 json::Value config_to_json(const core::SystemConfig& config) {
   json::Value out = json::Value::object();
   out.set("strategies", config.strategies.label());
@@ -128,14 +142,16 @@ Result<workload::WorkloadShape> shape_from_json(const json::Value& v) {
       ids_from_json(v.get("replica_processors"), "replica_processors");
   if (!replicas.is_ok()) return R::error(replicas.message());
   shape.replica_processors = std::move(replicas).value();
-  shape.periodic_tasks =
-      static_cast<std::size_t>(v.get("periodic_tasks").as_int(5));
-  shape.aperiodic_tasks =
-      static_cast<std::size_t>(v.get("aperiodic_tasks").as_int(4));
-  shape.min_subtasks =
-      static_cast<std::size_t>(v.get("min_subtasks").as_int(1));
-  shape.max_subtasks =
-      static_cast<std::size_t>(v.get("max_subtasks").as_int(5));
+  // Absent counts keep WorkloadShape's defaults.
+  for (auto [field, count] :
+       {std::pair{"periodic_tasks", &shape.periodic_tasks},
+        std::pair{"aperiodic_tasks", &shape.aperiodic_tasks},
+        std::pair{"min_subtasks", &shape.min_subtasks},
+        std::pair{"max_subtasks", &shape.max_subtasks}}) {
+    auto parsed = count_from_json(v, field, *count);
+    if (!parsed.is_ok()) return R::error("workload.shape." + parsed.message());
+    *count = parsed.value();
+  }
   shape.min_deadline =
       Duration(v.get("min_deadline_us").as_int(shape.min_deadline.usec()));
   shape.max_deadline =
@@ -288,10 +304,13 @@ Result<ArrivalModel> arrivals_from_json(const json::Value& v) {
   if (kind == "none") return ArrivalModel::none();
   if (kind == "bursty") {
     workload::BurstShape burst;
-    burst.bursts = static_cast<std::size_t>(
-        v.get("bursts").as_int(static_cast<std::int64_t>(burst.bursts)));
-    burst.jobs_per_burst = static_cast<std::size_t>(v.get("jobs_per_burst")
-            .as_int(static_cast<std::int64_t>(burst.jobs_per_burst)));
+    for (auto [field, count] :
+         {std::pair{"bursts", &burst.bursts},
+          std::pair{"jobs_per_burst", &burst.jobs_per_burst}}) {
+      auto parsed = count_from_json(v, field, *count);
+      if (!parsed.is_ok()) return R::error("arrivals." + parsed.message());
+      *count = parsed.value();
+    }
     burst.intra_gap =
         Duration(v.get("intra_gap_us").as_int(burst.intra_gap.usec()));
     burst.inter_gap =

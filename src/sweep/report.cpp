@@ -46,20 +46,7 @@ json::Value report_json(const Report& report, bool include_timing,
   json::Value out = json::Value::object();
   out.set("schema_version", report.schema_version);
   out.set("name", report.name);
-  if (include_provenance) {
-    out.set("git_sha", report.git_sha);
-    // Shard coordinates are provenance: a full run (unsharded or merged)
-    // omits them, so shard/merge never perturbs the full-report layout.
-    if (report.shard.count > 1) {
-      json::Value shard = json::Value::object();
-      shard.set("index", report.shard.index);
-      shard.set("count", report.shard.count);
-      out.set("shard", shard);
-    }
-    if (report.merged_shards > 0) {
-      out.set("merged_shards", report.merged_shards);
-    }
-  }
+  if (include_provenance) out.set("git_sha", report.git_sha);
   out.set("params", report.params);
   json::Value cells = json::Value::array();
   for (const auto& cell : report.cells) {
@@ -139,17 +126,6 @@ Result<Report> Report::from_json(const json::Value& v) {
   }
   report.name = v.get("name").as_string();
   report.git_sha = v.get("git_sha").as_string();
-  if (const json::Value& shard = v.get("shard"); shard.is_object()) {
-    report.shard.index = static_cast<int>(shard.get("index").as_int(1));
-    report.shard.count = static_cast<int>(shard.get("count").as_int(1));
-    if (!report.shard.is_valid()) {
-      return Result<Report>::error(
-          strfmt("invalid shard %d/%d in report", report.shard.index,
-                 report.shard.count));
-    }
-  }
-  report.merged_shards =
-      static_cast<int>(v.get("merged_shards").as_int(0));
   report.params = v.get("params");
   const json::Value& cells = v.get("cells");
   if (!cells.is_array()) {
@@ -195,76 +171,6 @@ Status Report::write_file(const std::string& path) const {
     return Status::error("short write to " + path);
   }
   return Status::ok();
-}
-
-Result<Report> merge_reports(const std::vector<Report>& shards) {
-  using R = Result<Report>;
-  if (shards.empty()) return R::error("no shard reports to merge");
-  const int count = shards.front().shard.count;
-  if (static_cast<std::size_t>(count) != shards.size()) {
-    return R::error(strfmt("have %zu shard report(s) but each covers a "
-                           "1-of-%d partition",
-                           shards.size(), count));
-  }
-  const std::string& name = shards.front().name;
-  const std::string params_dump = shards.front().params.dump();
-  std::vector<const Report*> by_index(static_cast<std::size_t>(count),
-                                      nullptr);
-  for (const Report& shard : shards) {
-    if (shard.name != name) {
-      return R::error("shard reports disagree on name: '" + name +
-                      "' vs '" + shard.name + "'");
-    }
-    if (shard.merged_shards > 0) {
-      return R::error("report '" + name + "' is already a merged report");
-    }
-    if (shard.shard.count != count || !shard.shard.is_valid()) {
-      return R::error(strfmt("report '%s' covers shard %d/%d, expected a "
-                             "1..%d partition",
-                             name.c_str(), shard.shard.index,
-                             shard.shard.count, count));
-    }
-    if (shard.params.dump() != params_dump) {
-      return R::error("shard reports for '" + name +
-                      "' disagree on params; shards of one grid run must "
-                      "use identical run parameters");
-    }
-    const Report*& slot =
-        by_index[static_cast<std::size_t>(shard.shard.index - 1)];
-    if (slot != nullptr) {
-      return R::error(strfmt("duplicate shard %d/%d for report '%s'",
-                             shard.shard.index, count, name.c_str()));
-    }
-    slot = &shard;
-  }
-
-  Report out;
-  out.name = name;
-  out.params = shards.front().params;
-  out.merged_shards = count;
-  out.git_sha = shards.front().git_sha;
-  for (const Report& shard : shards) {
-    if (shard.git_sha != out.git_sha) out.git_sha = "mixed";
-  }
-
-  // Invert the round-robin partition: canonical cell i lives at position
-  // i / N within shard (i % N) + 1, so a strict interleave of the shard
-  // cell lists reconstructs Grid::cells() order.  A cursor running dry (or
-  // left-over cells) means the inputs were not shards of one grid.
-  std::size_t total = 0;
-  for (const Report* shard : by_index) total += shard->cells.size();
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(count), 0);
-  out.cells.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::size_t s = i % static_cast<std::size_t>(count);
-    if (cursor[s] >= by_index[s]->cells.size()) {
-      return R::error(strfmt("shard cell counts for '%s' are inconsistent "
-                             "with a round-robin %d-way partition",
-                             name.c_str(), count));
-    }
-    out.cells.push_back(by_index[s]->cells[cursor[s]++]);
-  }
-  return out;
 }
 
 std::string git_head_sha() {

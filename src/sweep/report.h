@@ -5,8 +5,6 @@
 //     "schema_version": 2,
 //     "name": "fig5_accept_ratio",
 //     "git_sha": "<HEAD sha or 'unknown'>",
-//     "shard": {"index": 2, "count": 4},   // only when sharded
-//     "merged_shards": 4,                  // only on merge_reports output
 //     "params": { ... free-form run parameters ... },
 //     "cells": [
 //       {"combo": "T_N_N", "shape": "random", "variant": "", "seed": 1,
@@ -21,17 +19,16 @@
 //     ]
 //   }
 //
-// Version 2 added the shard provenance (`shard`, `merged_shards`); version-1
-// documents still parse (they carry the default 1/1 shard).  Both provenance
-// keys are omitted for plain unsharded runs, so their byte layout is
-// unchanged from version 1 apart from the schema_version field itself.
+// Version 2 once added optional provenance keys for grids split across
+// machines.  Every report is now written by one whole-grid run, so no writer
+// emits them; from_json ignores them and still accepts version-1 documents.
+// A version-2 report differs from a version-1 one only in the
+// schema_version field.
 //
 // Two renderings exist: to_json() is the full report (what run_benches.sh
 // collects and check_bench_regression.py compares), and deterministic_dump()
-// drops the non-reproducible / provenance fields (git_sha, wall times, shard
-// coordinates) so tests can assert byte-identity between runs at different
-// thread counts — and between a merged set of shard runs and an unsharded
-// run of the same grid.
+// drops the non-reproducible / provenance fields (git_sha, wall times) so
+// tests can assert byte-identity between runs at different thread counts.
 #pragma once
 
 #include <string>
@@ -45,7 +42,7 @@
 namespace rtcm::sweep {
 
 inline constexpr int kReportSchemaVersion = 2;
-/// Oldest schema from_json still accepts (pre-shard reports).
+/// Oldest schema from_json still accepts.
 inline constexpr int kMinReportSchemaVersion = 1;
 
 /// Per-(combo, shape, variant) statistics over seeds, in first-cell order.
@@ -63,12 +60,6 @@ struct Report {
   std::string name;
   int schema_version = kReportSchemaVersion;
   std::string git_sha;
-  /// Which K/N partition of the grid this report covers; {1, 1} for a full
-  /// (unsharded or merged) run.
-  Shard shard;
-  /// Number of shard reports merged into this one by merge_reports();
-  /// 0 everywhere else.
-  int merged_shards = 0;
   /// Free-form run parameters recorded for reproducibility (seeds, horizon,
   /// thread count, flags).
   json::Value params = json::Value::object();
@@ -92,15 +83,6 @@ struct Report {
   /// Write to_json().dump() to `path`.
   [[nodiscard]] Status write_file(const std::string& path) const;
 };
-
-/// Recombine one report per shard of the same grid run into the report an
-/// unsharded run would have produced: cells re-interleaved into canonical
-/// order (the inverse of the round-robin partition), aggregates recomputed
-/// from the cells on serialization, provenance recording the merge
-/// (merged_shards = N).  The inputs must agree on name, schema and params,
-/// and must form a complete disjoint 1..N partition — anything else is an
-/// error, never a silently incomplete report.
-[[nodiscard]] Result<Report> merge_reports(const std::vector<Report>& shards);
 
 /// HEAD commit for report provenance: $RTCM_GIT_SHA when set (CI sets it),
 /// otherwise `git rev-parse HEAD`, otherwise "unknown".

@@ -49,44 +49,6 @@ class SweepProgress {
 
 }  // namespace
 
-std::string Shard::label() const {
-  return std::to_string(index) + "/" + std::to_string(count);
-}
-
-Result<Shard> Shard::parse(const std::string& text) {
-  const auto fail = [&text] {
-    return Result<Shard>::error("malformed shard '" + text +
-                                "' (expected K/N with 1 <= K <= N)");
-  };
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 == text.size()) {
-    return fail();
-  }
-  Shard shard;
-  char* end = nullptr;
-  const std::string index_text = text.substr(0, slash);
-  const std::string count_text = text.substr(slash + 1);
-  shard.index = static_cast<int>(std::strtol(index_text.c_str(), &end, 10));
-  if (end == nullptr || *end != '\0') return fail();
-  shard.count = static_cast<int>(std::strtol(count_text.c_str(), &end, 10));
-  if (end == nullptr || *end != '\0') return fail();
-  if (!shard.is_valid()) return fail();
-  return shard;
-}
-
-std::vector<std::size_t> shard_indices(std::size_t cell_count,
-                                       const Shard& shard) {
-  std::vector<std::size_t> out;
-  if (!shard.is_valid()) return out;
-  out.reserve(cell_count / static_cast<std::size_t>(shard.count) + 1);
-  for (std::size_t i = static_cast<std::size_t>(shard.index - 1);
-       i < cell_count; i += static_cast<std::size_t>(shard.count)) {
-    out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<Cell> Grid::cells() const {
   std::vector<Cell> out;
   out.reserve(combos.size() * shapes.size() * variants.size() *
@@ -148,14 +110,7 @@ CellResult run_cell(const Cell& cell, const workload::WorkloadShape& shape,
 
 std::vector<CellResult> run_sweep(const Grid& grid, const SweepParams& params,
                                   const SweepOptions& options) {
-  const std::vector<Cell> all_cells = grid.cells();
-  // Restrict to the cells this shard owns (everything for the default
-  // {1,1} shard), keeping canonical order within the shard.
-  const std::vector<std::size_t> owned =
-      shard_indices(all_cells.size(), params.shard);
-  std::vector<Cell> cells;
-  cells.reserve(owned.size());
-  for (const std::size_t i : owned) cells.push_back(all_cells[i]);
+  const std::vector<Cell> cells = grid.cells();
   std::vector<CellResult> results(cells.size());
 
   // Shape lookup is read-only during the sweep; build it once up front.

@@ -2,7 +2,7 @@
 //
 // The paper's evaluation is a grid of (strategy combination x workload
 // shape x seed) experiments (Figures 5/6 run 15 combinations x 10 seeds
-// each).  This engine models that grid explicitly and shards it across a
+// each).  This engine models that grid explicitly and spreads it across a
 // work-stealing thread pool: every cell owns its own Rng, workload,
 // Simulator and SystemRuntime, so a cell's result is a pure function of its
 // coordinates — the PR-1 determinism contract (same seed => byte-identical
@@ -31,36 +31,6 @@
 #include "workload/generator.h"
 
 namespace rtcm::sweep {
-
-/// A K-of-N partition of the canonical cell order: shard K (1-based) owns
-/// every cell whose canonical index i satisfies i % count == index - 1.
-/// Round-robin assignment keeps each shard a cross-section of the grid
-/// (every combo/shape appears in every shard), so shard wall times stay
-/// balanced even when one combo simulates slower than another.  Shards are
-/// deterministic, pairwise disjoint, and their union is the full grid —
-/// which is what lets a merged set of shard reports be byte-identical to an
-/// unsharded run (sweep::merge_reports in report.h).
-struct Shard {
-  int index = 1;  ///< 1-based shard number in [1, count].
-  int count = 1;  ///< Total shards; 1 = the whole grid.
-
-  [[nodiscard]] bool is_valid() const {
-    return count >= 1 && index >= 1 && index <= count;
-  }
-  /// Whether this shard owns the cell at canonical index `cell_index`.
-  [[nodiscard]] bool covers(std::size_t cell_index) const {
-    return static_cast<int>(cell_index % static_cast<std::size_t>(count)) ==
-           index - 1;
-  }
-  /// "K/N" (the --shard flag spelling).
-  [[nodiscard]] std::string label() const;
-  /// Parse "K/N" with 1 <= K <= N.
-  [[nodiscard]] static Result<Shard> parse(const std::string& text);
-};
-
-/// The sub-list of `cells` owned by `shard`, in canonical order.
-[[nodiscard]] std::vector<std::size_t> shard_indices(std::size_t cell_count,
-                                                     const Shard& shard);
 
 /// Coordinates of one experiment in the grid.
 struct Cell {
@@ -122,9 +92,6 @@ struct SweepParams {
   /// coordinates are applied.  Must be thread-safe (it runs concurrently on
   /// different cells).
   std::function<void(const Cell&, scenario::ScenarioSpec&)> specialize;
-  /// Which K/N partition of the canonical cell order this run executes;
-  /// {1, 1} (the default) runs the whole grid.
-  Shard shard;
 };
 
 struct SweepOptions {
@@ -144,10 +111,8 @@ struct SweepOptions {
                                   const workload::WorkloadShape& shape,
                                   const SweepParams& params);
 
-/// Run the cells of the grid owned by params.shard ({1,1} = all of them),
-/// sharded across a work-stealing pool.  Results are in Grid::cells()
-/// order restricted to the shard, so concatenating the N shard runs
-/// round-robin reconstructs the full canonical order exactly.
+/// Run every cell of the grid across a work-stealing pool.  Results are in
+/// Grid::cells() order whatever the thread count.
 [[nodiscard]] std::vector<CellResult> run_sweep(
     const Grid& grid, const SweepParams& params,
     const SweepOptions& options = {});

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace rtcm {
@@ -43,13 +42,6 @@ class Flags {
   /// Record an error for every parsed flag not in `known`, so a typo like
   /// --seeeds=3 fails fast instead of silently running with defaults.
   void reject_unknown(const std::vector<std::string>& known) const;
-
-  /// Record a caller-detected problem (e.g. a structured value like
-  /// --shard=K/N failing its own parse) so it surfaces through the same
-  /// errors() channel the typed getters use.
-  void record_error(std::string message) const {
-    errors_.push_back(std::move(message));
-  }
 
  private:
   std::map<std::string, std::string> values_;

@@ -2,6 +2,7 @@
 // ergonomics, library determinism, and the headline contract — a sweep
 // whose cells are round-tripped through their JSON form is byte-identical
 // to the direct sweep.  `ctest -L scenario` selects this layer.
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -265,6 +266,42 @@ TEST(ScenarioJson, ParseRejectsGarbage) {
   config.set("strategies", "X_Y_Z");
   doc.set("config", config);
   EXPECT_FALSE(scenario::spec_from_json(doc).is_ok());
+}
+
+TEST(ScenarioJson, HostileShapeCountsFailWithStatus) {
+  // Single-field edits to scenarios/fig5_random_cell.json that once aborted
+  // the process with std::length_error: a task count far past any real
+  // grid, and a negative count that a cast turned into SIZE_MAX.
+  const auto with_shape_field = [](const char* field, std::int64_t value) {
+    json::Value doc = scenario::to_json(small_generated_spec());
+    json::Value workload = doc.get("workload");
+    json::Value shape = workload.get("shape");
+    shape.set(field, value);
+    workload.set("shape", shape);
+    doc.set("workload", workload);
+    return doc;
+  };
+
+  const auto huge = scenario::spec_from_json(
+      with_shape_field("periodic_tasks", 1000000000000000000));
+  ASSERT_TRUE(huge.is_ok()) << huge.message();
+  const Status huge_status = scenario::validate(huge.value());
+  EXPECT_FALSE(huge_status.is_ok());
+  EXPECT_NE(huge_status.message().find("tasks"), std::string::npos)
+      << huge_status.message();
+  EXPECT_FALSE(scenario::run_scenario(huge.value()).is_ok());
+
+  for (const char* field : {"periodic_tasks", "aperiodic_tasks",
+                            "min_subtasks", "max_subtasks"}) {
+    const auto negative = scenario::spec_from_json(with_shape_field(field, -1));
+    ASSERT_FALSE(negative.is_ok()) << field;
+    EXPECT_NE(negative.message().find(field), std::string::npos)
+        << negative.message();
+  }
+
+  auto spec = small_generated_spec();
+  spec.workload.shape.max_subtasks = 1000000000000000000;
+  EXPECT_FALSE(scenario::validate(spec).is_ok());
 }
 
 // --- Running -----------------------------------------------------------------

@@ -207,6 +207,29 @@ TEST(SweepReport, ReconfigCountersSurviveJsonRoundTrip) {
             std::string::npos);
 }
 
+TEST(SweepEngine, AnyCellOfAFullSweepRerunsBitExact) {
+  // The "reproduce any nightly cell on a laptop" contract: a cell's result
+  // is a pure function of its coordinates, so run_cell alone reproduces
+  // what the whole pooled sweep computed for it.
+  const sweep::Grid grid = figure5_grid(2);
+  const sweep::SweepParams params = fast_params();
+  sweep::SweepOptions pooled;
+  pooled.threads = 4;
+  const std::vector<sweep::CellResult> swept =
+      sweep::run_sweep(grid, params, pooled);
+  ASSERT_EQ(swept.size(), grid.cells().size());
+
+  for (const sweep::CellResult& from_sweep : swept) {
+    const sweep::CellResult rerun = sweep::run_cell(
+        from_sweep.cell, workload::random_workload_shape(), params);
+    EXPECT_TRUE(rerun.error.empty()) << rerun.error;
+    EXPECT_EQ(rerun.accept_ratio, from_sweep.accept_ratio)
+        << from_sweep.cell.combo << " seed " << from_sweep.cell.seed;
+    EXPECT_EQ(rerun.deadline_misses, from_sweep.deadline_misses);
+    EXPECT_EQ(rerun.aperiodic_response_ms, from_sweep.aperiodic_response_ms);
+  }
+}
+
 TEST(SweepEngine, InvalidComboSurfacesAsCellError) {
   const sweep::CellResult direct = sweep::run_cell(
       sweep::Cell{"not-a-combo", "random", "", 1},
@@ -268,6 +291,54 @@ TEST(SweepReport, FromJsonRejectsWrongSchemaVersion) {
   doc.set("name", "x");
   EXPECT_FALSE(sweep::Report::from_json(doc).is_ok());
   EXPECT_FALSE(sweep::Report::from_json(json::Value("nope")).is_ok());
+}
+
+TEST(SweepReport, SchemaVersion1DocumentsStillParse) {
+  json::Value cell = json::Value::object();
+  cell.set("combo", "T_N_N");
+  cell.set("shape", "random");
+  cell.set("variant", "");
+  cell.set("seed", 1);
+  cell.set("accept_ratio", 0.5);
+  cell.set("deadline_misses", 0);
+  cell.set("aperiodic_response_ms", 1.0);
+  cell.set("wall_ms", 2.0);
+  json::Value cells = json::Value::array();
+  cells.push_back(cell);
+  json::Value doc = json::Value::object();
+  doc.set("schema_version", 1);
+  doc.set("name", "legacy");
+  doc.set("git_sha", "old");
+  doc.set("params", json::Value::object());
+  doc.set("cells", cells);
+
+  const auto report = sweep::Report::from_json(doc);
+  ASSERT_TRUE(report.is_ok()) << report.message();
+  EXPECT_EQ(report.value().schema_version, 1);
+  ASSERT_EQ(report.value().cells.size(), 1u);
+  EXPECT_EQ(report.value().cells[0].accept_ratio, 0.5);
+
+  doc.set("schema_version", 3);
+  EXPECT_FALSE(sweep::Report::from_json(doc).is_ok());
+}
+
+TEST(SweepReport, SplitRunProvenanceKeysAreIgnored) {
+  // Schema-2 baselines written when grids were still split across machines
+  // carry "shard" / "merged_shards" keys.  No report writes them now; old
+  // ones still parse, and the keys drop out on re-serialization.
+  sweep::Report plain = report_of(
+      "fig5", sweep::run_sweep(figure5_grid(1), fast_params(), {}));
+  EXPECT_EQ(plain.to_json().dump().find("shard"), std::string::npos);
+  json::Value doc = plain.to_json();
+  json::Value shard = json::Value::object();
+  shard.set("index", 1);
+  shard.set("count", 1);
+  doc.set("shard", shard);
+  doc.set("merged_shards", 4);
+
+  const auto parsed = sweep::Report::from_json(doc);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.message();
+  EXPECT_EQ(parsed.value().to_json().dump(), plain.to_json().dump());
 }
 
 TEST(SweepReport, AggregatesGroupByComboShapeVariant) {

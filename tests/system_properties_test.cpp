@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -278,6 +279,12 @@ struct AubSafetyCase {
   const char* strategies;
 };
 
+void PrintTo(const AubSafetyCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " primaries=" << c.primaries
+      << " replicas=" << c.replicas << " U=" << c.utilization << " "
+      << c.strategies;
+}
+
 class AubSafetyTest : public ::testing::TestWithParam<AubSafetyCase> {};
 
 TEST_P(AubSafetyTest, AdmittedJobsAlwaysMeetDeadlines) {
@@ -484,6 +491,10 @@ struct ReconfigSafetyCase {
   const char* strategies;
   std::size_t steps;
 };
+
+void PrintTo(const ReconfigSafetyCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " " << c.strategies << " steps=" << c.steps;
+}
 
 class ReconfigSafetyTest : public ::testing::TestWithParam<ReconfigSafetyCase> {
 };

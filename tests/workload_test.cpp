@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 
 #include "sched/analysis.h"
 #include "test_helpers.h"
@@ -121,6 +122,11 @@ struct ImbalancedBuilderCase {
   std::size_t replicas;
   double utilization;
 };
+
+void PrintTo(const ImbalancedBuilderCase& c, std::ostream* os) {
+  *os << "primaries=" << c.primaries << " replicas=" << c.replicas
+      << " U=" << c.utilization;
+}
 
 class ImbalancedBuilderTest
     : public ::testing::TestWithParam<ImbalancedBuilderCase> {};
