@@ -60,6 +60,13 @@ echo "::group::Simulation-kernel layer (unit + alloc labels, determinism)"
 "${CTEST[@]}" -R Determinism
 echo "::endgroup::"
 
+echo "::group::Deployment layer (typed ports, DAnCE launch, plan builder)"
+"${CTEST[@]}" -L deploy
+# assemble() against an XML-round-tripped plan launch: byte-identical
+# rendered traces over all 15 combinations, DS mode and a drained plan.
+"${CTEST[@]}" -R DanceEquivalence
+echo "::endgroup::"
+
 echo "::group::Scenario API layer (spec round trips, library, validation)"
 "${CTEST[@]}" -L scenario
 echo "::endgroup::"

@@ -35,6 +35,12 @@ a flaky nightly diff.  Rules:
                         implementation belongs in tests/, not behind an
                         environment switch.  Reads that only label or
                         display output carry an inline allow saying so.
+  std-any               std::any, std::any_cast, std::make_any or <any>
+                        anywhere in the linted tree.  Component ports are
+                        typed: a receptacle is an interface pointer bound
+                        with dynamic_cast (ccm/component.h), so a type-
+                        erased value has no place in src/.  std::any_of is
+                        unrelated and fine.
 
 Suppressions:
   * inline: `// rtcm-lint: allow(<rule>) <reason>` on the offending line or
@@ -74,6 +80,7 @@ RULES = {
     "pointer-keyed": "ordered container keyed on a pointer",
     "sim-path-alloc": "std::function or raw new on an event path",
     "env-switch": "environment variable read (behaviour switch)",
+    "std-any": "type-erased std::any value (ports are typed)",
 }
 
 ALLOW_RE = re.compile(r"//\s*rtcm-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
@@ -177,6 +184,11 @@ POINTER_KEYED_RE = re.compile(
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 RAW_NEW_RE = re.compile(r"(?<![\w_])new\s+[\w:<(]")
 GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+# `\b` after the name keeps std::any_of / std::any_cast apart: `_` is a word
+# character, so each spelling is matched whole.
+STD_ANY_RE = re.compile(
+    r"\bstd\s*::\s*(?:any|any_cast|make_any)\b|#\s*include\s*<any>"
+)
 
 
 def collect_unordered_names(code: str) -> set[str]:
@@ -360,6 +372,18 @@ def lint_text(
                 "env-switch",
                 "getenv: a behaviour switch belongs in tests/, not behind "
                 "an environment variable",
+            )
+        )
+
+    # std-any -----------------------------------------------------------
+    for m in STD_ANY_RE.finditer(code):
+        raw.append(
+            Finding(
+                path,
+                line_of(m.start()),
+                "std-any",
+                "std::any: bind ports as typed interface pointers "
+                "(Component::connect / bind)",
             )
         )
 

@@ -1,15 +1,38 @@
 #include "ccm/attributes.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace rtcm::ccm {
 
+namespace {
+
+bool name_less(const std::pair<std::string, AttributeValue>& entry,
+               const std::string& name) {
+  return entry.first < name;
+}
+
+}  // namespace
+
 void AttributeMap::set(const std::string& name, AttributeValue value) {
-  values_[name] = std::move(value);
+  const auto it =
+      std::lower_bound(values_.begin(), values_.end(), name, name_less);
+  if (it != values_.end() && it->first == name) {
+    it->second = std::move(value);
+  } else {
+    values_.emplace(it, name, std::move(value));
+  }
+}
+
+const AttributeValue* AttributeMap::find(const std::string& name) const {
+  const auto it =
+      std::lower_bound(values_.begin(), values_.end(), name, name_less);
+  return it != values_.end() && it->first == name ? &it->second : nullptr;
 }
 
 bool AttributeMap::has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return find(name) != nullptr;
 }
 
 std::vector<std::string> AttributeMap::names() const {
@@ -20,30 +43,30 @@ std::vector<std::string> AttributeMap::names() const {
 }
 
 Result<std::string> AttributeMap::get_string(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
+  const AttributeValue* value = find(name);
+  if (value == nullptr) {
     return Result<std::string>::error("missing attribute '" + name + "'");
   }
-  if (const auto* s = std::get_if<std::string>(&it->second)) return *s;
-  if (const auto* b = std::get_if<bool>(&it->second)) {
+  if (const auto* s = std::get_if<std::string>(value)) return *s;
+  if (const auto* b = std::get_if<bool>(value)) {
     return std::string(*b ? "true" : "false");
   }
-  if (const auto* i = std::get_if<std::int64_t>(&it->second)) {
+  if (const auto* i = std::get_if<std::int64_t>(value)) {
     return std::to_string(*i);
   }
-  if (const auto* d = std::get_if<double>(&it->second)) {
+  if (const auto* d = std::get_if<double>(value)) {
     return std::to_string(*d);
   }
   return Result<std::string>::error("attribute '" + name + "' has no value");
 }
 
 Result<std::int64_t> AttributeMap::get_int(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
+  const AttributeValue* value = find(name);
+  if (value == nullptr) {
     return Result<std::int64_t>::error("missing attribute '" + name + "'");
   }
-  if (const auto* i = std::get_if<std::int64_t>(&it->second)) return *i;
-  if (const auto* s = std::get_if<std::string>(&it->second)) {
+  if (const auto* i = std::get_if<std::int64_t>(value)) return *i;
+  if (const auto* s = std::get_if<std::string>(value)) {
     std::int64_t v = 0;
     if (parse_int64(*s, v)) return v;
   }
@@ -52,15 +75,15 @@ Result<std::int64_t> AttributeMap::get_int(const std::string& name) const {
 }
 
 Result<double> AttributeMap::get_double(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
+  const AttributeValue* value = find(name);
+  if (value == nullptr) {
     return Result<double>::error("missing attribute '" + name + "'");
   }
-  if (const auto* d = std::get_if<double>(&it->second)) return *d;
-  if (const auto* i = std::get_if<std::int64_t>(&it->second)) {
+  if (const auto* d = std::get_if<double>(value)) return *d;
+  if (const auto* i = std::get_if<std::int64_t>(value)) {
     return static_cast<double>(*i);
   }
-  if (const auto* s = std::get_if<std::string>(&it->second)) {
+  if (const auto* s = std::get_if<std::string>(value)) {
     double v = 0;
     if (parse_double(*s, v)) return v;
   }
@@ -68,12 +91,12 @@ Result<double> AttributeMap::get_double(const std::string& name) const {
 }
 
 Result<bool> AttributeMap::get_bool(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
+  const AttributeValue* value = find(name);
+  if (value == nullptr) {
     return Result<bool>::error("missing attribute '" + name + "'");
   }
-  if (const auto* b = std::get_if<bool>(&it->second)) return *b;
-  if (const auto* s = std::get_if<std::string>(&it->second)) {
+  if (const auto* b = std::get_if<bool>(value)) return *b;
+  if (const auto* s = std::get_if<std::string>(value)) {
     bool v = false;
     if (parse_bool(*s, v)) return v;
   }
@@ -99,9 +122,11 @@ std::int64_t AttributeMap::get_int_or(const std::string& name,
 }
 
 void AttributeMap::merge(const AttributeMap& other) {
-  for (const auto& [name, value] : other.values_) {
-    values_[name] = value;
+  if (values_.empty()) {
+    values_ = other.values_;
+    return;
   }
+  for (const auto& [name, value] : other.values_) set(name, value);
 }
 
 }  // namespace rtcm::ccm

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -64,7 +64,11 @@ class AttributeMap {
   void merge(const AttributeMap& other);
 
  private:
-  std::map<std::string, AttributeValue> values_;
+  [[nodiscard]] const AttributeValue* find(const std::string& name) const;
+
+  /// Sorted by name.  An instance carries a handful of attributes with short
+  /// names, so one contiguous buffer replaces a heap node per attribute.
+  std::vector<std::pair<std::string, AttributeValue>> values_;
 };
 
 }  // namespace rtcm::ccm

@@ -74,61 +74,20 @@ Status Component::passivate() {
   return Status::ok();
 }
 
-std::any Component::facet(const std::string& port) const {
-  const auto it = facets_.find(port);
-  return it == facets_.end() ? std::any{} : it->second;
+Status Component::connect(std::string_view receptacle, Component& provider) {
+  (void)provider;
+  return Status::error("component '" + instance_name_ +
+                       "' has no receptacle '" + std::string(receptacle) +
+                       "'");
 }
 
-Status Component::connect_receptacle(const std::string& port, std::any iface) {
-  const auto it = receptacles_.find(port);
-  if (it == receptacles_.end()) {
-    return Status::error("component '" + instance_name_ +
-                         "' has no receptacle '" + port + "'");
-  }
-  return it->second(std::move(iface));
-}
-
-std::vector<std::string> Component::facet_names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, iface] : facets_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> Component::receptacle_names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, fn] : receptacles_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> Component::event_source_names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, type] : event_sources_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> Component::event_sink_names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, type] : event_sinks_) out.push_back(name);
-  return out;
-}
-
-void Component::provide_facet(const std::string& port, std::any iface) {
-  facets_[port] = std::move(iface);
-}
-
-void Component::declare_receptacle(const std::string& port,
-                                   std::function<Status(std::any)> connector) {
-  receptacles_[port] = std::move(connector);
-}
-
-void Component::declare_event_source(const std::string& port,
-                                     events::EventType type) {
-  event_sources_[port] = type;
-}
-
-void Component::declare_event_sink(const std::string& port,
-                                   events::EventType type) {
-  event_sinks_[port] = type;
+Status Component::wrong_interface(std::string_view receptacle,
+                                  const Component& provider) const {
+  return Status::error("receptacle '" + std::string(receptacle) + "' of '" +
+                       instance_name_ + "' cannot use '" +
+                       provider.instance_name() + "' (" +
+                       provider.type_name() +
+                       "): it lacks the required interface");
 }
 
 }  // namespace rtcm::ccm

@@ -3,21 +3,20 @@
 // A component is a unit of implementation and composition (paper §2) with:
 //   - typed attributes applied through configure() — the Configurator /
 //     set_configuration path of Figure 4,
-//   - named facets (provided interfaces) and receptacles (required
-//     interfaces) wired by the deployment engine,
-//   - event source/sink declarations (documentation + introspection; actual
-//     event flow goes through the federated channel held by the container),
+//   - typed ports: a facet is an interface the component class itself
+//     implements, named through provides(); a receptacle is a typed pointer
+//     member that connect() fills from the providing component after
+//     checking the interface with dynamic_cast,
 //   - a lifecycle: Created -> Configured -> Active -> Passivated.
+//
+// Event ports need no declaration: components subscribe to and push on the
+// federated channel held by their container.
 #pragma once
 
-#include <any>
-#include <functional>
-#include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "ccm/attributes.h"
-#include "events/event.h"
 #include "util/result.h"
 
 namespace rtcm::ccm {
@@ -69,20 +68,21 @@ class Component {
   [[nodiscard]] const AttributeMap& attributes() const { return attributes_; }
 
   // --- Ports -------------------------------------------------------------
+  //
+  // A plan connection names a receptacle on its source instance and a facet
+  // on its target; the deployment engine checks provides() on the target,
+  // then hands the target to connect() on the source.
 
-  /// Facet lookup (std::any holds a raw interface pointer).  Empty any if
-  /// the port does not exist.
-  [[nodiscard]] std::any facet(const std::string& port) const;
+  /// Whether this component provides the named facet.
+  [[nodiscard]] virtual bool provides(std::string_view facet) const {
+    (void)facet;
+    return false;
+  }
 
-  /// Wire `iface` into the named receptacle; the registered connector
-  /// any_casts it to the expected interface type.
-  [[nodiscard]] Status connect_receptacle(const std::string& port,
-                                          std::any iface);
-
-  [[nodiscard]] std::vector<std::string> facet_names() const;
-  [[nodiscard]] std::vector<std::string> receptacle_names() const;
-  [[nodiscard]] std::vector<std::string> event_source_names() const;
-  [[nodiscard]] std::vector<std::string> event_sink_names() const;
+  /// Wire the named receptacle to `provider`.  Errors for unknown
+  /// receptacles and for providers lacking the receptacle's interface.
+  [[nodiscard]] virtual Status connect(std::string_view receptacle,
+                                       Component& provider);
 
  protected:
   /// Subclass hooks.
@@ -93,14 +93,21 @@ class Component {
   [[nodiscard]] virtual Status on_activate() { return Status::ok(); }
   virtual void on_passivate() {}
 
-  /// Port registration (call from the subclass constructor).
-  void provide_facet(const std::string& port, std::any iface);
-  void declare_receptacle(const std::string& port,
-                          std::function<Status(std::any)> connector);
-  void declare_event_source(const std::string& port, events::EventType type);
-  void declare_event_sink(const std::string& port, events::EventType type);
+  /// connect() helper: point `slot` at `provider` as an `Interface`, or
+  /// report that the provider does not implement it.
+  template <typename Interface>
+  [[nodiscard]] Status bind(Interface*& slot, std::string_view receptacle,
+                            Component& provider) {
+    auto* iface = dynamic_cast<Interface*>(&provider);
+    if (iface == nullptr) return wrong_interface(receptacle, provider);
+    slot = iface;
+    return Status::ok();
+  }
 
  private:
+  [[nodiscard]] Status wrong_interface(std::string_view receptacle,
+                                       const Component& provider) const;
+
   friend class Container;
 
   std::string type_name_;
@@ -108,11 +115,6 @@ class Component {
   LifecycleState state_ = LifecycleState::kCreated;
   Container* container_ = nullptr;
   AttributeMap attributes_;
-
-  std::map<std::string, std::any> facets_;
-  std::map<std::string, std::function<Status(std::any)>> receptacles_;
-  std::map<std::string, events::EventType> event_sources_;
-  std::map<std::string, events::EventType> event_sinks_;
 };
 
 }  // namespace rtcm::ccm

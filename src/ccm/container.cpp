@@ -11,32 +11,33 @@ Status Container::install(const std::string& instance_name,
   if (instance_name.empty()) {
     return Status::error("component instance name must not be empty");
   }
-  if (components_.count(instance_name) > 0) {
+  const auto [slot, inserted] = components_.try_emplace(instance_name);
+  if (!inserted) {
     return Status::error("duplicate component instance '" + instance_name +
                          "' on " + context_.processor.to_string());
   }
   component->instance_name_ = instance_name;
   component->container_ = this;
-  components_.emplace(instance_name, std::move(component));
-  order_.push_back(instance_name);
+  order_.push_back(component.get());
+  slot->second = std::move(component);
   return Status::ok();
 }
 
-Component* Container::find(const std::string& instance_name) const {
+Component* Container::find(std::string_view instance_name) const {
   const auto it = components_.find(instance_name);
   return it == components_.end() ? nullptr : it->second.get();
 }
 
 Status Container::activate_all() {
-  for (const std::string& name : order_) {
-    if (Status s = components_.at(name)->activate(); !s.is_ok()) return s;
+  for (Component* c : order_) {
+    if (Status s = c->activate(); !s.is_ok()) return s;
   }
   return Status::ok();
 }
 
 Status Container::passivate_all() {
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    Component* c = components_.at(*it).get();
+    Component* c = *it;
     if (c->state() == LifecycleState::kActive) {
       if (Status s = c->passivate(); !s.is_ok()) return s;
     }

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccm/component.h"
@@ -57,11 +58,11 @@ class Container {
   [[nodiscard]] Status install(const std::string& instance_name,
                                std::unique_ptr<Component> component);
 
-  [[nodiscard]] Component* find(const std::string& instance_name) const;
+  [[nodiscard]] Component* find(std::string_view instance_name) const;
 
   /// Typed lookup; returns null if missing or of a different dynamic type.
   template <typename T>
-  [[nodiscard]] T* find_as(const std::string& instance_name) const {
+  [[nodiscard]] T* find_as(std::string_view instance_name) const {
     return dynamic_cast<T*>(find(instance_name));
   }
 
@@ -71,14 +72,15 @@ class Container {
   [[nodiscard]] Status passivate_all();
 
   [[nodiscard]] std::size_t size() const { return order_.size(); }
-  [[nodiscard]] std::vector<std::string> instance_names() const {
+  /// Installed components, in installation order.
+  [[nodiscard]] const std::vector<Component*>& components() const {
     return order_;
   }
 
  private:
   ContainerContext context_;
-  std::map<std::string, std::unique_ptr<Component>> components_;
-  std::vector<std::string> order_;
+  std::map<std::string, std::unique_ptr<Component>, std::less<>> components_;
+  std::vector<Component*> order_;
 };
 
 }  // namespace rtcm::ccm

@@ -22,7 +22,7 @@ bool ComponentFactory::knows(const std::string& type_name) const {
 }
 
 Result<std::unique_ptr<Component>> ComponentFactory::create(
-    const std::string& type_name, ProcessorId node) const {
+    const std::string& type_name, ProcessorId node) {
   const auto it = creators_.find(type_name);
   if (it == creators_.end()) {
     return Result<std::unique_ptr<Component>>::error(

@@ -7,13 +7,14 @@
 // knowledge (the "component repository" of Figure 4).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ccm/component.h"
+#include "util/ids.h"
+#include "util/inline_fn.h"
 #include "util/result.h"
 
 namespace rtcm::ccm {
@@ -21,16 +22,19 @@ namespace rtcm::ccm {
 class ComponentFactory {
  public:
   /// Creator runs once per instance; receives the target processor so
-  /// per-node components can bind to it.
-  using Creator = std::function<std::unique_ptr<Component>(ProcessorId node)>;
+  /// per-node components can bind to it.  Captures up to two pointers are
+  /// stored inline.
+  using Creator =
+      InlineFunction<std::unique_ptr<Component>(ProcessorId node), 16>;
 
   [[nodiscard]] Status register_type(const std::string& type_name,
                                      Creator creator);
 
   [[nodiscard]] bool knows(const std::string& type_name) const;
 
+  /// Not const: a creator may carry state.
   [[nodiscard]] Result<std::unique_ptr<Component>> create(
-      const std::string& type_name, ProcessorId node) const;
+      const std::string& type_name, ProcessorId node);
 
   [[nodiscard]] std::vector<std::string> type_names() const;
 

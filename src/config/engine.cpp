@@ -4,7 +4,6 @@
 #include <set>
 
 #include "config/workload_spec.h"
-#include "dance/engine.h"
 #include "dance/plan_xml.h"
 #include "sched/edms.h"
 #include "util/strings.h"
@@ -102,17 +101,7 @@ Result<std::unique_ptr<core::SystemRuntime>> ConfigurationEngine::launch(
   base.task_manager = output.task_manager;
   auto runtime =
       std::make_unique<core::SystemRuntime>(std::move(base), output.tasks);
-  if (Status s = runtime->assemble_infrastructure(); !s.is_ok()) {
-    return R::error(s.message());
-  }
-  auto report = dance::PlanLauncher().launch_from_xml(
-      output.xml,
-      [&runtime](ProcessorId node) -> ccm::Container* {
-        return runtime->find_container(node);
-      },
-      runtime->factory());
-  if (!report.is_ok()) return R::error(report.message());
-  if (Status s = runtime->finalize_deployment(); !s.is_ok()) {
+  if (Status s = runtime->assemble(output.plan); !s.is_ok()) {
     return R::error(s.message());
   }
   return runtime;

@@ -3,9 +3,9 @@
 // Ties the pieces together: parse the developer's workload specification,
 // map the questionnaire answers to service strategies (Table 1), refuse
 // invalid explicit combinations, assign EDMS priorities, and emit the
-// XML-based deployment plan DAnCE launches.  `launch()` then performs the
-// full pipeline against a fresh SystemRuntime: parse plan -> deploy
-// components on each node -> set_configuration -> activate.
+// XML-based deployment plan DAnCE launches.  `launch()` then assembles a
+// fresh SystemRuntime from the plan: deploy components on each node ->
+// set_configuration -> wire ports -> activate.
 #pragma once
 
 #include <memory>
@@ -66,10 +66,9 @@ class ConfigurationEngine {
  public:
   [[nodiscard]] Result<EngineOutput> configure(const EngineInput& input) const;
 
-  /// Build a runtime from an engine output via the DAnCE pipeline:
-  /// infrastructure -> PlanLauncher(xml) -> finalize.  `base` supplies the
-  /// simulation parameters (latency, tracing); its strategies/task_manager
-  /// are overwritten from the output.
+  /// Build a runtime and assemble it from the output's plan.  `base`
+  /// supplies the simulation parameters (latency, tracing); its
+  /// strategies/task_manager are overwritten from the output.
   [[nodiscard]] static Result<std::unique_ptr<core::SystemRuntime>> launch(
       const EngineOutput& output, core::SystemConfig base);
 };

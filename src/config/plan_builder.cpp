@@ -6,13 +6,32 @@
 #include "core/admission_control.h"
 #include "core/idle_resetter.h"
 #include "core/load_balancer_component.h"
-#include "core/runtime.h"
 #include "core/subtask_component.h"
 #include "core/task_effector.h"
 #include "sched/edms.h"
 #include "util/strings.h"
 
 namespace rtcm::config {
+
+PlanBuilderInput plan_input(const core::SystemConfig& config,
+                            const sched::TaskSet& tasks,
+                            ProcessorId task_manager) {
+  PlanBuilderInput input;
+  input.tasks = &tasks;
+  input.strategies = config.strategies;
+  input.task_manager = task_manager;
+  input.lb_policy = config.lb_policy;
+  input.lb_seed = config.lb_seed;
+  if (config.analysis == core::AperiodicAnalysis::kDeferrableServer) {
+    input.analysis = "DS";
+    input.ds_budget = config.ds_server.budget;
+    input.ds_period = config.ds_server.period;
+    input.ds_hop_overhead = config.ds_server.hop_overhead.is_zero()
+                                ? config.comm_latency
+                                : config.ds_server.hop_overhead;
+  }
+  return input;
+}
 
 Result<dance::DeploymentPlan> build_deployment_plan(
     const PlanBuilderInput& input) {
@@ -25,6 +44,10 @@ Result<dance::DeploymentPlan> build_deployment_plan(
                     input.strategies.label() + ": " +
                     input.strategies.invalid_reason());
   }
+  if (input.analysis != "AUB" && input.analysis != "DS") {
+    return R::error("analysis must be 'AUB' or 'DS', got '" + input.analysis +
+                    "'");
+  }
   const sched::TaskSet& tasks = *input.tasks;
   const auto app_processors = tasks.processors();
   if (std::find(app_processors.begin(), app_processors.end(),
@@ -35,8 +58,16 @@ Result<dance::DeploymentPlan> build_deployment_plan(
 
   dance::DeploymentPlan plan;
   plan.label = input.label;
+  std::size_t subtask_hosts = 0;
+  for (const sched::TaskSpec& task : tasks.tasks()) {
+    for (const sched::SubtaskSpec& st : task.subtasks) {
+      subtask_hosts += 1 + st.replicas.size();
+    }
+  }
+  plan.instances.reserve(2 + 2 * app_processors.size() + subtask_hosts);
+  plan.connections.reserve(1 + subtask_hosts);
 
-  // Central task manager: LB then AC (install order mirrors the runtime).
+  // Central task manager: LB then AC.
   {
     dance::InstanceDeployment lb;
     lb.id = "Central-LB";
@@ -53,9 +84,9 @@ Result<dance::DeploymentPlan> build_deployment_plan(
     ac.type = core::AdmissionControl::kTypeName;
     ac.node = input.task_manager;
     ac.properties.set_string(core::AdmissionControl::kAcStrategyAttr,
-                             core::SystemRuntime::ac_attr(input.strategies.ac));
+                             core::to_attr(input.strategies.ac));
     ac.properties.set_string(core::AdmissionControl::kLbStrategyAttr,
-                             core::SystemRuntime::lb_attr(input.strategies.lb));
+                             core::to_attr(input.strategies.lb));
     if (input.analysis == "DS") {
       ac.properties.set_string(core::AdmissionControl::kAnalysisAttr, "DS");
       ac.properties.set_duration(core::AdmissionControl::kDsBudgetAttr,
@@ -64,20 +95,17 @@ Result<dance::DeploymentPlan> build_deployment_plan(
                                  input.ds_period);
       ac.properties.set_duration(core::AdmissionControl::kDsHopOverheadAttr,
                                  input.ds_hop_overhead);
-    } else if (input.analysis != "AUB") {
-      return R::error("analysis must be 'AUB' or 'DS', got '" +
-                      input.analysis + "'");
     }
     plan.instances.push_back(std::move(ac));
 
     plan.connections.push_back(dance::ConnectionDeployment{
-        "ac-location", "Central-AC", "Location", "Central-LB", "Location"});
+        "ac-location", "Central-AC", std::string(core::kLocationPort),
+        "Central-LB", std::string(core::kLocationPort)});
   }
 
   // Per application processor: TE + IR.
-  const std::string te_mode = core::SystemRuntime::te_mode(input.strategies);
-  const std::string ir_value =
-      core::SystemRuntime::ir_attr(input.strategies.ir);
+  const std::string te_mode = core::te_mode_attr(input.strategies);
+  const std::string ir_value = core::to_attr(input.strategies.ir);
   for (const ProcessorId p : app_processors) {
     dance::InstanceDeployment te;
     te.id = "TE@" + p.to_string();
@@ -106,17 +134,17 @@ Result<dance::DeploymentPlan> build_deployment_plan(
     for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
       const sched::SubtaskSpec& st = task.subtasks[j];
       const bool last = (j + 1 == task.subtasks.size());
-      std::size_t hosts = 0;
-      for (const ProcessorId host : st.candidates()) {
-        if (drained.count(host) == 0) ++hosts;
-      }
-      if (hosts == 0) {
+      const std::vector<ProcessorId> candidates = st.candidates();
+      const auto is_drained = [&drained](ProcessorId host) {
+        return drained.count(host) > 0;
+      };
+      if (std::all_of(candidates.begin(), candidates.end(), is_drained)) {
         return R::error(strfmt(
             "draining leaves stage %zu of task %d without any host", j,
             task.id.value()));
       }
-      for (const ProcessorId host : st.candidates()) {
-        if (drained.count(host) > 0) continue;
+      for (const ProcessorId host : candidates) {
+        if (is_drained(host)) continue;
         dance::InstanceDeployment inst;
         inst.id = strfmt("T%d_S%zu@P%d", task.id.value(), j, host.value());
         inst.type = last ? core::LastSubtask::kTypeName
@@ -133,14 +161,13 @@ Result<dance::DeploymentPlan> build_deployment_plan(
         inst.properties.set_string(core::SubtaskComponentBase::kIrModeAttr,
                                    ir_value);
         plan.connections.push_back(dance::ConnectionDeployment{
-            inst.id + "-complete", inst.id, "Complete",
-            "IR@" + host.to_string(), "Complete"});
+            inst.id + "-complete", inst.id, std::string(core::kCompletePort),
+            "IR@" + host.to_string(), std::string(core::kCompletePort)});
         plan.instances.push_back(std::move(inst));
       }
     }
   }
 
-  if (Status s = plan.validate(); !s.is_ok()) return R::error(s.message());
   return plan;
 }
 

@@ -1,11 +1,13 @@
 // Deployment-plan synthesis from a workload and a strategy selection.
 //
-// Produces the same topology the SystemRuntime installs directly: Central-AC
-// and Central-LB on the task manager node, one TE and IR per application
-// processor, and F/I / Last Subtask instances on every primary and replica
-// processor — with EDMS priorities written into the subtask instances'
-// configProperties exactly as the paper's front-end configuration engine
-// writes them into the XML plan.
+// The one description of a deployment's topology: Central-LB and Central-AC
+// on the task manager node, one TE and IR per application processor, and
+// F/I / Last Subtask instances on every primary and replica processor — with
+// EDMS priorities written into the subtask instances' configProperties
+// exactly as the paper's front-end configuration engine writes them into the
+// XML plan.  SystemRuntime::assemble() launches this plan for its own
+// SystemConfig; the configuration engine and the reconfiguration manager
+// derive theirs from the same builder.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/runtime.h"
 #include "core/strategies.h"
 #include "dance/deployment_plan.h"
 #include "sched/task.h"
@@ -40,6 +43,15 @@ struct PlanBuilderInput {
   std::vector<ProcessorId> drained;
 };
 
+/// The builder input describing `config`'s deployment of `tasks` with the
+/// task manager on `task_manager`.  A zero DS hop overhead budgets one
+/// comm_latency per middleware hop (the measured one-way event delay).
+[[nodiscard]] PlanBuilderInput plan_input(const core::SystemConfig& config,
+                                          const sched::TaskSet& tasks,
+                                          ProcessorId task_manager);
+
+/// The plan is structurally valid by construction; ExecutionManager::launch
+/// validates plans from any other source.
 [[nodiscard]] Result<dance::DeploymentPlan> build_deployment_plan(
     const PlanBuilderInput& input);
 

@@ -23,42 +23,29 @@ AdmissionControl::AdmissionControl(const sched::TaskSet& tasks,
     : Component(kTypeName),
       tasks_(tasks),
       metrics_(metrics),
-      state_(arena) {
-  declare_event_sink("TaskArrive", EventType::kTaskArrive);
-  declare_event_sink("IdleReset", EventType::kIdleReset);
-  declare_event_source("Accept", EventType::kAccept);
-  declare_event_source("Reject", EventType::kReject);
-  declare_receptacle("Location", [this](std::any iface) {
-    auto* service = std::any_cast<LocationService*>(&iface);
-    if (service == nullptr || *service == nullptr) {
-      return Status::error(
-          "AC 'Location' receptacle expects a LocationService*");
-    }
-    location_ = *service;
-    return Status::ok();
-  });
+      state_(arena) {}
+
+Status AdmissionControl::connect(std::string_view receptacle,
+                                 ccm::Component& provider) {
+  if (receptacle == kLocationPort) {
+    return bind(location_, receptacle, provider);
+  }
+  return Component::connect(receptacle, provider);
 }
 
 Status AdmissionControl::on_configure(const ccm::AttributeMap& attributes) {
-  const std::string ac = attributes.get_string_or(kAcStrategyAttr, "PT");
-  if (ac == "PT") {
-    ac_ = AcStrategy::kPerTask;
-  } else if (ac == "PJ") {
-    ac_ = AcStrategy::kPerJob;
-  } else {
-    return Status::error("AC_Strategy must be 'PT' or 'PJ', got '" + ac + "'");
+  const auto ac =
+      parse_ac_attr(attributes.get_string_or(kAcStrategyAttr, "PT"));
+  if (!ac.is_ok()) {
+    return Status::error(std::string(kAcStrategyAttr) + " " + ac.message());
   }
-  const std::string lb = attributes.get_string_or(kLbStrategyAttr, "N");
-  if (lb == "N") {
-    lb_ = LbStrategy::kNone;
-  } else if (lb == "PT") {
-    lb_ = LbStrategy::kPerTask;
-  } else if (lb == "PJ") {
-    lb_ = LbStrategy::kPerJob;
-  } else {
-    return Status::error("LB_Strategy must be 'N', 'PT' or 'PJ', got '" + lb +
-                         "'");
+  const auto lb =
+      parse_lb_attr(attributes.get_string_or(kLbStrategyAttr, "N"));
+  if (!lb.is_ok()) {
+    return Status::error(std::string(kLbStrategyAttr) + " " + lb.message());
   }
+  ac_ = ac.value();
+  lb_ = lb.value();
   // Runtime reconfiguration may swap the strategy attributes freely, but the
   // analysis (and a live DS server's parameters) carry admission state that
   // cannot be rebuilt mid-run; switching them on a live AC is refused.

@@ -85,6 +85,10 @@ class AdmissionControl final : public ccm::Component {
     return ds_ ? &*ds_ : nullptr;
   }
 
+  /// Receptacle "Location": the LocationService (Central-LB).
+  [[nodiscard]] Status connect(std::string_view receptacle,
+                               ccm::Component& provider) override;
+
   // --- Runtime reconfiguration (src/reconfig) ------------------------------
 
   /// Strategy attributes may be swapped live; on_configure guards the

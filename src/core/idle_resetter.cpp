@@ -8,23 +8,16 @@ namespace rtcm::core {
 using events::EventType;
 using events::IdleResetPayload;
 
-IdleResetter::IdleResetter() : Component(kTypeName) {
-  provide_facet("Complete", static_cast<CompletionSink*>(this));
-  declare_event_source("IdleReset", EventType::kIdleReset);
-}
+IdleResetter::IdleResetter() : Component(kTypeName) {}
 
 Status IdleResetter::on_configure(const ccm::AttributeMap& attributes) {
-  const std::string strategy = attributes.get_string_or(kStrategyAttr, "N");
-  if (strategy == "N") {
-    strategy_ = IrStrategy::kNone;
-  } else if (strategy == "PT") {
-    strategy_ = IrStrategy::kPerTask;
-  } else if (strategy == "PJ") {
-    strategy_ = IrStrategy::kPerJob;
-  } else {
-    return Status::error("IR_Strategy must be 'N', 'PT' or 'PJ', got '" +
-                         strategy + "'");
+  const auto strategy =
+      parse_ir_attr(attributes.get_string_or(kStrategyAttr, "N"));
+  if (!strategy.is_ok()) {
+    return Status::error(std::string(kStrategyAttr) + " " +
+                         strategy.message());
   }
+  strategy_ = strategy.value();
   return Status::ok();
 }
 

@@ -28,6 +28,11 @@ class IdleResetter final : public ccm::Component, public CompletionSink {
 
   IdleResetter();
 
+  /// Facet "Complete": this component's CompletionSink.
+  [[nodiscard]] bool provides(std::string_view facet) const override {
+    return facet == kCompletePort;
+  }
+
   // CompletionSink
   void subjob_complete(const events::SubjobRef& ref, sched::TaskKind kind,
                        Time absolute_deadline) override;

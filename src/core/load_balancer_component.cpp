@@ -2,9 +2,7 @@
 
 namespace rtcm::core {
 
-LoadBalancerComponent::LoadBalancerComponent() : Component(kTypeName) {
-  provide_facet("Location", static_cast<LocationService*>(this));
-}
+LoadBalancerComponent::LoadBalancerComponent() : Component(kTypeName) {}
 
 Status LoadBalancerComponent::on_configure(
     const ccm::AttributeMap& attributes) {

@@ -29,6 +29,11 @@ class LoadBalancerComponent final : public ccm::Component,
 
   LoadBalancerComponent();
 
+  /// Facet "Location": this component's LocationService.
+  [[nodiscard]] bool provides(std::string_view facet) const override {
+    return facet == kLocationPort;
+  }
+
   // LocationService
   std::vector<ProcessorId> propose_placement(
       const sched::TaskSpec& task,

@@ -7,6 +7,7 @@
 // implementation).
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "events/event.h"
@@ -16,6 +17,11 @@
 #include "util/time.h"
 
 namespace rtcm::core {
+
+/// Port names: a plan connection wires a receptacle to the facet of the same
+/// name.
+inline constexpr std::string_view kLocationPort = "Location";
+inline constexpr std::string_view kCompletePort = "Complete";
 
 /// LB facet ("Location"): propose a per-stage processor assignment for a
 /// task against the current synthetic utilization.

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/strings.h"
+#include "config/plan_builder.h"
+#include "dance/engine.h"
 
 namespace rtcm::core {
 
@@ -55,43 +56,16 @@ Status validate_config(const SystemConfig& config) {
 }
 
 SystemRuntime::SystemRuntime(SystemConfig config, sched::TaskSet tasks)
-    : config_(std::move(config)), tasks_(std::move(tasks)) {
+    : config_(std::move(config)),
+      tasks_(std::move(tasks)),
+      app_processors_(tasks_.processors()) {
+  std::int32_t max_id = 0;
+  for (const ProcessorId p : app_processors_) {
+    max_id = std::max(max_id, p.value());
+  }
+  manager_ = config_.task_manager.value_or(ProcessorId(max_id + 1));
   if (config_.enable_trace) trace_.enable();
   register_component_types();
-}
-
-std::string SystemRuntime::ac_attr(AcStrategy s) {
-  return s == AcStrategy::kPerTask ? "PT" : "PJ";
-}
-
-std::string SystemRuntime::ir_attr(IrStrategy s) {
-  switch (s) {
-    case IrStrategy::kNone:
-      return "N";
-    case IrStrategy::kPerTask:
-      return "PT";
-    case IrStrategy::kPerJob:
-      return "PJ";
-  }
-  return "N";
-}
-
-std::string SystemRuntime::lb_attr(LbStrategy s) {
-  switch (s) {
-    case LbStrategy::kNone:
-      return "N";
-    case LbStrategy::kPerTask:
-      return "PT";
-    case LbStrategy::kPerJob:
-      return "PJ";
-  }
-  return "N";
-}
-
-std::string SystemRuntime::te_mode(const StrategyCombination& s) {
-  const bool immediate =
-      s.ac == AcStrategy::kPerTask && s.lb != LbStrategy::kPerJob;
-  return immediate ? "PT" : "PJ";
 }
 
 void SystemRuntime::register_component_types() {
@@ -124,23 +98,49 @@ void SystemRuntime::register_component_types() {
       });
 }
 
-Status SystemRuntime::assemble_infrastructure() {
-  if (network_) return Status::error("infrastructure already assembled");
+Status SystemRuntime::check_assemblable() const {
+  if (assembled_) return Status::error("runtime already assembled");
+  if (network_) {
+    return Status::error(
+        "runtime assembly already failed once; build a new runtime");
+  }
   if (Status s = validate_config(config_); !s.is_ok()) return s;
   if (tasks_.empty()) return Status::error("task set is empty");
-
-  app_processors_ = tasks_.processors();
-  std::int32_t max_id = 0;
-  for (const ProcessorId p : app_processors_) {
-    max_id = std::max(max_id, p.value());
-  }
-  manager_ = config_.task_manager.value_or(ProcessorId(max_id + 1));
   if (std::find(app_processors_.begin(), app_processors_.end(), manager_) !=
       app_processors_.end()) {
     return Status::error("task manager " + manager_.to_string() +
                          " collides with an application processor");
   }
+  return Status::ok();
+}
 
+Status SystemRuntime::assemble() {
+  if (Status s = check_assemblable(); !s.is_ok()) return s;
+  auto plan = config::build_deployment_plan(
+      config::plan_input(config_, tasks_, manager_));
+  if (!plan.is_ok()) return Status::error(plan.message());
+  return deploy(std::move(plan).value());
+}
+
+Status SystemRuntime::assemble(const dance::DeploymentPlan& plan) {
+  if (Status s = check_assemblable(); !s.is_ok()) return s;
+  return deploy(plan);
+}
+
+Status SystemRuntime::deploy(dance::DeploymentPlan plan) {
+  build_infrastructure();
+  const auto launched = dance::ExecutionManager().launch(
+      plan, [this](ProcessorId node) { return find_container(node); },
+      factory_);
+  if (!launched.is_ok()) return Status::error(launched.message());
+  if (Status s = bind_components(); !s.is_ok()) return s;
+  if (Status s = activate_containers(); !s.is_ok()) return s;
+  plan_ = std::move(plan);
+  assembled_ = true;
+  return Status::ok();
+}
+
+void SystemRuntime::build_infrastructure() {
   std::unique_ptr<sim::LatencyModel> latency_model;
   if (config_.comm_jitter.is_zero()) {
     latency_model = std::make_unique<sim::ConstantLatency>(
@@ -178,13 +178,10 @@ Status SystemRuntime::assemble_infrastructure() {
   }
 
   priorities_ = sched::assign_edms_priorities(tasks_);
-  return Status::ok();
 }
 
 Status SystemRuntime::bind_components() {
-  ccm::Container& manager = *containers_.at(manager_);
-  for (const std::string& name : manager.instance_names()) {
-    ccm::Component* c = manager.find(name);
+  for (ccm::Component* c : containers_.at(manager_)->components()) {
     if (auto* ac = dynamic_cast<AdmissionControl*>(c)) ac_ = ac;
     if (auto* lb = dynamic_cast<LoadBalancerComponent*>(c)) lb_ = lb;
   }
@@ -192,9 +189,7 @@ Status SystemRuntime::bind_components() {
     return Status::error("no AdmissionControl component on the task manager");
   }
   for (const ProcessorId p : app_processors_) {
-    ccm::Container& container = *containers_.at(p);
-    for (const std::string& name : container.instance_names()) {
-      ccm::Component* c = container.find(name);
+    for (ccm::Component* c : containers_.at(p)->components()) {
       if (auto* te = dynamic_cast<TaskEffector*>(c)) te_[p] = te;
       if (auto* ir = dynamic_cast<IdleResetter*>(c)) ir_[p] = ir;
     }
@@ -215,150 +210,6 @@ Status SystemRuntime::activate_containers() {
   }
   for (const ProcessorId p : app_processors_) {
     if (Status s = containers_.at(p)->activate_all(); !s.is_ok()) return s;
-  }
-  return Status::ok();
-}
-
-Status SystemRuntime::finalize_deployment() {
-  if (assembled_) return Status::error("runtime already assembled");
-  if (!network_) {
-    return Status::error("assemble_infrastructure() must run before "
-                         "finalize_deployment()");
-  }
-  if (Status s = bind_components(); !s.is_ok()) return s;
-  if (Status s = activate_containers(); !s.is_ok()) return s;
-  assembled_ = true;
-  return Status::ok();
-}
-
-Status SystemRuntime::assemble() {
-  if (assembled_) return Status::error("runtime already assembled");
-  if (Status s = assemble_infrastructure(); !s.is_ok()) return s;
-  if (Status s = install_manager_components(); !s.is_ok()) return s;
-  if (Status s = install_application_components(); !s.is_ok()) return s;
-  return finalize_deployment();
-}
-
-Status SystemRuntime::install_manager_components() {
-  ccm::Container& manager = *containers_.at(manager_);
-
-  auto lb = factory_.create(LoadBalancerComponent::kTypeName, manager_);
-  if (!lb.is_ok()) return Status::error(lb.message());
-  lb_ = static_cast<LoadBalancerComponent*>(lb.value().get());
-  ccm::AttributeMap lb_attrs;
-  lb_attrs.set_string(LoadBalancerComponent::kPolicyAttr, config_.lb_policy);
-  lb_attrs.set_int(LoadBalancerComponent::kSeedAttr,
-                   static_cast<std::int64_t>(config_.lb_seed));
-  if (Status s = lb_->configure(lb_attrs); !s.is_ok()) return s;
-  if (Status s = manager.install("Central-LB", std::move(lb).value());
-      !s.is_ok()) {
-    return s;
-  }
-
-  auto ac = factory_.create(AdmissionControl::kTypeName, manager_);
-  if (!ac.is_ok()) return Status::error(ac.message());
-  ac_ = static_cast<AdmissionControl*>(ac.value().get());
-  ccm::AttributeMap ac_attrs;
-  ac_attrs.set_string(AdmissionControl::kAcStrategyAttr,
-                      ac_attr(config_.strategies.ac));
-  ac_attrs.set_string(AdmissionControl::kLbStrategyAttr,
-                      lb_attr(config_.strategies.lb));
-  if (config_.analysis == AperiodicAnalysis::kDeferrableServer) {
-    ac_attrs.set_string(AdmissionControl::kAnalysisAttr, "DS");
-    ac_attrs.set_duration(AdmissionControl::kDsBudgetAttr,
-                          config_.ds_server.budget);
-    ac_attrs.set_duration(AdmissionControl::kDsPeriodAttr,
-                          config_.ds_server.period);
-    // Budget the measured one-way event delay per middleware hop unless the
-    // deployment overrides it explicitly.
-    const Duration hop = config_.ds_server.hop_overhead.is_zero()
-                             ? config_.comm_latency
-                             : config_.ds_server.hop_overhead;
-    ac_attrs.set_duration(AdmissionControl::kDsHopOverheadAttr, hop);
-  }
-  if (Status s = ac_->configure(ac_attrs); !s.is_ok()) return s;
-  if (Status s = ac_->connect_receptacle("Location", lb_->facet("Location"));
-      !s.is_ok()) {
-    return s;
-  }
-  if (Status s = manager.install("Central-AC", std::move(ac).value());
-      !s.is_ok()) {
-    return s;
-  }
-  return Status::ok();
-}
-
-Status SystemRuntime::install_application_components() {
-  const std::string te_mode_value = te_mode(config_.strategies);
-  const std::string ir_value = ir_attr(config_.strategies.ir);
-
-  for (const ProcessorId p : app_processors_) {
-    ccm::Container& container = *containers_.at(p);
-
-    auto te = factory_.create(TaskEffector::kTypeName, p);
-    if (!te.is_ok()) return Status::error(te.message());
-    te_[p] = static_cast<TaskEffector*>(te.value().get());
-    ccm::AttributeMap te_attrs;
-    te_attrs.set_string(TaskEffector::kModeAttr, te_mode_value);
-    te_attrs.set_int("ProcessorID", p.value());
-    if (Status s = te_[p]->configure(te_attrs); !s.is_ok()) return s;
-    if (Status s = container.install("TE@" + p.to_string(),
-                                     std::move(te).value());
-        !s.is_ok()) {
-      return s;
-    }
-
-    auto ir = factory_.create(IdleResetter::kTypeName, p);
-    if (!ir.is_ok()) return Status::error(ir.message());
-    ir_[p] = static_cast<IdleResetter*>(ir.value().get());
-    ccm::AttributeMap ir_attrs;
-    ir_attrs.set_string(IdleResetter::kStrategyAttr, ir_value);
-    ir_attrs.set_int("ProcessorID", p.value());
-    if (Status s = ir_[p]->configure(ir_attrs); !s.is_ok()) return s;
-    if (Status s = container.install("IR@" + p.to_string(),
-                                     std::move(ir).value());
-        !s.is_ok()) {
-      return s;
-    }
-  }
-
-  // Subtask component instances: one per (task, stage, hosting processor).
-  for (const sched::TaskSpec& task : tasks_.tasks()) {
-    const Priority priority = priorities_.at(task.id);
-    for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
-      const sched::SubtaskSpec& st = task.subtasks[j];
-      const bool last = (j + 1 == task.subtasks.size());
-      for (const ProcessorId host : st.candidates()) {
-        const std::string type =
-            last ? LastSubtask::kTypeName : FirstIntermediateSubtask::kTypeName;
-        auto component = factory_.create(type, host);
-        if (!component.is_ok()) return Status::error(component.message());
-
-        ccm::AttributeMap attrs;
-        attrs.set_int(SubtaskComponentBase::kTaskAttr, task.id.value());
-        attrs.set_int(SubtaskComponentBase::kStageAttr,
-                      static_cast<std::int64_t>(j));
-        attrs.set_duration(SubtaskComponentBase::kExecutionAttr, st.execution);
-        attrs.set_int(SubtaskComponentBase::kPriorityAttr, priority.level());
-        attrs.set_string(SubtaskComponentBase::kIrModeAttr,
-                         ir_attr(config_.strategies.ir));
-        if (Status s = component.value()->configure(attrs); !s.is_ok()) {
-          return s;
-        }
-        if (Status s = component.value()->connect_receptacle(
-                "Complete", ir_.at(host)->facet("Complete"));
-            !s.is_ok()) {
-          return s;
-        }
-        const std::string name =
-            strfmt("T%d_S%zu@P%d", task.id.value(), j, host.value());
-        if (Status s = containers_.at(host)->install(
-                name, std::move(component).value());
-            !s.is_ok()) {
-          return s;
-        }
-      }
-    }
   }
   return Status::ok();
 }

@@ -1,14 +1,17 @@
 // SystemRuntime: assembles and drives one complete middleware deployment.
 //
-// This is the programmatic equivalent of the paper's deployment (Figure 1):
-// a central task manager processor hosting the AC and LB components, and one
-// TE + IR per application processor, plus F/I and Last Subtask component
-// instances on every primary and replica processor of every task.  All of it
-// runs on the discrete-event simulator, so experiments are deterministic.
+// This is the paper's deployment (Figure 1): a central task manager
+// processor hosting the AC and LB components, and one TE + IR per
+// application processor, plus F/I and Last Subtask component instances on
+// every primary and replica processor of every task.  All of it runs on the
+// discrete-event simulator, so experiments are deterministic.
 //
-// The DAnCE pipeline (src/dance) drives the same component factory and
-// containers from an XML deployment plan; this facade is the direct path
-// used by tests, benches and examples.
+// There is one deployment path, the DAnCE one (src/dance, paper §6): the
+// runtime builds the infrastructure its SystemConfig describes (processors,
+// containers, network, DS servers), then launches a deployment plan into it
+// through ExecutionManager.  assemble() launches the plan that
+// config::build_deployment_plan builds for the runtime's own configuration;
+// assemble(plan) launches a given one, e.g. parsed from XML.
 #pragma once
 
 #include <map>
@@ -26,6 +29,7 @@
 #include "core/strategies.h"
 #include "core/subtask_component.h"
 #include "core/task_effector.h"
+#include "dance/deployment_plan.h"
 #include "sched/edms.h"
 #include "sched/task.h"
 #include "sim/deferrable_server.h"
@@ -61,8 +65,8 @@ struct SystemConfig {
 /// Validate a SystemConfig before any component is built: rejects invalid
 /// strategy combinations, negative latencies/jitter, unknown load-balancer
 /// policies and malformed deferrable-server parameters with a descriptive
-/// error.  assemble()/assemble_infrastructure() run this first, so a bad
-/// configuration can never silently misbehave mid-simulation.
+/// error.  Both assemble() forms run this first, so a bad configuration can
+/// never silently misbehave mid-simulation.
 [[nodiscard]] Status validate_config(const SystemConfig& config);
 
 /// One externally-driven job arrival.
@@ -78,23 +82,23 @@ class SystemRuntime {
   /// produce them in the first place).
   SystemRuntime(SystemConfig config, sched::TaskSet tasks);
 
-  /// Build processors, containers and components, wire all ports, activate.
-  [[nodiscard]] Status assemble();
-  [[nodiscard]] bool assembled() const { return assembled_; }
-
-  // --- Staged assembly (for deployment-plan driven launching) -------------
+  // --- Assembly -------------------------------------------------------------
   //
-  // The DAnCE pipeline installs components from an XML plan instead of the
-  // direct install path.  It needs the infrastructure (processors,
-  // containers, network) up first, then installs via factory()/container(),
-  // then finalizes:
-  //   assemble_infrastructure() -> [dance launch] -> finalize_deployment()
+  // Either form runs once per runtime: it builds the infrastructure, launches
+  // the plan (create -> set_configuration -> install -> wire ports), finds
+  // the AC, LB, TEs and IRs, and activates every container, the task
+  // manager's first.  A failed assembly leaves the runtime unusable.
 
-  /// Build network, federation, processors and (empty) containers.
-  [[nodiscard]] Status assemble_infrastructure();
-  /// Discover installed components, activate containers (manager first) and
-  /// mark the runtime assembled.
-  [[nodiscard]] Status finalize_deployment();
+  /// Deploy this runtime's own configuration: the plan
+  /// config::build_deployment_plan builds for config() and tasks().
+  [[nodiscard]] Status assemble();
+  /// Deploy `plan`.  Its AC must sit on task_manager() and every application
+  /// processor needs a TE and an IR; processors, network and DS servers
+  /// still come from config().
+  [[nodiscard]] Status assemble(const dance::DeploymentPlan& plan);
+  [[nodiscard]] bool assembled() const { return assembled_; }
+  /// The plan this runtime launched; empty until assembled.
+  [[nodiscard]] const dance::DeploymentPlan& plan() const { return plan_; }
 
   // --- Driving -------------------------------------------------------------
 
@@ -158,19 +162,14 @@ class SystemRuntime {
     config_.strategies = strategies;
   }
 
-  /// Attribute values the deployment plan / configuration engine use for a
-  /// given strategy combination.
-  [[nodiscard]] static std::string ac_attr(AcStrategy s);
-  [[nodiscard]] static std::string ir_attr(IrStrategy s);
-  [[nodiscard]] static std::string lb_attr(LbStrategy s);
-  /// TE mode: "PT" exactly when admitted periodic tasks bypass the AC
-  /// round-trip (AC per Task and LB not per Job).
-  [[nodiscard]] static std::string te_mode(const StrategyCombination& s);
-
  private:
   void register_component_types();
-  [[nodiscard]] Status install_manager_components();
-  [[nodiscard]] Status install_application_components();
+  /// Refuse a second assembly, an invalid config or an empty task set.
+  [[nodiscard]] Status check_assemblable() const;
+  /// Build infrastructure, launch `plan`, bind, activate; keeps the plan.
+  [[nodiscard]] Status deploy(dance::DeploymentPlan plan);
+  /// Build network, federation, processors, DS servers and containers.
+  void build_infrastructure();
   /// Populate ac_/lb_/te_/ir_ pointers by scanning the containers.
   [[nodiscard]] Status bind_components();
   [[nodiscard]] Status activate_containers();
@@ -195,6 +194,7 @@ class SystemRuntime {
   std::map<ProcessorId, std::unique_ptr<sim::DeferrableServer>> servers_;
   std::map<ProcessorId, std::unique_ptr<ccm::Container>> containers_;
   std::unordered_map<TaskId, Priority> priorities_;
+  dance::DeploymentPlan plan_;
 
   AdmissionControl* ac_ = nullptr;
   LoadBalancerComponent* lb_ = nullptr;

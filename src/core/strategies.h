@@ -15,6 +15,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -33,6 +34,18 @@ enum class LbStrategy { kNone, kPerTask, kPerJob };
 [[nodiscard]] char label(AcStrategy s);
 [[nodiscard]] char label(IrStrategy s);
 [[nodiscard]] char label(LbStrategy s);
+
+/// Deployment-plan attribute spelling: "N" | "PT" | "PJ" (AC has no "N").
+/// The plan builder writes and the components and reconfiguration engine
+/// parse strategy attributes through these functions only.
+[[nodiscard]] const char* to_attr(AcStrategy s);
+[[nodiscard]] const char* to_attr(IrStrategy s);
+[[nodiscard]] const char* to_attr(LbStrategy s);
+/// Errors read "must be 'N', 'PT' or 'PJ', got 'x'"; callers prefix the
+/// attribute name.
+[[nodiscard]] Result<AcStrategy> parse_ac_attr(std::string_view value);
+[[nodiscard]] Result<IrStrategy> parse_ir_attr(std::string_view value);
+[[nodiscard]] Result<LbStrategy> parse_lb_attr(std::string_view value);
 
 struct StrategyCombination {
   AcStrategy ac = AcStrategy::kPerTask;
@@ -55,6 +68,10 @@ struct StrategyCombination {
   [[nodiscard]] static Result<StrategyCombination> parse(
       const std::string& label);
 };
+
+/// TE_Mode attribute: "PT" exactly when admitted periodic tasks bypass the
+/// AC round-trip (AC per Task and LB not per Job), else "PJ".
+[[nodiscard]] const char* te_mode_attr(const StrategyCombination& s);
 
 /// All 18 combinations, AC-major in the order of the paper's figures
 /// (T_N_N, T_N_T, T_N_J, T_T_N, ..., J_J_J).

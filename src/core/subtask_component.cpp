@@ -13,17 +13,14 @@ using events::TriggerPayload;
 
 SubtaskComponentBase::SubtaskComponentBase(std::string type_name,
                                            const sched::TaskSet& tasks)
-    : Component(std::move(type_name)), tasks_(tasks) {
-  declare_event_sink("Trigger", EventType::kTrigger);
-  declare_receptacle("Complete", [this](std::any iface) {
-    auto* sink = std::any_cast<CompletionSink*>(&iface);
-    if (sink == nullptr || *sink == nullptr) {
-      return Status::error(
-          "subtask 'Complete' receptacle expects a CompletionSink*");
-    }
-    completion_sink_ = *sink;
-    return Status::ok();
-  });
+    : Component(std::move(type_name)), tasks_(tasks) {}
+
+Status SubtaskComponentBase::connect(std::string_view receptacle,
+                                     ccm::Component& provider) {
+  if (receptacle == kCompletePort) {
+    return bind(completion_sink_, receptacle, provider);
+  }
+  return Component::connect(receptacle, provider);
 }
 
 Status SubtaskComponentBase::on_configure(
@@ -52,17 +49,11 @@ Status SubtaskComponentBase::on_configure(
   if (!priority.is_ok()) return Status::error(priority.message());
   priority_ = Priority(static_cast<std::int32_t>(priority.value()));
 
-  const std::string ir = attributes.get_string_or(kIrModeAttr, "N");
-  if (ir == "N") {
-    ir_mode_ = IrStrategy::kNone;
-  } else if (ir == "PT") {
-    ir_mode_ = IrStrategy::kPerTask;
-  } else if (ir == "PJ") {
-    ir_mode_ = IrStrategy::kPerJob;
-  } else {
-    return Status::error("IR_Mode must be 'N', 'PT' or 'PJ', got '" + ir +
-                         "'");
+  const auto ir = parse_ir_attr(attributes.get_string_or(kIrModeAttr, "N"));
+  if (!ir.is_ok()) {
+    return Status::error(std::string(kIrModeAttr) + " " + ir.message());
   }
+  ir_mode_ = ir.value();
   return Status::ok();
 }
 
@@ -150,9 +141,7 @@ void SubtaskComponentBase::finish(const TriggerPayload& payload) {
 }
 
 FirstIntermediateSubtask::FirstIntermediateSubtask(const sched::TaskSet& tasks)
-    : SubtaskComponentBase(kTypeName, tasks) {
-  declare_event_source("Trigger", EventType::kTrigger);
-}
+    : SubtaskComponentBase(kTypeName, tasks) {}
 
 void FirstIntermediateSubtask::on_subjob_finished(
     const TriggerPayload& payload) {

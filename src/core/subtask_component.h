@@ -46,6 +46,10 @@ class SubtaskComponentBase : public ccm::Component {
     return triggers_dropped_;
   }
 
+  /// Receptacle "Complete": the local CompletionSink (the node's IR).
+  [[nodiscard]] Status connect(std::string_view receptacle,
+                               ccm::Component& provider) override;
+
   /// Mode changes may retune execution budgets / IR modes of live stages.
   [[nodiscard]] bool supports_runtime_reconfiguration() const override {
     return true;

@@ -15,12 +15,7 @@ using events::TriggerPayload;
 
 TaskEffector::TaskEffector(const sched::TaskSet& tasks,
                            MetricsCollector* metrics)
-    : Component(kTypeName), tasks_(tasks), metrics_(metrics) {
-  declare_event_source("TaskArrive", EventType::kTaskArrive);
-  declare_event_sink("Accept", EventType::kAccept);
-  declare_event_sink("Reject", EventType::kReject);
-  declare_event_source("ReleaseTrigger", EventType::kTrigger);
-}
+    : Component(kTypeName), tasks_(tasks), metrics_(metrics) {}
 
 Status TaskEffector::on_configure(const ccm::AttributeMap& attributes) {
   const std::string mode = attributes.get_string_or(kModeAttr, "PJ");

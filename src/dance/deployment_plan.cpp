@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 namespace rtcm::dance {
 
@@ -17,7 +18,8 @@ Status DeploymentPlan::validate() const {
   if (instances.empty()) {
     return Status::error("deployment plan '" + label + "' has no instances");
   }
-  std::set<std::string> ids;
+  std::vector<std::string_view> ids;
+  ids.reserve(instances.size());
   for (const InstanceDeployment& inst : instances) {
     if (inst.id.empty()) {
       return Status::error("plan '" + label + "' has an instance with no id");
@@ -28,17 +30,23 @@ Status DeploymentPlan::validate() const {
     if (!inst.node.valid()) {
       return Status::error("instance '" + inst.id + "' has no valid node");
     }
-    if (!ids.insert(inst.id).second) {
-      return Status::error("duplicate instance id '" + inst.id + "'");
-    }
+    ids.push_back(inst.id);
   }
+  std::sort(ids.begin(), ids.end());
+  if (const auto dup = std::adjacent_find(ids.begin(), ids.end());
+      dup != ids.end()) {
+    return Status::error("duplicate instance id '" + std::string(*dup) + "'");
+  }
+  const auto known = [&ids](const std::string& id) {
+    return std::binary_search(ids.begin(), ids.end(), std::string_view(id));
+  };
   for (const ConnectionDeployment& conn : connections) {
-    if (ids.count(conn.source_instance) == 0) {
+    if (!known(conn.source_instance)) {
       return Status::error("connection '" + conn.name +
                            "' references unknown source instance '" +
                            conn.source_instance + "'");
     }
-    if (ids.count(conn.target_instance) == 0) {
+    if (!known(conn.target_instance)) {
       return Status::error("connection '" + conn.name +
                            "' references unknown target instance '" +
                            conn.target_instance + "'");

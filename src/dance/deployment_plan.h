@@ -47,6 +47,8 @@ struct DeploymentPlan {
   std::vector<InstanceDeployment> instances;
   std::vector<ConnectionDeployment> connections;
 
+  [[nodiscard]] bool operator==(const DeploymentPlan&) const = default;
+
   [[nodiscard]] const InstanceDeployment* find_instance(
       const std::string& id) const;
 

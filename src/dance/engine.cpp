@@ -1,71 +1,67 @@
 #include "dance/engine.h"
 
-#include <map>
-
-#include "dance/plan_xml.h"
+#include <algorithm>
 
 namespace rtcm::dance {
 
-Status NodeApplication::install(
-    const InstanceDeployment& instance,
-    std::map<std::string, ccm::Component*>& installed) {
+Result<ccm::Component*> NodeApplication::install(
+    const InstanceDeployment& instance) {
+  using R = Result<ccm::Component*>;
   auto created = factory_.create(instance.type, instance.node);
   if (!created.is_ok()) {
-    return Status::error("instance '" + instance.id + "': " +
-                         created.message());
+    return R::error("instance '" + instance.id + "': " + created.message());
   }
   ccm::Component* raw = created.value().get();
   // set_configuration: apply the plan's configProperties before install so
   // a failing property never leaves a half-deployed instance behind.
   if (Status s = raw->configure(instance.properties); !s.is_ok()) {
-    return Status::error("instance '" + instance.id +
-                         "' configuration failed: " + s.message());
+    return R::error("instance '" + instance.id +
+                    "' configuration failed: " + s.message());
   }
   if (Status s = container_.install(instance.id, std::move(created).value());
       !s.is_ok()) {
-    return s;
+    return R::error(s.message());
   }
-  installed.emplace(instance.id, raw);
-  return Status::ok();
+  return raw;
 }
 
 Result<ExecutionManager::LaunchReport> ExecutionManager::launch(
     const DeploymentPlan& plan, const NodeResolver& resolver,
-    const ccm::ComponentFactory& factory) const {
+    ccm::ComponentFactory& factory) const {
   using R = Result<LaunchReport>;
   if (Status s = plan.validate(); !s.is_ok()) return R::error(s.message());
 
-  // Slice the plan per node (ExecutionManager -> NodeApplicationManager).
-  std::map<ProcessorId, NodeImplementationInfo> per_node;
-  for (const InstanceDeployment& inst : plan.instances) {
-    auto& info = per_node[inst.node];
-    info.node = inst.node;
-    info.instances.push_back(&inst);
-  }
-
+  // Installed components by instance id, sorted once for the wiring pass
+  // (ids are unique: validate() checked).
+  std::vector<std::pair<std::string_view, ccm::Component*>> installed;
+  installed.reserve(plan.instances.size());
   LaunchReport report;
-  std::map<std::string, ccm::Component*> installed;
-  for (auto& [node, info] : per_node) {
-    ccm::Container* container = resolver(node);
+  for (const InstanceDeployment& inst : plan.instances) {
+    ccm::Container* container = resolver(inst.node);
     if (container == nullptr) {
-      return R::error("no container available for node " + node.to_string());
+      return R::error("no container available for node " +
+                      inst.node.to_string());
     }
-    NodeApplication app(*container, factory);
-    for (const InstanceDeployment* inst : info.instances) {
-      if (Status s = app.install(*inst, installed); !s.is_ok()) {
-        return R::error(s.message());
-      }
-      ++report.instances_installed;
-    }
-    report.nodes.push_back(node);
+    auto component = NodeApplication(*container, factory).install(inst);
+    if (!component.is_ok()) return R::error(component.message());
+    installed.emplace_back(inst.id, component.value());
+    ++report.instances_installed;
   }
-
-  // Wire connections: resolve the facet on the target instance, hand it to
-  // the source instance's receptacle.
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(installed.begin(), installed.end(), by_id);
+  const auto find = [&](std::string_view id) {
+    return std::lower_bound(installed.begin(), installed.end(),
+                            std::pair<std::string_view, ccm::Component*>(
+                                id, nullptr),
+                            by_id)
+        ->second;
+  };
   for (const ConnectionDeployment& conn : plan.connections) {
-    ccm::Component* target = installed.at(conn.target_instance);
-    ccm::Component* source = installed.at(conn.source_instance);
-    if (Status s = wire_connection(conn, *source, *target); !s.is_ok()) {
+    if (Status s = wire_connection(conn, *find(conn.source_instance),
+                                   *find(conn.target_instance));
+        !s.is_ok()) {
       return R::error(s.message());
     }
     ++report.connections_wired;
@@ -76,29 +72,16 @@ Result<ExecutionManager::LaunchReport> ExecutionManager::launch(
 Status ExecutionManager::wire_connection(const ConnectionDeployment& connection,
                                          ccm::Component& source,
                                          ccm::Component& target) {
-  std::any facet = target.facet(connection.facet);
-  if (!facet.has_value()) {
+  if (!target.provides(connection.facet)) {
     return Status::error("connection '" + connection.name + "': instance '" +
                          connection.target_instance + "' has no facet '" +
                          connection.facet + "'");
   }
-  if (Status s =
-          source.connect_receptacle(connection.receptacle, std::move(facet));
-      !s.is_ok()) {
+  if (Status s = source.connect(connection.receptacle, target); !s.is_ok()) {
     return Status::error("connection '" + connection.name + "': " +
                          s.message());
   }
   return Status::ok();
-}
-
-Result<ExecutionManager::LaunchReport> PlanLauncher::launch_from_xml(
-    const std::string& xml, const NodeResolver& resolver,
-    const ccm::ComponentFactory& factory) const {
-  auto plan = plan_from_xml(xml);
-  if (!plan.is_ok()) {
-    return Result<ExecutionManager::LaunchReport>::error(plan.message());
-  }
-  return ExecutionManager().launch(plan.value(), resolver, factory);
 }
 
 }  // namespace rtcm::dance

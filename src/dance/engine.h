@@ -1,17 +1,20 @@
 // Deployment & Configuration engine (paper §6, Figure 4).
 //
-// Mirrors the DAnCE pipeline:
-//   PlanLauncher        — parses the XML deployment plan,
-//   ExecutionManager    — walks the plan and drives per-node deployment,
-//   NodeApplicationManager / NodeApplication — create each component via the
-//     component factory, apply configProperties through the Configurator
-//     (set_configuration) path, install into the node's container,
+// Mirrors the DAnCE pipeline for a parsed deployment plan (plan_xml.h reads
+// the XML descriptor):
+//   ExecutionManager    — validates the plan and drives deployment,
+//   NodeApplication     — creates each component via the component factory,
+//     applies configProperties through the Configurator (set_configuration)
+//     path and installs it into its node's container,
 // then connections are wired receptacle-to-facet, and the caller activates.
+// SystemRuntime::assemble() is the production caller: every deployment,
+// direct or from XML, goes through ExecutionManager::launch.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "ccm/container.h"
 #include "ccm/factory.h"
@@ -23,60 +26,44 @@ namespace rtcm::dance {
 /// Returns null for unknown nodes (launch fails with a diagnostic).
 using NodeResolver = std::function<ccm::Container*(ProcessorId)>;
 
-/// Per-node slice of the plan (the NodeImplementationInfo handed from the
-/// ExecutionManager to a NodeApplicationManager).
-struct NodeImplementationInfo {
-  ProcessorId node;
-  std::vector<const InstanceDeployment*> instances;
-};
-
-/// Installs one node's component instances into its container.
+/// Installs component instances into one node's container.
 class NodeApplication {
  public:
   NodeApplication(ccm::Container& container,
-                  const ccm::ComponentFactory& factory)
+                  ccm::ComponentFactory& factory)
       : container_(container), factory_(factory) {}
 
-  /// create -> set_configuration -> install.  On success the installed
-  /// component is registered in `installed`.
-  [[nodiscard]] Status install(
-      const InstanceDeployment& instance,
-      std::map<std::string, ccm::Component*>& installed);
+  /// create -> set_configuration -> install; returns the installed
+  /// component.
+  [[nodiscard]] Result<ccm::Component*> install(
+      const InstanceDeployment& instance);
 
  private:
   ccm::Container& container_;
-  const ccm::ComponentFactory& factory_;
+  ccm::ComponentFactory& factory_;
 };
 
-/// Drives the whole plan: validation, per-node installation, connections.
-/// Activation stays with the caller (the runtime activates the task manager
-/// node first).
+/// Drives the whole plan: validation, per-instance installation in plan
+/// order, connections.  Activation stays with the caller (the runtime
+/// activates the task manager node first).
 class ExecutionManager {
  public:
   struct LaunchReport {
     std::size_t instances_installed = 0;
     std::size_t connections_wired = 0;
-    std::vector<ProcessorId> nodes;
   };
 
   [[nodiscard]] Result<LaunchReport> launch(
       const DeploymentPlan& plan, const NodeResolver& resolver,
-      const ccm::ComponentFactory& factory) const;
+      ccm::ComponentFactory& factory) const;
 
-  /// Reconfiguration hook: wire a single connection between two already
-  /// installed components — the incremental form of launch()'s wiring pass,
-  /// used when a plan diff adds or rewires connections at run time.
+  /// Wire one connection between two installed components: the target must
+  /// provide the facet, and the source's receptacle must accept the target.
+  /// Also the reconfiguration hook for connections a plan diff adds or
+  /// rewires at run time.
   [[nodiscard]] static Status wire_connection(
       const ConnectionDeployment& connection, ccm::Component& source,
       ccm::Component& target);
-};
-
-/// PlanLauncher: parse descriptor text and launch in one step.
-class PlanLauncher {
- public:
-  [[nodiscard]] Result<ExecutionManager::LaunchReport> launch_from_xml(
-      const std::string& xml, const NodeResolver& resolver,
-      const ccm::ComponentFactory& factory) const;
 };
 
 }  // namespace rtcm::dance

@@ -22,49 +22,24 @@ bool is_subtask_type(const std::string& type) {
          type == core::LastSubtask::kTypeName;
 }
 
-core::AcStrategy parse_ac(const std::string& v) {
-  return v == "PJ" ? core::AcStrategy::kPerJob : core::AcStrategy::kPerTask;
-}
-
-core::LbStrategy parse_lb(const std::string& v) {
-  if (v == "PT") return core::LbStrategy::kPerTask;
-  if (v == "PJ") return core::LbStrategy::kPerJob;
-  return core::LbStrategy::kNone;
-}
-
-core::IrStrategy parse_ir(const std::string& v) {
-  if (v == "PT") return core::IrStrategy::kPerTask;
-  if (v == "PJ") return core::IrStrategy::kPerJob;
-  return core::IrStrategy::kNone;
+/// A plan attribute's strategy, or `fallback` when it is absent or
+/// malformed (the live component refused such a value at configure time).
+template <typename Strategy>
+Strategy plan_strategy(Result<Strategy> parsed, Strategy fallback) {
+  return parsed.is_ok() ? parsed.value() : fallback;
 }
 
 }  // namespace
 
 ReconfigurationManager::ReconfigurationManager(core::SystemRuntime& runtime)
-    : runtime_(runtime) {
+    : runtime_(runtime),
+      input_(config::plan_input(runtime.config(), runtime.tasks(),
+                                runtime.task_manager())),
+      current_(runtime.plan()) {
   assert(runtime_.assembled() &&
          "ReconfigurationManager needs an assembled runtime");
-  const core::SystemConfig& config = runtime_.config();
-  input_.tasks = &runtime_.tasks();
-  input_.strategies = config.strategies;
-  input_.task_manager = runtime_.task_manager();
-  input_.lb_policy = config.lb_policy;
-  input_.lb_seed = config.lb_seed;
   input_.label = "live";
-  if (config.analysis == core::AperiodicAnalysis::kDeferrableServer) {
-    input_.analysis = "DS";
-    input_.ds_budget = config.ds_server.budget;
-    input_.ds_period = config.ds_server.period;
-    // Mirror the runtime's deployment-time fallback so the synthesized
-    // baseline matches the attributes actually configured on the AC.
-    input_.ds_hop_overhead = config.ds_server.hop_overhead.is_zero()
-                                 ? config.comm_latency
-                                 : config.ds_server.hop_overhead;
-  }
-  auto baseline = config::build_deployment_plan(input_);
-  assert(baseline.is_ok() &&
-         "an assembled runtime's configuration must yield a valid plan");
-  current_ = std::move(baseline).value();
+  sync_from(current_);
 }
 
 Status ReconfigurationManager::schedule(const config::ModeChange& change) {
@@ -361,13 +336,10 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
         s = component->activate();
       }
     } else {
-      std::map<std::string, ccm::Component*> installed;
-      dance::NodeApplication app(*container, runtime_.factory());
-      s = app.install(change->instance, installed);
-      if (s.is_ok()) {
-        component = installed.at(change->instance.id);
-        s = component->activate();
-      }
+      auto installed = dance::NodeApplication(*container, runtime_.factory())
+                           .install(change->instance);
+      s = installed.is_ok() ? installed.value()->activate()
+                            : Status::error(installed.message());
     }
     if (!s.is_ok()) return abort_build_up(s.message());
     ++report.added;
@@ -470,16 +442,21 @@ void ReconfigurationManager::sync_from(const dance::DeploymentPlan& target) {
   const dance::InstanceDeployment* ac = target.find_instance("Central-AC");
   core::StrategyCombination strategies = input_.strategies;
   if (ac != nullptr) {
-    strategies.ac = parse_ac(ac->properties.get_string_or(
-        core::AdmissionControl::kAcStrategyAttr, "PT"));
-    strategies.lb = parse_lb(ac->properties.get_string_or(
-        core::AdmissionControl::kLbStrategyAttr, "N"));
+    strategies.ac = plan_strategy(
+        core::parse_ac_attr(ac->properties.get_string_or(
+            core::AdmissionControl::kAcStrategyAttr, "PT")),
+        core::AcStrategy::kPerTask);
+    strategies.lb = plan_strategy(
+        core::parse_lb_attr(ac->properties.get_string_or(
+            core::AdmissionControl::kLbStrategyAttr, "N")),
+        core::LbStrategy::kNone);
   }
   for (const auto& inst : target.instances) {
     if (inst.type == core::IdleResetter::kTypeName) {
-      strategies.ir = parse_ir(
-          inst.properties.get_string_or(core::IdleResetter::kStrategyAttr,
-                                        "N"));
+      strategies.ir = plan_strategy(
+          core::parse_ir_attr(inst.properties.get_string_or(
+              core::IdleResetter::kStrategyAttr, "N")),
+          core::IrStrategy::kNone);
       break;
     }
   }

@@ -60,9 +60,10 @@ struct ReconfigReport {
 
 class ReconfigurationManager {
  public:
-  /// The runtime must be assembled.  The manager synthesizes the baseline
-  /// deployment plan from the runtime's configuration, so it also works for
-  /// runtimes assembled directly (tests, sweeps) rather than DAnCE-launched.
+  /// The runtime must be assembled.  The baseline is the plan the runtime
+  /// launched; mode changes rebuild targets from config::plan_input of the
+  /// runtime's configuration, synced to that plan's strategy and policy
+  /// attributes.
   explicit ReconfigurationManager(core::SystemRuntime& runtime);
 
   [[nodiscard]] const dance::DeploymentPlan& current_plan() const {
@@ -88,7 +89,7 @@ class ReconfigurationManager {
   /// configuration engine's plan sequence).
   [[nodiscard]] Status schedule_plan(Time at, dance::DeploymentPlan target,
                                      std::string label = "");
-  /// Same, from a serialized XML plan (the PlanLauncher's descriptor form).
+  /// Same, from a serialized XML plan (dance/plan_xml.h).
   [[nodiscard]] Status schedule_xml(Time at, const std::string& xml,
                                     std::string label = "");
 

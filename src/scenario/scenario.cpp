@@ -96,6 +96,24 @@ Status validate_shape(const workload::WorkloadShape& shape) {
   return Status::ok();
 }
 
+/// Upper bound on bursty arrivals per aperiodic task (bursts x
+/// jobs_per_burst).  The arrival trace is materialized up front, so an
+/// absurd product (a typo, or 10^15 bursts) would grow memory until the
+/// process is killed instead of failing with a Status.  The largest library
+/// layout (the burst-overload benchmark's 20 x 8) sits 625x below it.
+constexpr std::size_t kMaxBurstJobs = 100000;
+
+Status validate_burst(const workload::BurstShape& burst) {
+  // Each factor is checked alone first, so the product cannot overflow.
+  if (burst.bursts > kMaxBurstJobs || burst.jobs_per_burst > kMaxBurstJobs ||
+      burst.bursts * burst.jobs_per_burst > kMaxBurstJobs) {
+    return Status::error("bursty arrivals generate more than " +
+                         std::to_string(kMaxBurstJobs) +
+                         " jobs per aperiodic task");
+  }
+  return Status::ok();
+}
+
 /// Largest integer the JSON number form (IEEE double) represents exactly;
 /// seeds beyond it would come back changed from a round trip.
 constexpr std::uint64_t kMaxJsonExactInt = 1ull << 53;
@@ -137,6 +155,9 @@ Status validate(const ScenarioSpec& spec) {
     if (Status s = validate_shape(spec.workload.shape); !s.is_ok()) return s;
   } else if (spec.workload.tasks.empty()) {
     return Status::error("explicit workload has no tasks");
+  }
+  if (spec.arrivals.kind == ArrivalModel::Kind::kBursty) {
+    if (Status s = validate_burst(spec.arrivals.burst); !s.is_ok()) return s;
   }
   for (const config::ModeChange& change : spec.reconfig) {
     if (change.strategies.has_value() && !change.strategies->valid()) {

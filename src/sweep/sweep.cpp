@@ -1,53 +1,10 @@
 #include "sweep/sweep.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace rtcm::sweep {
-
-namespace {
-
-/// Operator feedback for long sweeps (enable with RTCM_SWEEP_PROGRESS=1): a
-/// completed-cell counter shared by every worker.  Together with the result
-/// slots (disjoint-index writes, synchronized by the pool's join) this is
-/// the sweep engine's entire cross-thread mutable state, and it is
-/// annotated so clang's -Wthread-safety proves the locking discipline.
-/// Progress lines go to stderr only and are not deterministic — completion
-/// order is the steal order — report contents are unaffected.
-class SweepProgress {
- public:
-  explicit SweepProgress(std::size_t total)
-      : total_(total),
-        // rtcm-lint: allow(env-switch) display-only: stderr progress lines
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): read before workers spawn
-        enabled_(std::getenv("RTCM_SWEEP_PROGRESS") != nullptr),
-        stride_(total <= 100 ? 1 : total / 100) {}
-
-  void note_cell_done() {
-    if (!enabled_) return;
-    std::size_t done = 0;
-    {
-      MutexLock lock(mutex_);
-      done = ++completed_;
-    }
-    if (done % stride_ == 0 || done == total_) {
-      std::fprintf(stderr, "[rtcm sweep] %zu/%zu cells\n", done, total_);
-    }
-  }
-
- private:
-  const std::size_t total_;
-  const bool enabled_;
-  const std::size_t stride_;
-  Mutex mutex_;
-  std::size_t completed_ RTCM_GUARDED_BY(mutex_) = 0;
-};
-
-}  // namespace
 
 std::vector<Cell> Grid::cells() const {
   std::vector<Cell> out;
@@ -127,16 +84,16 @@ std::vector<CellResult> run_sweep(const Grid& grid, const SweepParams& params,
   }
 
   // One context struct keeps the per-job capture at two words (the
-  // InlineFunction inline capacity covers it with room to spare).
+  // InlineFunction inline capacity covers it with room to spare).  Result
+  // slots are written at disjoint indices and synchronized by the pool's
+  // join: the sweep engine shares no other mutable state across threads.
   struct JobContext {
     const std::vector<Cell>& cells;
     const std::vector<const workload::WorkloadShape*>& shapes;
     std::vector<CellResult>& results;
     const SweepParams& params;
-    SweepProgress& progress;
   };
-  SweepProgress progress(cells.size());
-  JobContext ctx{cells, cell_shapes, results, params, progress};
+  JobContext ctx{cells, cell_shapes, results, params};
 
   std::vector<ThreadPool::Job> jobs;
   jobs.reserve(cells.size());
@@ -148,7 +105,6 @@ std::vector<CellResult> run_sweep(const Grid& grid, const SweepParams& params,
       } else {
         ctx.results[i] = run_cell(ctx.cells[i], *ctx.shapes[i], ctx.params);
       }
-      ctx.progress.note_cell_done();
     });
   }
 

@@ -93,25 +93,19 @@ class Greeter {
 
 class TestProvider : public Component, public Greeter {
  public:
-  TestProvider() : Component("test.Provider") {
-    provide_facet("Greet", static_cast<Greeter*>(this));
-    declare_event_source("Out", events::EventType::kTrigger);
+  TestProvider() : Component("test.Provider") {}
+  bool provides(std::string_view facet) const override {
+    return facet == "Greet";
   }
   int greet() override { return 42; }
 };
 
 class TestUser : public Component {
  public:
-  TestUser() : Component("test.User") {
-    declare_receptacle("Greet", [this](std::any iface) {
-      auto* g = std::any_cast<Greeter*>(&iface);
-      if (g == nullptr || *g == nullptr) {
-        return Status::error("Greet expects a Greeter*");
-      }
-      greeter_ = *g;
-      return Status::ok();
-    });
-    declare_event_sink("In", events::EventType::kTrigger);
+  TestUser() : Component("test.User") {}
+  Status connect(std::string_view receptacle, Component& provider) override {
+    if (receptacle == "Greet") return bind(greeter_, receptacle, provider);
+    return Component::connect(receptacle, provider);
   }
 
   Greeter* greeter_ = nullptr;
@@ -214,9 +208,8 @@ TEST_F(NodeFixture, FacetReceptacleWiring) {
   ASSERT_TRUE(container.install("provider", std::move(provider)).is_ok());
   ASSERT_TRUE(container.install("user", std::move(user)).is_ok());
 
-  std::any facet = p->facet("Greet");
-  ASSERT_TRUE(facet.has_value());
-  EXPECT_TRUE(u->connect_receptacle("Greet", facet).is_ok());
+  EXPECT_TRUE(p->provides("Greet"));
+  EXPECT_TRUE(u->connect("Greet", *p).is_ok());
   ASSERT_NE(u->greeter_, nullptr);
   EXPECT_EQ(u->greeter_->greet(), 42);
 }
@@ -224,23 +217,21 @@ TEST_F(NodeFixture, FacetReceptacleWiring) {
 TEST_F(NodeFixture, UnknownPortsReported) {
   TestProvider provider;
   TestUser user;
-  EXPECT_FALSE(provider.facet("Nope").has_value());
-  EXPECT_FALSE(user.connect_receptacle("Nope", std::any{}).is_ok());
+  EXPECT_FALSE(provider.provides("Nope"));
+  EXPECT_FALSE(user.provides("Greet"));
+  const Status s = user.connect("Nope", provider);
+  EXPECT_FALSE(s.is_ok());
+  EXPECT_NE(s.message().find("no receptacle 'Nope'"), std::string::npos);
 }
 
 TEST_F(NodeFixture, WrongInterfaceTypeRejected) {
   TestUser user;
-  const Status s = user.connect_receptacle("Greet", std::any(std::string("x")));
+  TestUser not_a_greeter;
+  const Status s = user.connect("Greet", not_a_greeter);
   EXPECT_FALSE(s.is_ok());
-}
-
-TEST_F(NodeFixture, PortIntrospection) {
-  TestProvider provider;
-  TestUser user;
-  EXPECT_EQ(provider.facet_names(), (std::vector<std::string>{"Greet"}));
-  EXPECT_EQ(user.receptacle_names(), (std::vector<std::string>{"Greet"}));
-  EXPECT_EQ(provider.event_source_names(), (std::vector<std::string>{"Out"}));
-  EXPECT_EQ(user.event_sink_names(), (std::vector<std::string>{"In"}));
+  EXPECT_NE(s.message().find("lacks the required interface"),
+            std::string::npos);
+  EXPECT_EQ(user.greeter_, nullptr);
 }
 
 // --- Container ---------------------------------------------------------------

@@ -169,16 +169,8 @@ TEST(RuntimeTopologyTest, GeneralizedImbalancedTopologyAssemblesAndRuns) {
   EXPECT_EQ(total.deadline_misses, 0u);
 }
 
-// Staged-assembly misuse: every out-of-order or repeated lifecycle call
-// must come back as a clean Status error, never UB.
-TEST(RuntimeLifecycleTest, FinalizeBeforeInfrastructureIsRefused) {
-  SystemConfig config;
-  SystemRuntime runtime(config, testing::make_imbalanced_workload(1));
-  const Status s = runtime.finalize_deployment();
-  EXPECT_FALSE(s.is_ok());
-  EXPECT_NE(s.message().find("assemble_infrastructure"), std::string::npos);
-  EXPECT_FALSE(runtime.assembled());
-}
+// Lifecycle misuse: every out-of-order or repeated lifecycle call must come
+// back as a clean Status error, never UB.
 
 TEST(RuntimeLifecycleTest, DoubleAssembleIsRefused) {
   SystemConfig config;
@@ -187,16 +179,32 @@ TEST(RuntimeLifecycleTest, DoubleAssembleIsRefused) {
   const Status again = runtime.assemble();
   EXPECT_FALSE(again.is_ok());
   EXPECT_NE(again.message().find("already assembled"), std::string::npos);
+  EXPECT_FALSE(runtime.assemble(runtime.plan()).is_ok());
   // The runtime stays usable after the refused second assemble.
   EXPECT_TRUE(runtime.assembled());
   EXPECT_TRUE(runtime.inject_arrival(TaskId(0), Time(0)).is_ok());
 }
 
-TEST(RuntimeLifecycleTest, DoubleInfrastructureAssemblyIsRefused) {
+TEST(RuntimeLifecycleTest, FailedPlanAssemblyIsNotRetried) {
   SystemConfig config;
+  SystemRuntime source(config, testing::make_imbalanced_workload(1));
+  ASSERT_TRUE(source.assemble().is_ok());
+  // Without its AC the plan installs, but binding finds no admission
+  // controller on the task manager.
+  dance::DeploymentPlan plan = source.plan();
+  plan.connections.erase(plan.connections.begin());
+  plan.instances.erase(plan.instances.begin() + 1);
+  ASSERT_EQ(source.plan().instances[1].id, "Central-AC");
+
   SystemRuntime runtime(config, testing::make_imbalanced_workload(1));
-  ASSERT_TRUE(runtime.assemble_infrastructure().is_ok());
-  EXPECT_FALSE(runtime.assemble_infrastructure().is_ok());
+  const Status s = runtime.assemble(plan);
+  EXPECT_FALSE(s.is_ok());
+  EXPECT_NE(s.message().find("no AdmissionControl"), std::string::npos);
+  EXPECT_FALSE(runtime.assembled());
+  const Status again = runtime.assemble();
+  EXPECT_FALSE(again.is_ok());
+  EXPECT_NE(again.message().find("failed once"), std::string::npos);
+  EXPECT_FALSE(runtime.inject_arrival(TaskId(0), Time(0)).is_ok());
 }
 
 TEST(RuntimeLifecycleTest, InjectOnUnassembledRuntimeIsRefused) {

@@ -224,7 +224,7 @@ TEST(PlanXmlTest, RejectsUnknownPropertyKind) {
   EXPECT_NE(r.message().find("tk_alien"), std::string::npos);
 }
 
-// --- ExecutionManager / PlanLauncher -----------------------------------------
+// --- ExecutionManager --------------------------------------------------------
 
 /// Minimal component pair for launch-path tests.
 class Pingable {
@@ -235,23 +235,20 @@ class Pingable {
 
 class PingProvider : public ccm::Component, public Pingable {
  public:
-  PingProvider() : Component("test.PingProvider") {
-    provide_facet("Ping", static_cast<Pingable*>(this));
+  PingProvider() : Component("test.PingProvider") {}
+  bool provides(std::string_view facet) const override {
+    return facet == "Ping";
   }
   int ping() override { return 1; }
 };
 
 class PingUser : public ccm::Component {
  public:
-  PingUser() : Component("test.PingUser") {
-    declare_receptacle("Ping", [this](std::any iface) {
-      auto* p = std::any_cast<Pingable*>(&iface);
-      if (p == nullptr || *p == nullptr) {
-        return Status::error("Ping expects Pingable*");
-      }
-      ping_ = *p;
-      return Status::ok();
-    });
+  PingUser() : Component("test.PingUser") {}
+  Status connect(std::string_view receptacle,
+                 ccm::Component& provider) override {
+    if (receptacle == "Ping") return bind(ping_, receptacle, provider);
+    return Component::connect(receptacle, provider);
   }
   Pingable* ping_ = nullptr;
 
@@ -321,7 +318,8 @@ TEST_F(LaunchFixture, LaunchInstallsConfiguresAndWires) {
   ASSERT_TRUE(report.is_ok()) << report.message();
   EXPECT_EQ(report.value().instances_installed, 2u);
   EXPECT_EQ(report.value().connections_wired, 1u);
-  ASSERT_EQ(report.value().nodes.size(), 2u);
+  EXPECT_EQ(container0.size(), 1u);
+  EXPECT_EQ(container1.size(), 1u);
 
   auto* user = container1.find_as<PingUser>("user");
   ASSERT_NE(user, nullptr);
@@ -374,21 +372,50 @@ TEST_F(LaunchFixture, UnknownReceptacleFails) {
   const auto report = ExecutionManager().launch(
       plan, [this](ProcessorId n) { return resolve(n); }, factory);
   EXPECT_FALSE(report.is_ok());
+  EXPECT_NE(report.message().find("no receptacle 'Pong'"), std::string::npos);
 }
 
-TEST_F(LaunchFixture, PlanLauncherParsesAndLaunches) {
-  const std::string xml = plan_to_xml(ping_plan());
-  const auto report = PlanLauncher().launch_from_xml(
-      xml, [this](ProcessorId n) { return resolve(n); }, factory);
+TEST_F(LaunchFixture, WrongInterfaceFails) {
+  // A connection whose target provides the named facet through a class
+  // lacking the receptacle's interface is refused by the dynamic_cast check.
+  (void)factory.register_type("test.FakePingProvider", [](ProcessorId) {
+    class Fake : public ccm::Component {
+     public:
+      Fake() : Component("test.FakePingProvider") {}
+      bool provides(std::string_view facet) const override {
+        return facet == "Ping";
+      }
+    };
+    return std::make_unique<Fake>();
+  });
+  auto plan = ping_plan();
+  plan.instances[0].type = "test.FakePingProvider";
+  const auto report = ExecutionManager().launch(
+      plan, [this](ProcessorId n) { return resolve(n); }, factory);
+  EXPECT_FALSE(report.is_ok());
+  EXPECT_NE(report.message().find("lacks the required interface"),
+            std::string::npos);
+}
+
+TEST_F(LaunchFixture, XmlPlanParsesAndLaunches) {
+  const auto plan = plan_from_xml(plan_to_xml(ping_plan()));
+  ASSERT_TRUE(plan.is_ok()) << plan.message();
+  const auto report = ExecutionManager().launch(
+      plan.value(), [this](ProcessorId n) { return resolve(n); }, factory);
   ASSERT_TRUE(report.is_ok()) << report.message();
   EXPECT_EQ(report.value().instances_installed, 2u);
   EXPECT_NE(container0.find("provider"), nullptr);
 }
 
-TEST_F(LaunchFixture, PlanLauncherReportsXmlErrors) {
-  const auto report = PlanLauncher().launch_from_xml(
-      "<not-a-plan/>", [this](ProcessorId n) { return resolve(n); }, factory);
+TEST_F(LaunchFixture, InvalidPlanFailsBeforeInstalling) {
+  // launch() is the one place a plan from outside is validated.
+  auto plan = ping_plan();
+  plan.connections[0].target_instance = "ghost";
+  const auto report = ExecutionManager().launch(
+      plan, [this](ProcessorId n) { return resolve(n); }, factory);
   EXPECT_FALSE(report.is_ok());
+  EXPECT_NE(report.message().find("ghost"), std::string::npos);
+  EXPECT_EQ(container0.size(), 0u);
 }
 
 TEST(PlanXmlTest, PaperFigure4PropertyShape) {

@@ -1,5 +1,5 @@
-// Whole-system integration tests: DAnCE-launched vs directly-assembled
-// equivalence, and the paper's Figure 5 / Figure 6 orderings on reduced
+// Whole-system integration tests: assemble() vs an XML-round-tripped plan
+// launch, and the paper's Figure 5 / Figure 6 orderings on reduced
 // workloads.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "config/plan_builder.h"
 #include "config/workload_spec.h"
 #include "core/runtime.h"
-#include "dance/engine.h"
 #include "dance/plan_xml.h"
 #include "test_helpers.h"
 #include "workload/arrival.h"
@@ -56,41 +55,114 @@ RunResult run_direct(const std::string& combo, std::uint64_t seed,
 }
 
 // --- DAnCE pipeline equivalence ----------------------------------------------
+//
+// assemble() launches the plan built for the runtime's own configuration.
+// The same plan written to XML, parsed back and launched with assemble(plan)
+// into a fresh runtime must drive a byte-identical run.
+
+struct TracedRun {
+  RunResult result;
+  std::string trace;
+};
+
+TracedRun drive_traced(core::SystemRuntime& rt, std::uint64_t seed,
+                       Time horizon) {
+  TracedRun run;
+  run.result = drive(rt, seed, horizon);
+  run.trace = rt.trace().render();
+  return run;
+}
+
+/// Assemble `config` over `tasks` from `plan` (or, when null, with
+/// assemble()), and separately from the XML round trip of the plan the
+/// first runtime launched; both runs must match byte for byte.
+void expect_round_trip_equivalent(core::SystemConfig config,
+                                  const sched::TaskSet& tasks,
+                                  const dance::DeploymentPlan* plan,
+                                  std::uint64_t seed, Time horizon,
+                                  const std::string& what) {
+  SCOPED_TRACE(what);
+  config.enable_trace = true;
+  core::SystemRuntime direct(config, tasks);
+  ASSERT_TRUE((plan == nullptr ? direct.assemble() : direct.assemble(*plan))
+                  .is_ok());
+  const auto parsed = dance::plan_from_xml(dance::plan_to_xml(direct.plan()));
+  ASSERT_TRUE(parsed.is_ok()) << parsed.message();
+  EXPECT_EQ(parsed.value(), direct.plan());
+
+  core::SystemRuntime launched(config, tasks);
+  ASSERT_TRUE(launched.assemble(parsed.value()).is_ok());
+  const TracedRun a = drive_traced(direct, seed, horizon);
+  const TracedRun b = drive_traced(launched, seed, horizon);
+  EXPECT_EQ(a.result, b.result);
+  EXPECT_GT(a.result.releases, 0u);
+  EXPECT_FALSE(a.trace.empty());
+  EXPECT_TRUE(a.trace == b.trace) << "rendered traces differ";
+}
 
 TEST(DanceEquivalenceTest, PlanLaunchedSystemMatchesDirectAssembly) {
   const Time horizon(Duration::seconds(30).usec());
-  for (const std::string combo : {"T_T_T", "J_J_J", "J_N_T"}) {
-    const std::uint64_t seed = 23;
-    const RunResult direct =
-        run_direct(combo, seed, workload::random_workload_shape(), horizon);
-
-    // Same workload through the full §6 pipeline: plan -> XML -> parse ->
-    // ExecutionManager -> containers.
-    Rng rng(seed);
-    auto tasks =
-        workload::generate_workload(workload::random_workload_shape(), rng);
-    config::PlanBuilderInput plan_input;
-    plan_input.tasks = &tasks;
-    plan_input.strategies = core::StrategyCombination::parse(combo).value();
-    plan_input.task_manager = ProcessorId(5);
-    const auto plan = config::build_deployment_plan(plan_input);
-    ASSERT_TRUE(plan.is_ok()) << plan.message();
-    const std::string xml = dance::plan_to_xml(plan.value());
-
+  const std::uint64_t seed = 23;
+  Rng rng(seed);
+  const auto tasks =
+      workload::generate_workload(workload::random_workload_shape(), rng);
+  for (const core::StrategyCombination& combo : core::valid_combinations()) {
     core::SystemConfig config;
-    config.strategies = plan_input.strategies;
-    config.task_manager = ProcessorId(5);
-    core::SystemRuntime rt(config, std::move(tasks));
-    ASSERT_TRUE(rt.assemble_infrastructure().is_ok());
-    const auto report = dance::PlanLauncher().launch_from_xml(
-        xml, [&rt](ProcessorId node) { return rt.find_container(node); },
-        rt.factory());
-    ASSERT_TRUE(report.is_ok()) << report.message();
-    ASSERT_TRUE(rt.finalize_deployment().is_ok());
-
-    const RunResult launched = drive(rt, seed, horizon);
-    EXPECT_EQ(direct, launched) << combo;
+    config.strategies = combo;
+    expect_round_trip_equivalent(config, tasks, nullptr, seed, horizon,
+                                 combo.label());
   }
+}
+
+TEST(DanceEquivalenceTest, DsModePlanMatchesDirectAssembly) {
+  const Time horizon(Duration::seconds(30).usec());
+  Rng rng(31);
+  const auto tasks =
+      workload::generate_workload(workload::random_workload_shape(), rng);
+  core::SystemConfig config;
+  config.strategies = core::StrategyCombination::parse("J_T_T").value();
+  config.analysis = core::AperiodicAnalysis::kDeferrableServer;
+  config.ds_server.budget = Duration::milliseconds(20);
+  config.ds_server.period = Duration::milliseconds(100);
+  // hop_overhead stays zero: the plan budgets comm_latency per hop.
+  core::SystemRuntime probe(config, tasks);
+  ASSERT_TRUE(probe.assemble().is_ok());
+  const auto* ac = probe.plan().find_instance("Central-AC");
+  ASSERT_NE(ac, nullptr);
+  EXPECT_EQ(ac->properties.get_string("Analysis").value(), "DS");
+  EXPECT_EQ(ac->properties.get_int("DS_HopOverhead").value(),
+            config.comm_latency.usec());
+  expect_round_trip_equivalent(config, tasks, nullptr, 31, horizon, "DS");
+}
+
+TEST(DanceEquivalenceTest, DrainedPlanMatchesOnRoundTrip) {
+  // P2 hosts only replicas; with LB None no placement ever uses it, so the
+  // drained plan runs the workload on the primaries alone.  (A launched
+  // plan does not tell the AC which nodes are drained, so a balancing
+  // strategy could still place jobs on P2.)
+  constexpr const char* kSpec =
+      "task a periodic deadline=400ms period=400ms\n"
+      "  subtask exec=30ms primary=P0 replicas=P2\n"
+      "  subtask exec=20ms primary=P1 replicas=P2\n"
+      "task b aperiodic deadline=300ms mean_interarrival=600ms\n"
+      "  subtask exec=25ms primary=P1 replicas=P0,P2\n";
+  auto tasks = config::parse_workload_spec(kSpec);
+  ASSERT_TRUE(tasks.is_ok()) << tasks.message();
+  core::SystemConfig config;
+  config.strategies = core::StrategyCombination::parse("J_N_N").value();
+  config::PlanBuilderInput input =
+      config::plan_input(config, tasks.value(), ProcessorId(3));
+  input.drained = {ProcessorId(2)};
+  const auto plan = config::build_deployment_plan(input);
+  ASSERT_TRUE(plan.is_ok()) << plan.message();
+  for (const auto& inst : plan.value().instances) {
+    if (inst.node == ProcessorId(2)) {
+      EXPECT_TRUE(inst.id == "TE@P2" || inst.id == "IR@P2") << inst.id;
+    }
+  }
+  expect_round_trip_equivalent(config, tasks.value(), &plan.value(), 5,
+                               Time(Duration::seconds(20).usec()),
+                               "drained P2");
 }
 
 TEST(DanceEquivalenceTest, EngineLaunchMatchesDirectAssembly) {
@@ -108,20 +180,24 @@ TEST(DanceEquivalenceTest, EngineLaunchMatchesDirectAssembly) {
   ASSERT_TRUE(out.is_ok()) << out.message();
 
   core::SystemConfig base;
+  base.enable_trace = true;
   auto launched_rt = config::ConfigurationEngine::launch(out.value(), base);
   ASSERT_TRUE(launched_rt.is_ok()) << launched_rt.message();
   const Time horizon(Duration::seconds(20).usec());
-  const RunResult launched = drive(*launched_rt.value(), 99, horizon);
+  const TracedRun launched = drive_traced(*launched_rt.value(), 99, horizon);
 
   auto tasks = config::parse_workload_spec(kSpec);
   ASSERT_TRUE(tasks.is_ok());
   core::SystemConfig config;
+  config.enable_trace = true;
   config.strategies = core::StrategyCombination::parse("J_J_T").value();
   core::SystemRuntime direct_rt(config, std::move(tasks).value());
   ASSERT_TRUE(direct_rt.assemble().is_ok());
-  const RunResult direct = drive(direct_rt, 99, horizon);
+  EXPECT_EQ(direct_rt.plan(), out.value().plan);
+  const TracedRun direct = drive_traced(direct_rt, 99, horizon);
 
-  EXPECT_EQ(direct, launched);
+  EXPECT_EQ(direct.result, launched.result);
+  EXPECT_TRUE(direct.trace == launched.trace) << "rendered traces differ";
 }
 
 // --- Deadline-guarantee property (AUB correctness end to end) ----------------

@@ -479,6 +479,45 @@ TEST(ReconfigManagerTest, EmptyModeChangeIsAppliedNoOp) {
   EXPECT_EQ(manager.applied_count(), 1u);
 }
 
+TEST(ReconfigManagerTest, BaselineIsTheRuntimesLaunchedPlan) {
+  auto runtime = make_runtime("J_T_J", replicated_task());
+  reconfig::ReconfigurationManager manager(*runtime);
+  EXPECT_FALSE(runtime->plan().instances.empty());
+  EXPECT_EQ(manager.current_plan(), runtime->plan());
+  const auto rebuilt = config::build_deployment_plan(config::plan_input(
+      runtime->config(), runtime->tasks(), runtime->task_manager()));
+  ASSERT_TRUE(rebuilt.is_ok()) << rebuilt.message();
+  EXPECT_EQ(rebuilt.value(), runtime->plan());
+}
+
+TEST(ReconfigManagerTest, BaselineFollowsAnEngineLaunchedPolicy) {
+  // The engine deploys LB policy "primary" while the runtime's base config
+  // keeps the default; the manager must diff against what was launched.
+  config::EngineInput input;
+  input.workload_spec =
+      "task a periodic deadline=100ms period=100ms\n"
+      "  subtask exec=10ms primary=P0 replicas=P1\n";
+  input.explicit_strategies = core::StrategyCombination::parse("T_N_T").value();
+  input.lb_policy = "primary";
+  const auto output = config::ConfigurationEngine().configure(input);
+  ASSERT_TRUE(output.is_ok()) << output.message();
+  auto launched =
+      config::ConfigurationEngine::launch(output.value(), core::SystemConfig{});
+  ASSERT_TRUE(launched.is_ok()) << launched.message();
+  core::SystemRuntime& runtime = *launched.value();
+
+  reconfig::ReconfigurationManager manager(runtime);
+  EXPECT_EQ(manager.current_plan(), output.value().plan);
+  EXPECT_EQ(manager.apply_now(config::ModeChange{}).reconfigured, 0u);
+  config::ModeChange to_default;
+  to_default.lb_policy = "lowest-util";
+  const auto report = manager.apply_now(to_default);
+  EXPECT_TRUE(report.applied) << report.error;
+  EXPECT_EQ(report.reconfigured, 1u);
+  EXPECT_EQ(runtime.load_balancer()->policy(),
+            sched::PlacementPolicy::kLowestUtilization);
+}
+
 TEST(ReconfigManagerTest, DiffApplyEqualsDirectLaunchOfTargetMode) {
   // Launching T_T_N and immediately reconfiguring to J_J_J must behave
   // exactly like launching J_J_J: diff + apply == direct launch.

@@ -304,6 +304,41 @@ TEST(ScenarioJson, HostileShapeCountsFailWithStatus) {
   EXPECT_FALSE(scenario::validate(spec).is_ok());
 }
 
+TEST(ScenarioJson, HostileBurstCountsFailWithStatus) {
+  // The edit to scenarios/bursty_overload.json that once grew RSS without
+  // bound ("bursts": 10^15), a product that overflows 64 bits, and one just
+  // past the bound; each must be refused before any arrival is generated.
+  const auto with_burst = [](std::int64_t bursts, std::int64_t jobs) {
+    auto spec = small_generated_spec();
+    spec.arrivals = scenario::ArrivalModel::bursty(workload::BurstShape{});
+    json::Value doc = scenario::to_json(spec);
+    json::Value arrivals = doc.get("arrivals");
+    arrivals.set("bursts", bursts);
+    arrivals.set("jobs_per_burst", jobs);
+    doc.set("arrivals", arrivals);
+    auto parsed = scenario::spec_from_json(doc);
+    EXPECT_TRUE(parsed.is_ok()) << parsed.message();
+    return std::move(parsed).value();
+  };
+  for (const auto& [bursts, jobs] :
+       {std::pair<std::int64_t, std::int64_t>{1000000000000000, 8},
+        {std::int64_t{1} << 62, 8},
+        {8, std::int64_t{1} << 62},
+        {1001, 100}}) {
+    const auto spec = with_burst(bursts, jobs);
+    const Status status = scenario::validate(spec);
+    ASSERT_FALSE(status.is_ok()) << bursts << " x " << jobs;
+    EXPECT_NE(status.message().find("jobs per aperiodic task"),
+              std::string::npos)
+        << status.message();
+    EXPECT_FALSE(scenario::run_scenario(spec).is_ok());
+  }
+  // The library's largest burst layout (burst-overload's 20 x 8) and the
+  // bound itself stay valid.
+  EXPECT_TRUE(scenario::validate(with_burst(20, 8)).is_ok());
+  EXPECT_TRUE(scenario::validate(with_burst(1000, 100)).is_ok());
+}
+
 // --- Running -----------------------------------------------------------------
 
 TEST(ScenarioRun, GeneratedSpecProducesMetricsAndRuntime) {

@@ -14,7 +14,6 @@
 
 #include "config/plan_builder.h"
 #include "core/runtime.h"
-#include "dance/engine.h"
 #include "dance/plan_xml.h"
 #include "reconfig/manager.h"
 #include "test_helpers.h"
@@ -218,13 +217,7 @@ TEST(DsPlanTest, DsAttributesSurviveXmlRoundTripAndLaunch) {
   config.ds_server.budget = input.ds_budget;
   config.ds_server.period = input.ds_period;
   core::SystemRuntime runtime(config, tasks);
-  ASSERT_TRUE(runtime.assemble_infrastructure().is_ok());
-  const auto report = dance::PlanLauncher().launch_from_xml(
-      xml,
-      [&runtime](ProcessorId node) { return runtime.find_container(node); },
-      runtime.factory());
-  ASSERT_TRUE(report.is_ok()) << report.message();
-  ASSERT_TRUE(runtime.finalize_deployment().is_ok());
+  ASSERT_TRUE(runtime.assemble(reparsed.value()).is_ok());
   EXPECT_EQ(runtime.admission_control()->analysis(),
             core::AperiodicAnalysis::kDeferrableServer);
   ASSERT_NE(runtime.admission_control()->ds_admission(), nullptr);
