@@ -45,6 +45,7 @@ Result<EngineOutput> ConfigurationEngine::configure(
   plan_input.strategies = out.selection.strategies;
   plan_input.task_manager = out.task_manager;
   plan_input.lb_policy = input.lb_policy;
+  out.lb_policy = input.lb_policy;
   plan_input.label = input.label;
   auto plan = build_deployment_plan(plan_input);
   if (!plan.is_ok()) return R::error(plan.message());
@@ -99,6 +100,7 @@ Result<std::unique_ptr<core::SystemRuntime>> ConfigurationEngine::launch(
   using R = Result<std::unique_ptr<core::SystemRuntime>>;
   base.strategies = output.selection.strategies;
   base.task_manager = output.task_manager;
+  base.lb_policy = output.lb_policy;
   auto runtime =
       std::make_unique<core::SystemRuntime>(std::move(base), output.tasks);
   if (Status s = runtime->assemble(output.plan); !s.is_ok()) {

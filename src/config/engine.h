@@ -55,6 +55,8 @@ struct EngineOutput {
   sched::TaskSet tasks;
   core::StrategySelection selection;
   ProcessorId task_manager;
+  /// The LB placement policy the plan deploys.
+  std::string lb_policy;
   dance::DeploymentPlan plan;
   std::string xml;
   std::unordered_map<TaskId, Priority> priorities;
@@ -68,7 +70,8 @@ class ConfigurationEngine {
 
   /// Build a runtime and assemble it from the output's plan.  `base`
   /// supplies the simulation parameters (latency, tracing); its
-  /// strategies/task_manager are overwritten from the output.
+  /// strategies, task_manager and lb_policy are overwritten from the
+  /// output, so the runtime's config() describes the launched plan.
   [[nodiscard]] static Result<std::unique_ptr<core::SystemRuntime>> launch(
       const EngineOutput& output, core::SystemConfig base);
 };

@@ -127,42 +127,45 @@ Status AdmissionControl::on_activate() {
   return Status::ok();
 }
 
-std::vector<ProcessorId> AdmissionControl::primaries(
-    const sched::TaskSpec& spec) {
-  std::vector<ProcessorId> out;
-  out.reserve(spec.subtasks.size());
-  for (const auto& st : spec.subtasks) out.push_back(st.primary);
+events::Placement AdmissionControl::primaries(const sched::TaskSpec& spec) {
+  events::Placement out(spec.subtasks.size());
+  for (std::size_t j = 0; j < spec.subtasks.size(); ++j) {
+    out[j] = spec.subtasks[j].primary;
+  }
   return out;
 }
 
-std::vector<ProcessorId> AdmissionControl::propose(
+events::Placement AdmissionControl::propose(
     const sched::TaskSpec& spec) {
   if (location_ == nullptr) return primaries(spec);
   return location_->propose_placement(spec, state_.ledger());
 }
 
-std::vector<ProcessorId> AdmissionControl::drain_adjusted(
-    const sched::TaskSpec& spec, std::vector<ProcessorId> placement) const {
+events::Placement AdmissionControl::drain_adjusted(
+    const sched::TaskSpec& spec, events::Placement placement) const {
   if (drained_.empty()) return placement;
   for (std::size_t j = 0; j < placement.size(); ++j) {
     if (drained_.count(placement[j]) == 0) continue;
     ProcessorId best;
     double best_util = 0.0;
-    for (const ProcessorId cand : spec.subtasks[j].candidates()) {
-      if (drained_.count(cand) > 0) continue;
+    // Candidates in order: the primary, then the replicas.
+    const auto consider = [&](ProcessorId cand) {
+      if (drained_.count(cand) > 0) return;
       const double u = state_.ledger().total(cand);
       if (!best.valid() || u < best_util) {
         best = cand;
         best_util = u;
       }
-    }
+    };
+    consider(spec.subtasks[j].primary);
+    for (const ProcessorId cand : spec.subtasks[j].replicas) consider(cand);
     if (!best.valid()) return {};  // stage has no live candidate
     placement[j] = best;
   }
   return placement;
 }
 
-std::vector<ProcessorId> AdmissionControl::placement_for(
+events::Placement AdmissionControl::placement_for(
     const sched::TaskSpec& spec) {
   switch (lb_) {
     case LbStrategy::kNone:
@@ -188,15 +191,14 @@ std::vector<ProcessorId> AdmissionControl::placement_for(
 }
 
 sched::AdmissionDecision AdmissionControl::test(
-    const sched::TaskSpec& spec, const std::vector<ProcessorId>& placement) {
-  std::vector<sched::CandidateStage> stages;
-  stages.reserve(placement.size());
+    const sched::TaskSpec& spec, const events::Placement& placement) {
+  stages_.clear();
   for (std::size_t j = 0; j < placement.size(); ++j) {
-    stages.push_back({placement[j], spec.subtask_utilization(j)});
+    stages_.push_back({placement[j], spec.subtask_utilization(j)});
   }
   ++counters_.admission_tests;
   const auto decision = state_.admission_index().admission_test(
-      state_.ledger(), spec.id, stages);
+      state_.ledger(), spec.id, stages_);
   context().trace.record_lazy(
       context().sim.now(), sim::TraceKind::kAdmissionTest,
       context().processor, spec.id, JobId(), [&decision] {
@@ -209,15 +211,14 @@ sched::AdmissionDecision AdmissionControl::test(
 void AdmissionControl::maybe_move_reservation(const sched::TaskSpec& spec) {
   const auto reservation = state_.reservation(spec.id);
   assert(reservation.has_value());
-  const std::vector<ProcessorId> fresh = drain_adjusted(spec, propose(spec));
+  const events::Placement fresh = drain_adjusted(spec, propose(spec));
   if (fresh.empty() || std::ranges::equal(fresh, reservation->placement)) {
     return;
   }
   // Release, test the new placement against the remaining load, and keep
   // whichever placement is admissible (the old one always is: removing and
   // re-adding it restores the exact prior state).
-  const std::vector<ProcessorId> old_placement =
-      state_.release_reservation(spec);
+  const events::Placement old_placement = state_.release_reservation(spec);
   if (test(spec, fresh).admitted) {
     state_.reserve_task(spec, fresh);
     ++counters_.reservation_moves;
@@ -228,7 +229,7 @@ void AdmissionControl::maybe_move_reservation(const sched::TaskSpec& spec) {
 
 void AdmissionControl::accept(const sched::TaskSpec& spec,
                               const TaskArrivePayload& a,
-                              std::vector<ProcessorId> placement,
+                              events::Placement placement,
                               bool task_admitted) {
   ++counters_.admits;
   const Time absolute_deadline = a.arrival_time + spec.deadline;
@@ -249,7 +250,7 @@ void AdmissionControl::reject(const TaskArrivePayload& a) {
 
 void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
                                            const TaskArrivePayload& a) {
-  std::vector<ProcessorId> placement = placement_for(spec);
+  events::Placement placement = placement_for(spec);
   if (placement.empty()) {
     ++counters_.drain_unplaceable;
     reject(a);
@@ -319,9 +320,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
       if (lb_ == LbStrategy::kPerJob) maybe_move_reservation(*spec);
       ++counters_.auto_accepts;
       const auto reservation = state_.reservation(a.task);
-      accept(*spec, a,
-             std::vector<ProcessorId>(reservation->placement.begin(),
-                                      reservation->placement.end()),
+      accept(*spec, a, events::Placement(reservation->placement),
              /*task_admitted=*/true);
       return;
     }
@@ -332,7 +331,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
     // First arrival: test once, reserve forever.  A drain-unplaceable
     // arrival is rejected without condemning the task: once the drained
     // processors return, a later first arrival may still admit it.
-    std::vector<ProcessorId> placement = placement_for(*spec);
+    events::Placement placement = placement_for(*spec);
     if (placement.empty()) {
       ++counters_.drain_unplaceable;
       reject(a);
@@ -349,7 +348,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
   }
 
   // Per-job admission: aperiodic jobs always, periodic jobs under AC=PJ.
-  std::vector<ProcessorId> placement = placement_for(*spec);
+  events::Placement placement = placement_for(*spec);
   if (placement.empty()) {
     ++counters_.drain_unplaceable;
     reject(a);
@@ -371,7 +370,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
 
 namespace {
 
-std::string placement_string(const std::vector<ProcessorId>& placement) {
+std::string placement_string(const events::Placement& placement) {
   std::string out;
   for (const ProcessorId p : placement) {
     if (!out.empty()) out += ',';
@@ -407,14 +406,14 @@ Result<AdmissionControl::TransitionSummary> AdmissionControl::apply_drain(
   std::sort(affected.begin(), affected.end());
 
   // Undo log: (task, original placement), in migration order.
-  std::vector<std::pair<TaskId, std::vector<ProcessorId>>> undo;
+  std::vector<std::pair<TaskId, events::Placement>> undo;
   for (const TaskId task : affected) {
     const sched::TaskSpec* spec = tasks_.find(task);
     assert(spec != nullptr);
-    std::vector<ProcessorId> old_placement = state_.release_reservation(*spec);
+    events::Placement old_placement = state_.release_reservation(*spec);
     // Minimal disruption: only stages on a drained processor move (to the
     // lowest-utilization live candidate); the rest stay where they are.
-    std::vector<ProcessorId> fresh = drain_adjusted(*spec, old_placement);
+    events::Placement fresh = drain_adjusted(*spec, old_placement);
     if (fresh.empty() || !test(*spec, fresh).admitted) {
       // Roll everything back: re-adding the exact old contributions restores
       // the ledger byte-for-byte (same stages, same amounts).

@@ -99,8 +99,8 @@ class AdmissionControl final : public ccm::Component {
 
   struct MigrationRecord {
     TaskId task;
-    std::vector<ProcessorId> from;
-    std::vector<ProcessorId> to;
+    events::Placement from;
+    events::Placement to;
   };
   struct TransitionSummary {
     std::vector<MigrationRecord> migrated;
@@ -138,17 +138,16 @@ class AdmissionControl final : public ccm::Component {
 
   /// Placement for this arrival per the LB strategy.  Empty when some stage
   /// has no non-drained candidate (the arrival must be rejected).
-  [[nodiscard]] std::vector<ProcessorId> placement_for(
-      const sched::TaskSpec& spec);
-  [[nodiscard]] std::vector<ProcessorId> propose(const sched::TaskSpec& spec);
-  [[nodiscard]] static std::vector<ProcessorId> primaries(
+  [[nodiscard]] events::Placement placement_for(const sched::TaskSpec& spec);
+  [[nodiscard]] events::Placement propose(const sched::TaskSpec& spec);
+  [[nodiscard]] static events::Placement primaries(
       const sched::TaskSpec& spec);
 
   /// Remap stages placed on drained processors to the lowest-utilization
   /// non-drained candidate (ties by candidate order).  Empty result when a
   /// stage has no live candidate.
-  [[nodiscard]] std::vector<ProcessorId> drain_adjusted(
-      const sched::TaskSpec& spec, std::vector<ProcessorId> placement) const;
+  [[nodiscard]] events::Placement drain_adjusted(
+      const sched::TaskSpec& spec, events::Placement placement) const;
 
   /// Run Equation (1) for `spec` placed on `placement`, incrementally: only
   /// footprints intersecting the placement are re-checked (the book's
@@ -156,13 +155,13 @@ class AdmissionControl final : public ccm::Component {
   /// full-task-set rescan (sched::aub_admission_test) on every library
   /// grid.
   [[nodiscard]] sched::AdmissionDecision test(
-      const sched::TaskSpec& spec, const std::vector<ProcessorId>& placement);
+      const sched::TaskSpec& spec, const events::Placement& placement);
 
   /// LB per Job under AC per Task: try to move the standing reservation.
   void maybe_move_reservation(const sched::TaskSpec& spec);
 
   void accept(const sched::TaskSpec& spec, const events::TaskArrivePayload& a,
-              std::vector<ProcessorId> placement, bool task_admitted);
+              events::Placement placement, bool task_admitted);
   void reject(const events::TaskArrivePayload& a);
 
   /// DS-mode aperiodic arrival handling (delay-bound admission + backlog).
@@ -178,13 +177,15 @@ class AdmissionControl final : public ccm::Component {
 
   SchedulingState state_;
   /// Frozen plans (LB per Task, periodic tasks), set at first arrival.
-  std::map<TaskId, std::vector<ProcessorId>> plans_;
+  std::map<TaskId, events::Placement> plans_;
   /// Periodic tasks rejected at first arrival under AC per Task.
   std::set<TaskId> rejected_tasks_;
   /// Processors currently drained by the reconfiguration engine: no new
   /// placement may use them (in-flight jobs finish there by quiescence).
   std::set<ProcessorId> drained_;
   Counters counters_;
+  /// test()'s candidate stages; reused, so a test does not allocate.
+  std::vector<sched::CandidateStage> stages_;
 
   // DS mode only.
   std::optional<sched::DsAdmission> ds_;

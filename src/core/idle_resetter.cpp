@@ -1,5 +1,7 @@
 #include "core/idle_resetter.h"
 
+#include <algorithm>
+
 #include "ccm/container.h"
 #include "sim/trace.h"
 
@@ -52,13 +54,21 @@ void IdleResetter::on_processor_idle() {
   // Report only newly completed subjobs whose deadlines have not expired;
   // everything in `pending_` is either reported now or stale, so the list
   // drains completely (the paper's "avoid reporting repeatedly" rule).
+  const auto live = std::count_if(
+      pending_.begin(), pending_.end(),
+      [now](const Pending& p) { return p.absolute_deadline > now; });
+  if (live == 0) {
+    pending_.clear();
+    return;
+  }
+  // The report's list is the one allocation an idle report makes.
   IdleResetPayload payload;
   payload.processor = context().processor;
+  payload.completed.reserve(static_cast<std::size_t>(live));
   for (const Pending& p : pending_) {
     if (p.absolute_deadline > now) payload.completed.push_back(p.ref);
   }
   pending_.clear();
-  if (payload.completed.empty()) return;
 
   ++reports_pushed_;
   context().federation.push(context().processor, std::move(payload));

@@ -26,7 +26,7 @@ Status LoadBalancerComponent::on_configure(
   return Status::ok();
 }
 
-std::vector<ProcessorId> LoadBalancerComponent::propose_placement(
+events::Placement LoadBalancerComponent::propose_placement(
     const sched::TaskSpec& task, const sched::UtilizationLedger& ledger) {
   ++location_calls_;
   return balancer_.place(task, ledger);

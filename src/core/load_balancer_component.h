@@ -35,7 +35,7 @@ class LoadBalancerComponent final : public ccm::Component,
   }
 
   // LocationService
-  std::vector<ProcessorId> propose_placement(
+  events::Placement propose_placement(
       const sched::TaskSpec& task,
       const sched::UtilizationLedger& ledger) override;
 

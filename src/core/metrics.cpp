@@ -12,7 +12,31 @@ void MetricsCollector::on_arrival(const sched::TaskSpec& spec, JobId job,
   tm.arrived_utilization += u;
   ++total_.arrivals;
   total_.arrived_utilization += u;
-  arrival_times_[job] = {spec.id, when};
+  const std::uint32_t row = arrival_index_.lookup(job.value());
+  if (row != util::IdSlotMap::kNoSlot) {
+    arrival_times_[row] = when;
+    return;
+  }
+  arrival_index_.insert(job.value(),
+                        static_cast<std::uint32_t>(arrival_jobs_.size()));
+  arrival_jobs_.push_back(job);
+  arrival_times_.push_back(when);
+}
+
+std::optional<Time> MetricsCollector::take_arrival(JobId job) {
+  const std::uint32_t row = arrival_index_.lookup(job.value());
+  if (row == util::IdSlotMap::kNoSlot) return std::nullopt;
+  const Time arrival = arrival_times_[row];
+  arrival_index_.erase(job.value());
+  const auto last = static_cast<std::uint32_t>(arrival_jobs_.size() - 1);
+  if (row != last) {
+    arrival_jobs_[row] = arrival_jobs_[last];
+    arrival_times_[row] = arrival_times_[last];
+    arrival_index_.update(arrival_jobs_[row].value(), row);
+  }
+  arrival_jobs_.pop_back();
+  arrival_times_.pop_back();
+  return arrival;
 }
 
 void MetricsCollector::on_release(const sched::TaskSpec& spec, JobId job,
@@ -32,7 +56,7 @@ void MetricsCollector::on_rejection(const sched::TaskSpec& spec, JobId job,
   (void)when;
   ++per_task_[spec.id].rejections;
   ++total_.rejections;
-  arrival_times_.erase(job);
+  (void)take_arrival(job);
 }
 
 void MetricsCollector::on_idle_reset(std::size_t subjobs_reset) {
@@ -51,13 +75,10 @@ void MetricsCollector::job_completed(TaskId task, JobId job, Time released,
     ++tm.deadline_misses;
     ++total_.deadline_misses;
   }
-  const auto it = arrival_times_.find(job);
-  if (it != arrival_times_.end()) {
-    const double response_ms =
-        (completed - it->second.second).as_milliseconds();
+  if (const std::optional<Time> arrival = take_arrival(job)) {
+    const double response_ms = (completed - *arrival).as_milliseconds();
     tm.response_ms.add(response_ms);
     total_.response_ms.add(response_ms);
-    arrival_times_.erase(it);
   }
 }
 

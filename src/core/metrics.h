@@ -8,11 +8,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/protocols.h"
 #include "sched/task.h"
 #include "util/ids.h"
+#include "util/slab.h"
 #include "util/stats.h"
 #include "util/time.h"
 
@@ -55,9 +58,16 @@ class MetricsCollector final : public JobCompletionListener {
   [[nodiscard]] std::string render() const;
 
  private:
-  /// Job arrival times, so completions can compute response times without
-  /// threading arrival timestamps through the whole pipeline.
-  std::map<JobId, std::pair<TaskId, Time>> arrival_times_;
+  /// Forget `job`'s arrival time; returns it, or nullopt if none is held.
+  std::optional<Time> take_arrival(JobId job);
+
+  /// Arrival times of the jobs in flight, so completions can compute
+  /// response times without threading arrival timestamps through the whole
+  /// pipeline.  Flat rows (swap-with-last removal) keyed by an id table:
+  /// memory follows the jobs in flight, with no node per job.
+  util::IdSlotMap arrival_index_;
+  std::vector<JobId> arrival_jobs_;
+  std::vector<Time> arrival_times_;
   std::map<TaskId, TaskMetrics> per_task_;
   TaskMetrics total_;
   std::uint64_t idle_resets_ = 0;

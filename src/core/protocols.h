@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "events/event.h"
 #include "sched/task.h"
@@ -28,7 +27,7 @@ inline constexpr std::string_view kCompletePort = "Complete";
 class LocationService {
  public:
   virtual ~LocationService() = default;
-  [[nodiscard]] virtual std::vector<ProcessorId> propose_placement(
+  [[nodiscard]] virtual events::Placement propose_placement(
       const sched::TaskSpec& task,
       const sched::UtilizationLedger& ledger) = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "config/plan_builder.h"
 #include "dance/engine.h"
@@ -134,6 +135,7 @@ Status SystemRuntime::deploy(dance::DeploymentPlan plan) {
       factory_);
   if (!launched.is_ok()) return Status::error(launched.message());
   if (Status s = bind_components(); !s.is_ok()) return s;
+  if (Status s = adopt_drained_nodes(plan); !s.is_ok()) return s;
   if (Status s = activate_containers(); !s.is_ok()) return s;
   plan_ = std::move(plan);
   assembled_ = true;
@@ -200,6 +202,22 @@ Status SystemRuntime::bind_components() {
       return Status::error("no IdleResetter on " + p.to_string());
     }
   }
+  return Status::ok();
+}
+
+Status SystemRuntime::adopt_drained_nodes(const dance::DeploymentPlan& plan) {
+  std::set<ProcessorId> drained(app_processors_.begin(),
+                                app_processors_.end());
+  for (const dance::InstanceDeployment& inst : plan.instances) {
+    if (inst.type == FirstIntermediateSubtask::kTypeName ||
+        inst.type == LastSubtask::kTypeName) {
+      drained.erase(inst.node);
+    }
+  }
+  if (drained.empty()) return Status::ok();
+  // Nothing is admitted yet, so the transition only records the set.
+  const auto transition = ac_->apply_drain(drained);
+  if (!transition.is_ok()) return Status::error(transition.message());
   return Status::ok();
 }
 
@@ -285,6 +303,7 @@ Status SystemRuntime::inject_arrival(TaskId task, Time at) {
 }
 
 Status SystemRuntime::inject_arrivals(const std::vector<Arrival>& arrivals) {
+  sim_.reserve(arrivals.size());
   for (const Arrival& a : arrivals) {
     if (Status s = inject_arrival(a.task, a.time); !s.is_ok()) return s;
   }

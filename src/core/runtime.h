@@ -94,7 +94,9 @@ class SystemRuntime {
   [[nodiscard]] Status assemble();
   /// Deploy `plan`.  Its AC must sit on task_manager() and every application
   /// processor needs a TE and an IR; processors, network and DS servers
-  /// still come from config().
+  /// still come from config().  An application processor hosting no Subtask
+  /// instance is drained: the AC learns so before activation and places no
+  /// job there.
   [[nodiscard]] Status assemble(const dance::DeploymentPlan& plan);
   [[nodiscard]] bool assembled() const { return assembled_; }
   /// The plan this runtime launched; empty until assembled.
@@ -156,10 +158,13 @@ class SystemRuntime {
       ProcessorId node, const std::string& instance,
       const ccm::AttributeMap& properties);
 
-  /// Record the strategy combination now in force, so config() keeps
-  /// describing the live system after a mode change swapped strategies.
-  void note_active_strategies(const StrategyCombination& strategies) {
+  /// Record the strategy combination and LB placement policy now in force,
+  /// so config() keeps describing the live system after a mode change
+  /// swapped them.
+  void note_active_strategies(const StrategyCombination& strategies,
+                              const std::string& lb_policy) {
     config_.strategies = strategies;
+    config_.lb_policy = lb_policy;
   }
 
  private:
@@ -172,6 +177,9 @@ class SystemRuntime {
   void build_infrastructure();
   /// Populate ac_/lb_/te_/ir_ pointers by scanning the containers.
   [[nodiscard]] Status bind_components();
+  /// Tell the AC which application processors `plan` drains (hosts no
+  /// Subtask instance on), so no placement uses them.
+  [[nodiscard]] Status adopt_drained_nodes(const dance::DeploymentPlan& plan);
   [[nodiscard]] Status activate_containers();
 
   SystemConfig config_;

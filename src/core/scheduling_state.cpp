@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace rtcm::core {
 
@@ -93,10 +94,13 @@ void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
   job_task_.push_back(spec.id);
   job_deadline_.push_back(absolute_deadline);
   job_footprint_.emplace_back();
-  job_placement_.emplace_back();
-  job_contrib_.emplace_back();
-  job_proc_refs_.emplace_back();
+  if (row == job_placement_.size()) {
+    job_placement_.emplace_back();
+    job_contrib_.emplace_back();
+    job_proc_refs_.emplace_back();
+  }
   job_placement_[row].assign(placement, *arena_);
+  job_contrib_[row].clear();
   for (std::size_t j = 0; j < placement.size(); ++j) {
     const sched::ContributionId c =
         ledger_.add(placement[j], spec.subtask_utilization(j));
@@ -143,9 +147,9 @@ void SchedulingState::expire_job(JobId job) {
     job_task_[row] = job_task_[last];
     job_deadline_[row] = job_deadline_[last];
     job_footprint_[row] = job_footprint_[last];
-    job_placement_[row] = std::move(job_placement_[last]);
-    job_contrib_[row] = std::move(job_contrib_[last]);
-    job_proc_refs_[row] = std::move(job_proc_refs_[last]);
+    std::swap(job_placement_[row], job_placement_[last]);
+    std::swap(job_contrib_[row], job_contrib_[last]);
+    std::swap(job_proc_refs_[row], job_proc_refs_[last]);
     job_index_.update(job_ids_[row].value(), row);
     for (const ProcRef& ref : job_proc_refs_[row]) {
       proc_jobs_[ref.proc_slot][ref.member_slot] = row;
@@ -155,9 +159,6 @@ void SchedulingState::expire_job(JobId job) {
   job_task_.pop_back();
   job_deadline_.pop_back();
   job_footprint_.pop_back();
-  job_placement_.pop_back();
-  job_contrib_.pop_back();
-  job_proc_refs_.pop_back();
 }
 
 Time SchedulingState::latest_deadline_touching(
@@ -204,9 +205,12 @@ void SchedulingState::reserve_task(const sched::TaskSpec& spec,
   const auto row = static_cast<std::uint32_t>(res_ids_.size());
   res_ids_.push_back(spec.id);
   res_footprint_.emplace_back();
-  res_placement_.emplace_back();
-  res_contrib_.emplace_back();
+  if (row == res_placement_.size()) {
+    res_placement_.emplace_back();
+    res_contrib_.emplace_back();
+  }
   res_placement_[row].assign(placement, *arena_);
+  res_contrib_[row].clear();
   for (std::size_t j = 0; j < placement.size(); ++j) {
     const sched::ContributionId c =
         ledger_.add(placement[j], spec.subtask_utilization(j));
@@ -224,7 +228,7 @@ std::optional<SchedulingState::ReservationView> SchedulingState::reservation(
   return reservation_view(row);
 }
 
-std::vector<ProcessorId> SchedulingState::release_reservation(
+events::Placement SchedulingState::release_reservation(
     const sched::TaskSpec& spec) {
   const std::uint32_t row = res_index_.lookup(spec.id.value());
   assert(row != util::IdSlotMap::kNoSlot &&
@@ -233,22 +237,19 @@ std::vector<ProcessorId> SchedulingState::release_reservation(
   for (const sched::ContributionId c : res_contrib_[row]) {
     ledger_.remove(c);
   }
-  std::vector<ProcessorId> placement(res_placement_[row].begin(),
-                                     res_placement_[row].end());
+  events::Placement placement(res_placement_[row].span());
   refresh_placement(placement);
   res_index_.erase(spec.id.value());
   const auto last = static_cast<std::uint32_t>(res_ids_.size() - 1);
   if (row != last) {
     res_ids_[row] = res_ids_[last];
     res_footprint_[row] = res_footprint_[last];
-    res_placement_[row] = std::move(res_placement_[last]);
-    res_contrib_[row] = std::move(res_contrib_[last]);
+    std::swap(res_placement_[row], res_placement_[last]);
+    std::swap(res_contrib_[row], res_contrib_[last]);
     res_index_.update(res_ids_[row].value(), row);
   }
   res_ids_.pop_back();
   res_footprint_.pop_back();
-  res_placement_.pop_back();
-  res_contrib_.pop_back();
   return placement;
 }
 

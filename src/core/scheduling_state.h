@@ -14,7 +14,9 @@
 // Storage is struct-of-arrays: jobs and reservations live in dense slabs
 // (parallel columns, swap-with-last removal) keyed by open-addressing
 // id -> row tables, placements and contribution lists sit inline in their
-// rows (<= 4 stages) spilling into the cell's MonotonicArena beyond that,
+// rows (<= 4 stages) spilling into the cell's MonotonicArena beyond that
+// (the list columns keep their high-water length, so a freed row's spill
+// buffer is reused by the next row, never abandoned in the arena),
 // and a per-processor job index (rows by dense ledger slot) makes
 // latest_deadline_touching O(jobs actually touching the queried nodes).
 // Admit/expire/reset churn at fixed capacity allocates nothing once the
@@ -35,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "events/placement.h"
 #include "sched/admission_index.h"
 #include "sched/aub.h"
 #include "sched/task.h"
@@ -171,7 +174,7 @@ class SchedulingState {
   /// Remove a reservation and return its placement (for LB-per-Job plan
   /// moves: release, re-test with the new placement, re-reserve whichever
   /// placement won).
-  std::vector<ProcessorId> release_reservation(const sched::TaskSpec& spec);
+  events::Placement release_reservation(const sched::TaskSpec& spec);
 
   // --- Memory accounting ---------------------------------------------------
 
@@ -211,6 +214,8 @@ class SchedulingState {
   std::vector<TaskId> job_task_;
   std::vector<Time> job_deadline_;
   std::vector<sched::FootprintId> job_footprint_;
+  // The list columns below are never shrunk: rows past job_ids_.size() are
+  // free and keep their spill buffers for the next admissions.
   std::vector<util::SmallVec<ProcessorId, 4>> job_placement_;
   std::vector<util::SmallVec<sched::ContributionId, 4>> job_contrib_;
   std::vector<util::SmallVec<ProcRef, 4>> job_proc_refs_;
@@ -222,6 +227,7 @@ class SchedulingState {
   util::IdSlotMap res_index_;
   std::vector<TaskId> res_ids_;
   std::vector<sched::FootprintId> res_footprint_;
+  // Never shrunk, like the job list columns.
   std::vector<util::SmallVec<ProcessorId, 4>> res_placement_;
   std::vector<util::SmallVec<sched::ContributionId, 4>> res_contrib_;
 };

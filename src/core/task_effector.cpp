@@ -64,15 +64,15 @@ void TaskEffector::job_arrived(TaskId task, JobId job) {
     }
   }
 
-  held_.emplace(job, HeldJob{task, now});
+  held_.insert(job.value(), 0);
   const bool first = seen_tasks_.insert(task).second;
   context().federation.push(
       context().processor,
       TaskArrivePayload{task, job, context().processor, now, first});
 }
 
-void TaskEffector::rebind_admitted_placement(
-    TaskId task, std::vector<ProcessorId> placement) {
+void TaskEffector::rebind_admitted_placement(TaskId task,
+                                             events::Placement placement) {
   const auto it = admitted_tasks_.find(task);
   if (it != admitted_tasks_.end()) it->second = std::move(placement);
 }
@@ -83,10 +83,9 @@ void TaskEffector::handle_accept(const AcceptPayload& payload) {
   assert(spec);
 
   if (payload.arrival_processor == me) {
-    const auto it = held_.find(payload.job);
     // The job may be unknown if this TE restarted or the Accept was for an
     // immediate-release task; ignore quietly.
-    if (it != held_.end()) held_.erase(it);
+    held_.erase(payload.job.value());
     if (payload.task_admitted && !hold_every_job_) {
       admitted_tasks_[payload.task] = payload.placement;
     }
@@ -110,9 +109,7 @@ void TaskEffector::handle_accept(const AcceptPayload& payload) {
 }
 
 void TaskEffector::handle_reject(const RejectPayload& payload) {
-  const auto it = held_.find(payload.job);
-  if (it == held_.end()) return;
-  held_.erase(it);
+  if (!held_.erase(payload.job.value())) return;
   const sched::TaskSpec* spec = tasks_.find(payload.task);
   assert(spec);
   if (metrics_) {
@@ -124,7 +121,7 @@ void TaskEffector::handle_reject(const RejectPayload& payload) {
 
 void TaskEffector::release(const sched::TaskSpec& spec, JobId job,
                            Time /*arrival*/,
-                           const std::vector<ProcessorId>& placement,
+                           const events::Placement& placement,
                            Time absolute_deadline) {
   const Time now = context().sim.now();
   if (metrics_) metrics_->on_release(spec, job, now);

@@ -13,6 +13,7 @@
 #include <variant>
 #include <vector>
 
+#include "events/placement.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -59,7 +60,7 @@ struct AcceptPayload {
   TaskId task;
   JobId job;
   ProcessorId arrival_processor;
-  std::vector<ProcessorId> placement;
+  Placement placement;
   Time absolute_deadline;
   /// True when AC-per-Task admitted the whole periodic task: the TE may
   /// release all subsequent jobs immediately (paper §5, TE attribute).
@@ -79,7 +80,7 @@ struct TriggerPayload {
   JobId job;
   /// Index of the stage to execute now.
   std::size_t stage = 0;
-  std::vector<ProcessorId> placement;
+  Placement placement;
   Time absolute_deadline;
   Time release_time;  // when the job was released by the TE
 };

@@ -87,11 +87,16 @@ void FederatedEventChannel::push(ProcessorId source, EventPayload payload) {
   if (observer_ != nullptr) observer_->routed(event, route_);
 
   // Ship one copy per destination: the event is captured by value, matching
-  // the wire copy a real gateway would forward.
-  for (LocalEventChannel* dest : route_) {
+  // the wire copy a real gateway would forward.  The last destination takes
+  // the pushed event itself.
+  for (std::size_t i = 0; i < route_.size(); ++i) {
+    LocalEventChannel* dest = route_[i];
     if (dest->processor() == source) ++stats_.local_deliveries;
     else ++stats_.remote_deliveries;
-    auto deliver = [dest, event] { dest->deliver(event); };
+    auto deliver = [dest, copy = i + 1 < route_.size() ? Event(event)
+                                                        : std::move(event)] {
+      dest->deliver(copy);
+    };
     // This is the hottest delegate in the middleware (one per event per
     // destination); growing events::Event past EventFn's inline capacity
     // would silently put a heap allocation back on every delivery.

@@ -38,6 +38,8 @@ ReconfigurationManager::ReconfigurationManager(core::SystemRuntime& runtime)
       current_(runtime.plan()) {
   assert(runtime_.assembled() &&
          "ReconfigurationManager needs an assembled runtime");
+  // Start from the nodes the launched plan drained (the AC adopted them).
+  drained_ = runtime_.admission_control()->drained();
   input_.label = "live";
   sync_from(current_);
 }
@@ -461,12 +463,12 @@ void ReconfigurationManager::sync_from(const dance::DeploymentPlan& target) {
     }
   }
   input_.strategies = strategies;
-  runtime_.note_active_strategies(strategies);
   const dance::InstanceDeployment* lb = target.find_instance("Central-LB");
   if (lb != nullptr) {
     input_.lb_policy = lb->properties.get_string_or(
         core::LoadBalancerComponent::kPolicyAttr, input_.lb_policy);
   }
+  runtime_.note_active_strategies(strategies, input_.lb_policy);
   input_.drained.assign(drained_.begin(), drained_.end());
 }
 

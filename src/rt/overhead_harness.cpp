@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "core/runtime.h"
+#include "events/placement.h"
 #include "rt/loopback.h"
 #include "rt/stopwatch.h"
 #include "sched/analysis.h"
@@ -15,7 +16,7 @@ namespace rtcm::rt {
 namespace {
 
 std::vector<sched::CandidateStage> candidate_stages(
-    const sched::TaskSpec& spec, const std::vector<ProcessorId>& placement) {
+    const sched::TaskSpec& spec, const events::Placement& placement) {
   std::vector<sched::CandidateStage> stages;
   stages.reserve(placement.size());
   for (std::size_t j = 0; j < placement.size(); ++j) {
@@ -24,9 +25,11 @@ std::vector<sched::CandidateStage> candidate_stages(
   return stages;
 }
 
-std::vector<ProcessorId> primaries(const sched::TaskSpec& spec) {
-  std::vector<ProcessorId> out;
-  for (const auto& st : spec.subtasks) out.push_back(st.primary);
+events::Placement primaries(const sched::TaskSpec& spec) {
+  events::Placement out(spec.subtasks.size());
+  for (std::size_t j = 0; j < spec.subtasks.size(); ++j) {
+    out[j] = spec.subtasks[j].primary;
+  }
   return out;
 }
 
@@ -156,7 +159,7 @@ OverheadReport measure_overheads(const OverheadParams& params) {
     const ProcessorId home = realloc_spec->subtasks.front().primary;
     const ProcessorId away = realloc_spec->subtasks.front().replicas.front();
 
-    auto make_accept = [&](const std::vector<ProcessorId>& placement) {
+    auto make_accept = [&](const events::Placement& placement) {
       return events::Event{
           runtime.task_manager(), runtime.simulator().now(),
           events::AcceptPayload{realloc_spec->id, JobId(next_job++), home,
@@ -166,9 +169,9 @@ OverheadReport measure_overheads(const OverheadParams& params) {
                                 false}};
     };
 
-    std::vector<ProcessorId> local_placement = primaries(*realloc_spec);
-    std::vector<ProcessorId> remote_placement = local_placement;
-    remote_placement.front() = away;
+    const events::Placement local_placement = primaries(*realloc_spec);
+    events::Placement remote_placement = local_placement;
+    remote_placement[0] = away;
 
     auto& local_channel = runtime.federation().channel(home);
     auto& remote_channel = runtime.federation().channel(away);

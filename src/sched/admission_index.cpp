@@ -1,5 +1,6 @@
 #include "sched/admission_index.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rtcm::sched {
@@ -13,44 +14,6 @@ bool is_saturated(double total) { return total >= 1.0 - kAubEpsilon; }
 double term_of(double total) {
   return is_saturated(total) ? kAubUnsatisfiable : aub_term(total);
 }
-
-/// The candidate's tentative additions, deduplicated by processor.  Stage
-/// counts are single digits, so linear scans beat hashing here.
-struct Overlay {
-  struct Entry {
-    ProcessorId proc;
-    double amount = 0.0;
-    std::uint32_t index = 0;  // dense proc-entry index, or kNoEntry
-  };
-  std::vector<Entry> entries;
-
-  void add(ProcessorId proc, double amount) {
-    for (Entry& e : entries) {
-      if (e.proc == proc) {
-        e.amount += amount;
-        return;
-      }
-    }
-    entries.push_back({proc, amount, 0});
-  }
-
-  [[nodiscard]] const double* find(ProcessorId proc) const {
-    for (const Entry& e : entries) {
-      if (e.proc == proc) return &e.amount;
-    }
-    return nullptr;
-  }
-
-  /// Lookup by resolved proc-entry index (every registered visit has one,
-  /// so a kNoEntry overlay entry — a processor the index has never seen —
-  /// can never match).
-  [[nodiscard]] const Entry* find_index(std::uint32_t index) const {
-    for (const Entry& e : entries) {
-      if (e.index == index) return &e;
-    }
-    return nullptr;
-  }
-};
 
 }  // namespace
 
@@ -180,29 +143,46 @@ std::size_t AdmissionIndex::footprint_bytes() const {
 
 AdmissionDecision AdmissionIndex::admission_test(
     const UtilizationLedger& ledger, TaskId candidate,
-    const std::vector<CandidateStage>& stages) const {
+    std::span<const CandidateStage> stages) const {
   AdmissionDecision decision;
 
-  Overlay overlay;
+  // The candidate's tentative additions, deduplicated by processor.  Stage
+  // counts are single digits, so linear scans beat hashing here.
+  overlay_.clear();
   for (const CandidateStage& s : stages) {
     assert(s.processor.valid());
     assert(s.utilization >= 0.0);
-    overlay.add(s.processor, s.utilization);
+    const auto it = std::find_if(
+        overlay_.begin(), overlay_.end(),
+        [&s](const OverlayEntry& o) { return o.proc == s.processor; });
+    if (it != overlay_.end()) {
+      it->amount += s.utilization;
+    } else {
+      overlay_.push_back({s.processor, s.utilization, 0, false, 0.0});
+    }
   }
-  for (Overlay::Entry& o : overlay.entries) {
-    o.index = proc_index_.lookup(o.proc.value());
+  for (OverlayEntry& o : overlay_) {
+    o.entry = proc_index_.lookup(o.proc.value());
+    const double u = ledger.total(o.proc) + o.amount;
+    o.saturated = is_saturated(u);
+    if (!o.saturated) o.term = aub_term(u);
   }
+  const auto overlaid = [this](ProcessorId proc) -> const OverlayEntry& {
+    return *std::find_if(
+        overlay_.begin(), overlay_.end(),
+        [proc](const OverlayEntry& o) { return o.proc == proc; });
+  };
 
   // The candidate itself, with the same per-stage arithmetic as the
   // reference aub_admission_test (so candidate_lhs is bit-identical).
   double candidate_lhs = 0.0;
   for (const CandidateStage& s : stages) {
-    const double u = ledger.total(s.processor) + *overlay.find(s.processor);
-    if (u >= 1.0 - kAubEpsilon) {
+    const OverlayEntry& o = overlaid(s.processor);
+    if (o.saturated) {
       candidate_lhs = kAubUnsatisfiable;
       break;
     }
-    candidate_lhs += aub_term(u);
+    candidate_lhs += o.term;
   }
   decision.candidate_lhs = candidate_lhs;
   if (candidate_lhs > 1.0 + kAubEpsilon) {
@@ -215,29 +195,27 @@ AdmissionDecision AdmissionIndex::admission_test(
   // everything else passed when it was last affected and is bitwise
   // unchanged by this overlay.  Each affected footprint's LHS is summed
   // from its visit list — overlaid processors at their tentative terms,
-  // the rest at their (always current) cached terms.
+  // the rest at their (always current) cached terms.  A kNoEntry overlay
+  // entry (a processor the index has never seen) matches no visit.
   ++round_counter_;
-  for (const Overlay::Entry& o : overlay.entries) {
-    if (o.index == kNoEntry) continue;
-    for (const std::uint32_t slot : members_[o.index]) {
+  for (const OverlayEntry& o : overlay_) {
+    if (o.entry == kNoEntry) continue;
+    for (const std::uint32_t slot : members_[o.entry]) {
       if (round_[slot] == round_counter_) continue;
       round_[slot] = round_counter_;
       double lhs = 0.0;
       for (const Visit& v : visits_[slot]) {
-        const Overlay::Entry* a = overlay.find_index(v.entry);
-        if (a != nullptr) {
-          const double u = ledger.total(a->proc) + a->amount;
-          if (u >= 1.0 - kAubEpsilon) {
-            lhs = kAubUnsatisfiable;
-            break;
-          }
-          lhs += v.count * aub_term(u);
-        } else if (proc_saturated_[v.entry] != 0) {
+        const auto a = std::find_if(
+            overlay_.begin(), overlay_.end(),
+            [&v](const OverlayEntry& e) { return e.entry == v.entry; });
+        const bool saturated = a != overlay_.end()
+                                   ? a->saturated
+                                   : proc_saturated_[v.entry] != 0;
+        if (saturated) {
           lhs = kAubUnsatisfiable;
           break;
-        } else {
-          lhs += v.count * term_[v.entry];
         }
+        lhs += v.count * (a != overlay_.end() ? a->term : term_[v.entry]);
       }
       if (lhs > 1.0 + kAubEpsilon) {
         decision.admitted = false;

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -99,9 +100,18 @@ class AdmissionIndex {
   /// the footprints whose processors intersect the candidate's.  Decision-
   /// equivalent to aub_admission_test() over all registered footprints
   /// (blocking_task may name a different witness when several would fail).
+  /// Allocation-free once warm: the overlay lives in a reused scratch
+  /// buffer.
   [[nodiscard]] AdmissionDecision admission_test(
       const UtilizationLedger& ledger, TaskId candidate,
-      const std::vector<CandidateStage>& stages) const;
+      std::span<const CandidateStage> stages) const;
+  [[nodiscard]] AdmissionDecision admission_test(
+      const UtilizationLedger& ledger, TaskId candidate,
+      std::initializer_list<CandidateStage> stages) const {
+    return admission_test(
+        ledger, candidate,
+        std::span<const CandidateStage>(stages.begin(), stages.size()));
+  }
 
   /// LHS of a registered footprint at the current ledger totals, summed
   /// from its visit list and the cached per-processor terms
@@ -122,6 +132,16 @@ class AdmissionIndex {
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
+  /// One processor the candidate loads, with its tentative aUB term
+  /// (computed once per admission test).
+  struct OverlayEntry {
+    ProcessorId proc;
+    double amount = 0.0;       // the candidate's stages on proc, summed
+    std::uint32_t entry = 0;   // dense proc-entry index, or kNoEntry
+    bool saturated = false;    // total + amount at or past full utilization
+    double term = 0.0;         // aub_term(total + amount) unless saturated
+  };
+
   struct Visit {
     std::uint32_t entry = 0;        // dense proc-entry index
     std::uint32_t count = 0;        // visits of this footprint to the proc
@@ -154,6 +174,8 @@ class AdmissionIndex {
   std::vector<std::vector<std::uint32_t>> members_;  // footprint slots
 
   mutable std::uint64_t round_counter_ = 0;
+  /// admission_test() scratch: the candidate's processors, deduplicated.
+  mutable std::vector<OverlayEntry> overlay_;
   std::unique_ptr<util::MonotonicArena> own_arena_;
   util::MonotonicArena* arena_;
 };

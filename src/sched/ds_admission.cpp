@@ -6,7 +6,7 @@
 namespace rtcm::sched {
 
 std::vector<Duration> DsAdmission::stage_bounds(
-    const TaskSpec& task, const std::vector<ProcessorId>& placement) const {
+    const TaskSpec& task, const events::Placement& placement) const {
   assert(placement.size() == task.subtasks.size());
   const double rate = config_.utilization();  // B / P
   assert(rate > 0.0);
@@ -25,17 +25,17 @@ std::vector<Duration> DsAdmission::stage_bounds(
 }
 
 Duration DsAdmission::delay_bound(
-    const TaskSpec& task, const std::vector<ProcessorId>& placement) const {
+    const TaskSpec& task, const events::Placement& placement) const {
   return stage_bounds(task, placement).back() + config_.hop_overhead * 2;
 }
 
 bool DsAdmission::admissible(
-    const TaskSpec& task, const std::vector<ProcessorId>& placement) const {
+    const TaskSpec& task, const events::Placement& placement) const {
   return delay_bound(task, placement) <= task.deadline;
 }
 
 std::vector<ContributionId> DsAdmission::add_backlog(
-    const TaskSpec& task, const std::vector<ProcessorId>& placement) {
+    const TaskSpec& task, const events::Placement& placement) {
   assert(placement.size() == task.subtasks.size());
   std::vector<ContributionId> out;
   out.reserve(placement.size());

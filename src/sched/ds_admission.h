@@ -29,6 +29,7 @@
 #include <map>
 #include <vector>
 
+#include "events/placement.h"
 #include "sched/task.h"
 #include "sched/utilization_ledger.h"
 #include "util/ids.h"
@@ -65,21 +66,21 @@ class DsAdmission {
   /// including one hop_overhead per stage.  Placement must have one
   /// processor per stage.
   [[nodiscard]] std::vector<Duration> stage_bounds(
-      const TaskSpec& task, const std::vector<ProcessorId>& placement) const;
+      const TaskSpec& task, const events::Placement& placement) const;
 
   /// End-to-end delay bound for executing `task` on `placement` given the
   /// current backlogs: last stage bound plus the admission round trip
   /// (2 * hop_overhead).
   [[nodiscard]] Duration delay_bound(
-      const TaskSpec& task, const std::vector<ProcessorId>& placement) const;
+      const TaskSpec& task, const events::Placement& placement) const;
 
   /// True iff the delay bound fits the task's end-to-end deadline.
   [[nodiscard]] bool admissible(
-      const TaskSpec& task, const std::vector<ProcessorId>& placement) const;
+      const TaskSpec& task, const events::Placement& placement) const;
 
   /// Register an admitted job's backlog; one handle per stage.
   [[nodiscard]] std::vector<ContributionId> add_backlog(
-      const TaskSpec& task, const std::vector<ProcessorId>& placement);
+      const TaskSpec& task, const events::Placement& placement);
 
   /// Remove one stage's backlog (idle reset / completion).  Idempotent.
   bool remove_backlog(ContributionId id) { return backlog_.remove(id); }

@@ -2,17 +2,12 @@
 
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 namespace rtcm::sched {
 
-std::vector<ProcessorId> LoadBalancer::place(
-    const TaskSpec& task, const UtilizationLedger& ledger) const {
-  std::vector<ProcessorId> placement;
-  placement.reserve(task.subtasks.size());
-
-  // Utilization the earlier stages of this same candidate would add.
-  std::unordered_map<ProcessorId, double> pending;
+events::Placement LoadBalancer::place(const TaskSpec& task,
+                                      const UtilizationLedger& ledger) const {
+  events::Placement placement(task.subtasks.size());
 
   for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
     const SubtaskSpec& st = task.subtasks[j];
@@ -22,34 +17,46 @@ std::vector<ProcessorId> LoadBalancer::place(
       case PlacementPolicy::kPrimaryOnly:
         break;
       case PlacementPolicy::kRandomReplica: {
-        const auto candidates = st.candidates();
-        if (candidates.size() > 1 && random_pick_) {
-          chosen = candidates[random_pick_(candidates.size())];
+        // Candidate i is the primary for i == 0, else replicas[i - 1].
+        const std::size_t candidates = 1 + st.replicas.size();
+        if (candidates > 1 && random_pick_) {
+          const std::size_t pick = random_pick_(candidates);
+          if (pick > 0) chosen = st.replicas[pick - 1];
         }
         break;
       }
       case PlacementPolicy::kLowestUtilization: {
+        // Primary first, then replicas in order; strict < keeps the earliest
+        // candidate (the primary) on ties, avoiding gratuitous
+        // re-allocations.
         double best = std::numeric_limits<double>::infinity();
-        for (const ProcessorId p : st.candidates()) {
-          double u = ledger.total(p);
-          if (const auto it = pending.find(p); it != pending.end()) {
-            u += it->second;
-          }
-          // Strict < keeps the earliest candidate (the primary) on ties,
-          // avoiding gratuitous re-allocations.
+        const auto consider = [&](ProcessorId p) {
+          const double u = ledger.total(p) + pending(task, placement, j, p);
           if (u < best) {
             best = u;
             chosen = p;
           }
-        }
+        };
+        consider(st.primary);
+        for (const ProcessorId p : st.replicas) consider(p);
         break;
       }
     }
-
-    pending[chosen] += task.subtask_utilization(j);
-    placement.push_back(chosen);
+    placement[j] = chosen;
   }
   return placement;
+}
+
+double LoadBalancer::pending(const TaskSpec& task,
+                             const events::Placement& placement,
+                             std::size_t stage, ProcessorId proc) {
+  // Summed in stage order from zero, the order the per-candidate running
+  // totals were kept in, so the sums (and ties) are bit-identical.
+  double sum = 0.0;
+  for (std::size_t i = 0; i < stage; ++i) {
+    if (placement[i] == proc) sum += task.subtask_utilization(i);
+  }
+  return sum;
 }
 
 double utilization_spread(const UtilizationLedger& ledger,

@@ -12,6 +12,7 @@
 #include <functional>
 #include <vector>
 
+#include "events/placement.h"
 #include "sched/task.h"
 #include "sched/utilization_ledger.h"
 
@@ -43,10 +44,16 @@ class LoadBalancer {
   /// Compute a placement for every stage of `task` given current ledger
   /// state.  Never fails: there is always at least the primary processor.
   /// (Whether the placement is *admissible* is the admission test's call.)
-  [[nodiscard]] std::vector<ProcessorId> place(
+  /// Allocation-free for placements within events::Placement::kInline.
+  [[nodiscard]] events::Placement place(
       const TaskSpec& task, const UtilizationLedger& ledger) const;
 
  private:
+  /// Utilization stages [0, stage) of `placement` already put on `proc`.
+  [[nodiscard]] static double pending(const TaskSpec& task,
+                                      const events::Placement& placement,
+                                      std::size_t stage, ProcessorId proc);
+
   PlacementPolicy policy_;
   std::function<std::size_t(std::size_t)> random_pick_;
 };

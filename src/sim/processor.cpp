@@ -75,7 +75,8 @@ std::optional<WorkItem> Processor::pop_ready() {
     if (more_urgent || same_and_earlier) best = it;
   }
   WorkItem item = std::move(best->second);
-  ready_.erase(best);
+  if (best != std::prev(ready_.end())) *best = std::move(ready_.back());
+  ready_.pop_back();
   return item;
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -88,8 +87,11 @@ class Processor {
   Simulator& sim_;
   ProcessorId id_;
   std::optional<Running> running_;
-  // Ready queue: kept sorted on pop; submission order preserved per level.
-  std::deque<std::pair<std::uint64_t, WorkItem>> ready_;  // (seq, item)
+  // Ready queue, unordered: pop_ready() picks by (priority, submission
+  // seq), so removal swaps the last item into the hole.  A vector keeps its
+  // capacity; a deque would allocate and free blocks as items churn
+  // through it.
+  std::vector<std::pair<std::uint64_t, WorkItem>> ready_;  // (seq, item)
   std::uint64_t next_seq_ = 0;
   EventFn idle_callback_;
   ProcessorStats stats_;

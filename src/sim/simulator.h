@@ -32,6 +32,7 @@
 // dispatch sequence and now() trajectory.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -95,6 +96,18 @@ class Simulator {
   /// — scheduling nothing — when the handle is dead, so callers fall back
   /// to schedule_at.
   bool reschedule(EventHandle& handle, Time at);
+
+  /// Make room for `events` more pending events, so scheduling them grows
+  /// the slab and the heap at most once, straight to the power-of-two
+  /// capacity their doubling would reach, instead of relocating every
+  /// pending callback at each doubling on the way.
+  void reserve(std::size_t events) {
+    if (events == 0) return;
+    const std::size_t fresh =
+        events > free_slots_.size() ? events - free_slots_.size() : 0;
+    slots_.reserve(std::bit_ceil(slots_.size() + fresh));
+    heap_.reserve(std::bit_ceil(heap_.size() + events));
+  }
 
   /// Run a single event; returns false if the queue is empty.
   bool step();

@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "config/engine.h"
 #include "config/plan_builder.h"
 #include "config/workload_spec.h"
 #include "core/runtime.h"
 #include "dance/plan_xml.h"
+#include "reconfig/manager.h"
 #include "test_helpers.h"
 #include "workload/arrival.h"
 #include "workload/generator.h"
@@ -96,6 +98,9 @@ void expect_round_trip_equivalent(core::SystemConfig config,
   const TracedRun b = drive_traced(launched, seed, horizon);
   EXPECT_EQ(a.result, b.result);
   EXPECT_GT(a.result.releases, 0u);
+  // Every released job ran to completion: none was placed on a node that
+  // hosts no instance of its stage.
+  EXPECT_EQ(a.result.releases, a.result.completions);
   EXPECT_FALSE(a.trace.empty());
   EXPECT_TRUE(a.trace == b.trace) << "rendered traces differ";
 }
@@ -136,10 +141,10 @@ TEST(DanceEquivalenceTest, DsModePlanMatchesDirectAssembly) {
 }
 
 TEST(DanceEquivalenceTest, DrainedPlanMatchesOnRoundTrip) {
-  // P2 hosts only replicas; with LB None no placement ever uses it, so the
-  // drained plan runs the workload on the primaries alone.  (A launched
-  // plan does not tell the AC which nodes are drained, so a balancing
-  // strategy could still place jobs on P2.)
+  // P2 hosts only replicas, and the plan drains it: it keeps its TE and IR
+  // but no Subtask instance.  The launched runtime tells the AC, so even a
+  // balancing strategy (LB per Job) never places a stage on P2 and the
+  // workload runs on the primaries alone.
   constexpr const char* kSpec =
       "task a periodic deadline=400ms period=400ms\n"
       "  subtask exec=30ms primary=P0 replicas=P2\n"
@@ -149,7 +154,7 @@ TEST(DanceEquivalenceTest, DrainedPlanMatchesOnRoundTrip) {
   auto tasks = config::parse_workload_spec(kSpec);
   ASSERT_TRUE(tasks.is_ok()) << tasks.message();
   core::SystemConfig config;
-  config.strategies = core::StrategyCombination::parse("J_N_N").value();
+  config.strategies = core::StrategyCombination::parse("J_N_J").value();
   config::PlanBuilderInput input =
       config::plan_input(config, tasks.value(), ProcessorId(3));
   input.drained = {ProcessorId(2)};
@@ -159,6 +164,19 @@ TEST(DanceEquivalenceTest, DrainedPlanMatchesOnRoundTrip) {
     if (inst.node == ProcessorId(2)) {
       EXPECT_TRUE(inst.id == "TE@P2" || inst.id == "IR@P2") << inst.id;
     }
+  }
+  {
+    // The AC, and a reconfiguration manager built over the runtime, start
+    // from the plan's drained set.
+    core::SystemRuntime runtime(config, tasks.value());
+    ASSERT_TRUE(runtime.assemble(plan.value()).is_ok());
+    const std::set<ProcessorId> drained = {ProcessorId(2)};
+    EXPECT_EQ(runtime.admission_control()->drained(), drained);
+    reconfig::ReconfigurationManager manager(runtime);
+    EXPECT_EQ(manager.drained(), drained);
+    // Re-deriving the live plan from the manager's state changes nothing.
+    EXPECT_EQ(manager.apply_now(config::ModeChange{}).reconfigured, 0u);
+    EXPECT_EQ(manager.current_plan(), plan.value());
   }
   expect_round_trip_equivalent(config, tasks.value(), &plan.value(), 5,
                                Time(Duration::seconds(20).usec()),

@@ -505,6 +505,8 @@ TEST(ReconfigManagerTest, BaselineFollowsAnEngineLaunchedPolicy) {
       config::ConfigurationEngine::launch(output.value(), core::SystemConfig{});
   ASSERT_TRUE(launched.is_ok()) << launched.message();
   core::SystemRuntime& runtime = *launched.value();
+  // The runtime's config describes the launched plan, policy included.
+  EXPECT_EQ(runtime.config().lb_policy, "primary");
 
   reconfig::ReconfigurationManager manager(runtime);
   EXPECT_EQ(manager.current_plan(), output.value().plan);
@@ -516,6 +518,7 @@ TEST(ReconfigManagerTest, BaselineFollowsAnEngineLaunchedPolicy) {
   EXPECT_EQ(report.reconfigured, 1u);
   EXPECT_EQ(runtime.load_balancer()->policy(),
             sched::PlacementPolicy::kLowestUtilization);
+  EXPECT_EQ(runtime.config().lb_policy, "lowest-util");
 }
 
 TEST(ReconfigManagerTest, DiffApplyEqualsDirectLaunchOfTargetMode) {
