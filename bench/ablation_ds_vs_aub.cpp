@@ -12,7 +12,7 @@
 // reporting accepted utilization ratio and aperiodic response times for a
 // sweep of server sizes.  The analyses ride the sweep grid's variant axis.
 //
-// Flags: --seeds=N --horizon_s=N --threads=N --json_out=PATH
+// Flags: --seeds=N --horizon_s=N --json_out=PATH
 #include <cstdio>
 
 #include "bench_common.h"

@@ -10,7 +10,7 @@
 // under LB per task and LB per job.  The policies ride the sweep grid's
 // variant axis; the configure hook maps each variant onto the SystemConfig.
 //
-// Flags: --seeds=N --horizon_s=N --threads=N --json_out=PATH
+// Flags: --seeds=N --horizon_s=N --json_out=PATH
 #include <cstdio>
 
 #include "bench_common.h"

@@ -7,7 +7,7 @@
 // per Job, with AC per job and LB off so the IR effect is isolated.  The
 // utilization levels become the sweep grid's workload-shape axis.
 //
-// Flags: --seeds=N --horizon_s=N --threads=N --json_out=PATH
+// Flags: --seeds=N --horizon_s=N --json_out=PATH
 #include <cstdio>
 
 #include "bench_common.h"

@@ -1,8 +1,8 @@
 // Shared glue between the bench binaries and the sweep engine.
 //
 // Every grid bench (Figures 5/6 and the ablations) declares a sweep::Grid,
-// parses the shared flag set, runs the grid through the parallel sweep
-// driver, and optionally writes a BENCH_<name>.json report.  The hand-rolled
+// parses the shared flag set, runs the grid through the sweep driver, and
+// optionally writes a BENCH_<name>.json report.  The hand-rolled
 // per-bench seed loops this header used to contain live in src/sweep/ now.
 #pragma once
 
@@ -36,15 +36,15 @@ namespace rtcm::bench {
 /// for_named_grid), plus per-bench extras.
 [[nodiscard]] inline std::vector<std::string> grid_bench_flags(
     std::initializer_list<const char*> extra = {}) {
-  std::vector<std::string> known = {"seeds",   "horizon_s", "aperiodic_factor",
-                                    "comm_us", "threads",   "json_out"};
+  std::vector<std::string> known = {"seeds", "horizon_s", "aperiodic_factor",
+                                    "comm_us", "json_out"};
   known.insert(known.end(), extra.begin(), extra.end());
   return known;
 }
 
 /// Options shared by every grid bench.  Flags: --seeds=N --horizon_s=N
-/// --aperiodic_factor=F --comm_us=N --threads=N (0 = all cores)
-/// --json_out=PATH (empty = no report file).
+/// --aperiodic_factor=F --comm_us=N --json_out=PATH (empty = no report
+/// file).
 struct BenchOptions {
   int seeds = 10;
   /// Override for every grid shape's aperiodic interarrival factor; only
@@ -52,7 +52,6 @@ struct BenchOptions {
   /// entries) keep their shapes' own factors by default.
   std::optional<double> aperiodic_factor;
   sweep::SweepParams params;
-  sweep::SweepOptions sweep;
   std::string json_out;
 
   [[nodiscard]] static BenchOptions from_flags(const Flags& flags,
@@ -69,8 +68,6 @@ struct BenchOptions {
     options.params.base.config.comm_latency =
         Duration::microseconds(flags.get_int(
             "comm_us", sim::Network::kPaperOneWayDelay.usec()));
-    options.sweep.threads =
-        static_cast<std::size_t>(flags.get_int("threads", 0));
     options.json_out = flags.get_string("json_out", "");
     return options;
   }
@@ -95,16 +92,14 @@ struct BenchOptions {
     if (flags.has("aperiodic_factor")) {
       options.aperiodic_factor = flags.get_double("aperiodic_factor", 1.0);
     }
-    options.sweep.threads =
-        static_cast<std::size_t>(flags.get_int("threads", 0));
     options.json_out = flags.get_string("json_out", "");
     return options;
   }
 };
 
 /// Run the grid and assemble a report with provenance and a parameter
-/// snapshot.  Cell order (and therefore report bytes modulo wall times) is
-/// independent of the thread count.
+/// snapshot.  Cell order is Grid::cells() order, so the report bytes
+/// (modulo wall times) are a function of the grid and options alone.
 inline sweep::Report run_grid(const std::string& name,
                               const sweep::Grid& grid,
                               const BenchOptions& options) {
@@ -130,9 +125,7 @@ inline sweep::Report run_grid(const std::string& name,
   report.params.set("comm_us", options.params.base.config.comm_latency.usec());
   report.params.set("aperiodic_factor",
                     options.aperiodic_factor.value_or(1.0));
-  report.params.set("threads",
-                    static_cast<std::int64_t>(options.sweep.threads));
-  report.cells = sweep::run_sweep(sized_grid, options.params, options.sweep);
+  report.cells = sweep::run_sweep(sized_grid, options.params);
 
   for (const auto& cell : report.cells) {
     if (!cell.error.empty()) {

@@ -12,7 +12,7 @@
 // workloads.
 //
 // Flags: --seeds=N --horizon_s=N --aperiodic_factor=F --comm_us=N
-//        --threads=N --json_out=PATH
+//        --json_out=PATH
 #include <cstdio>
 
 #include "bench_common.h"
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
           options.params.base.config.comm_latency.usec()));
 
   // The grid itself comes from the scenario registry; only the run
-  // parameters (seeds, horizon, threads) are bench-local.
+  // parameters (seeds, horizon) are bench-local.
   const scenario::NamedGrid entry = scenario::find_grid("fig5").value();
   const sweep::Report report =
       bench::run_grid("fig5_accept_ratio", entry.grid, options);

@@ -11,7 +11,7 @@
 // LB per task vs per job differ little.
 //
 // Flags: --seeds=N --horizon_s=N --aperiodic_factor=F --comm_us=N
-//        --threads=N --json_out=PATH
+//        --json_out=PATH
 #include <cstdio>
 
 #include "bench_common.h"

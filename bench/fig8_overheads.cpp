@@ -1,13 +1,17 @@
 // Figure 8 reproduction: service overheads in microseconds (§7.3).
 //
 // Measures each numbered operation of the paper's Figure 7 against the real
-// component code paths (see src/rt/overhead_harness.h for the mapping) and
+// component code paths (see rt/overhead_harness.h for the mapping) and
 // prints the same composite rows as the paper's Figure 8 — twice:
 //   1. with the communication delay measured on THIS machine via a loopback
 //      ping-pong (the paper's measurement method, our hardware), and
 //   2. with the paper testbed's constant injected (mean 322 us / max 361 us
 //      one way, 100 Mbps switched Ethernet), which reconstructs the paper's
 //      regime where service delays stay under 2 ms.
+//
+// Each operation's per-iteration times are summarized as the paper's mean
+// and max plus, as the other micro benches report them, the minimum, the
+// median and the spread (max - min).
 //
 // Flags: --iterations=N --resident_jobs=N --json_out=PATH
 #include <cstdio>
@@ -34,6 +38,13 @@ void print_rows(const char* title,
   std::printf("\n");
 }
 
+/// An operation's min/median/spread; all zero when it has no samples (the
+/// loopback leaves none when the host refuses a socket pair).
+bench::RepeatStats stats_of(const Samples& samples) {
+  return samples.empty() ? bench::RepeatStats{}
+                         : bench::repeat_stats(samples.values());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,7 +68,8 @@ int main(int argc, char** argv) {
   const rt::OverheadReport report = rt::measure_overheads(params);
 
   std::printf("Per-operation wall time on this machine:\n");
-  std::printf("  %-44s %10s %10s\n", "operation", "mean(us)", "max(us)");
+  std::printf("  %-40s %10s %10s %10s %10s %10s\n", "operation", "mean(us)",
+              "max(us)", "min(us)", "median(us)", "spread(us)");
   const struct {
     const char* name;
     const Samples* samples;
@@ -72,8 +84,10 @@ int main(int argc, char** argv) {
       {"(2) communication delay (loopback)", &report.comm_one_way},
   };
   for (const auto& op : ops) {
-    std::printf("  %-44s %10.2f %10.2f\n", op.name, op.samples->mean(),
-                op.samples->max());
+    const bench::RepeatStats stats = stats_of(*op.samples);
+    std::printf("  %-40s %10.2f %10.2f %10.2f %10.2f %10.2f\n", op.name,
+                op.samples->mean(), op.samples->max(), stats.min,
+                stats.median, stats.spread);
   }
   std::printf("\n");
 
@@ -112,10 +126,14 @@ int main(int argc, char** argv) {
     doc.set("params", json_params);
     json::Value operations = json::Value::array();
     for (const auto& op : ops) {
+      const bench::RepeatStats stats = stats_of(*op.samples);
       json::Value entry = json::Value::object();
       entry.set("name", op.name);
       entry.set("mean_us", op.samples->mean());
       entry.set("max_us", op.samples->max());
+      entry.set("min_us", stats.min);
+      entry.set("median_us", stats.median);
+      entry.set("spread_us", stats.spread);
       operations.push_back(std::move(entry));
     }
     doc.set("operations", operations);

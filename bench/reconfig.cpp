@@ -1,5 +1,5 @@
-// Mode-change bench: the online reconfiguration engine inside the parallel
-// sweep grid (BENCH_reconfig.json).
+// Mode-change bench: the online reconfiguration engine inside the sweep
+// grid (BENCH_reconfig.json).
 //
 // Variants (the reconfiguration axis):
 //   static   — control, no mode changes
@@ -7,8 +7,8 @@
 //   drain    — drain one replica processor mid-run, restore it later
 //   storm    — strategy swap + policy swap + drain + undrain
 //
-// Every cell owns its ReconfigurationManager, so the grid keeps the
-// N-thread == 1-thread byte-identical report contract, and the regression
+// Every cell owns its ReconfigurationManager, so a cell's mode changes are
+// a function of its coordinates like any other result, and the regression
 // comparator gates the per-cell accept ratios, deadline misses and applied
 // mode-change counts like any other sweep bench.
 #include <cstdio>

@@ -3,9 +3,9 @@
 // This is the "new workloads are one registry entry" bench: it has no
 // workload knowledge of its own — it looks an entry up by name, merges
 // command-line overrides into the entry's own defaults, runs the grid
-// through the parallel sweep engine and emits the standard schema-v2
-// report.  scripts/run_benches.sh invokes it once per library entry that
-// has no dedicated figure bench.
+// through the sweep engine and emits the standard schema-v2 report.
+// scripts/run_benches.sh invokes it once per library entry that has no
+// dedicated figure bench.
 //
 // One subcommand rides along because it shares the report plumbing:
 //   --spec=FILE.json
@@ -15,7 +15,7 @@
 //
 // Flags: --grid=NAME (required; --list prints the registry)
 //        --seeds=N --horizon_s=N --aperiodic_factor=F --comm_us=N
-//        --threads=N --json_out=PATH
+//        --json_out=PATH
 //        --spec=FILE [--seed=N]
 #include <cstdio>
 #include <fstream>

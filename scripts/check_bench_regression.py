@@ -24,9 +24,11 @@ only.  Exit codes: 0 = OK, 1 = regression found, 2 = usage / IO error.
 Cross-profile safety: a report's "params" block records the run parameters
 (seeds, horizon, ...).  When baseline and candidate were collected with
 different parameters, their cells describe different simulations and any
-"drift" would be noise — such report pairs are skipped with a note (the
-thread count is excluded: cell results are thread-count-invariant).  Every
-baseline cell must appear in the candidate; a missing cell is a failure.
+"drift" would be noise — such report pairs are skipped with a note.  A key
+present on one side only (a new bench knob, or the thread count that older
+reports recorded) is noted and the cells are compared on the shared keys.
+Every baseline cell must appear in the candidate; a missing cell is a
+failure.
 """
 
 import argparse
@@ -42,8 +44,9 @@ def load_reports(path):
     """Return {report name: parsed json} for a directory or single file.
 
     When scanning a directory, files that are not sweep reports (e.g. the
-    Google-Benchmark JSON emitted by bench_admission_micro) are skipped
-    with a note; a file named explicitly must be a valid report.
+    Google-Benchmark JSON that older report sets carry as
+    BENCH_admission_micro.json) are skipped with a note; a file named
+    explicitly must be a valid report.
     """
     p = pathlib.Path(path)
     scanning = p.is_dir()
@@ -91,13 +94,11 @@ def cell_key(cell):
 
 def comparable_params(doc):
     """The report params that must match for cell comparisons to make
-    sense.  The thread count is excluded: per-cell isolation makes results
-    thread-count-invariant, so a 4-core runner can gate an all-core
-    baseline."""
+    sense."""
     params = doc.get("params", {})
     if not isinstance(params, dict):
         return {}
-    return {k: v for k, v in params.items() if k != "threads"}
+    return params
 
 
 def compare_report(name, base, cand, eps, walltime_pct):

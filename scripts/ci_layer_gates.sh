@@ -9,18 +9,11 @@
 # "Simulation kernel" line names the broken layer) and guard the label
 # wiring itself — a test that silently loses its label would otherwise
 # drop out of the layer gate without anyone noticing.
-#
-# `--threads-only` restricts the run to the genuinely multi-threaded layers
-# (thread pool, sweep engine) — the selection the TSan lane
-# uses, where re-running the single-threaded simulator suites would only
-# burn the sanitizer's 5-15x slowdown without exercising any concurrency.
 set -euo pipefail
 
 BUILD_DIR="build"
-THREADS_ONLY=0
 for arg in "$@"; do
   case "${arg}" in
-    --threads-only) THREADS_ONLY=1 ;;
     --*) echo "unknown flag ${arg}" >&2; exit 2 ;;
     *) BUILD_DIR="${arg}" ;;
   esac
@@ -39,16 +32,6 @@ if grep 'byte object' <<<"${TEST_NAMES}"; then
   exit 1
 fi
 echo "::endgroup::"
-
-if [[ "${THREADS_ONLY}" == 1 ]]; then
-  echo "::group::Multi-threaded layers (sweep engine, thread pool)"
-  "${CTEST[@]}" -R 'Sweep|ThreadPool'
-  echo "::endgroup::"
-  echo "::group::Simulation-kernel layer under TSan"
-  "${CTEST[@]}" -L sim
-  echo "::endgroup::"
-  exit 0
-fi
 
 echo "::group::Reconfiguration layer (unit label + property tests)"
 "${CTEST[@]}" -L reconfig

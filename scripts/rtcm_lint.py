@@ -2,8 +2,8 @@
 """rtcm-lint: repo-specific determinism and event-path invariant linter.
 
 The repo's central contract -- same seed => byte-identical traces and
-reports, N-thread sweep == 1-thread -- is enforced dynamically by goldens
-and comparators.  This linter enforces the *sources* of that contract
+reports, one thread per run -- is enforced dynamically by goldens and
+comparators.  This linter enforces the *sources* of that contract
 statically, so a hazard is flagged at analysis time instead of surfacing as
 a flaky nightly diff.  Rules:
 
@@ -41,6 +41,12 @@ a flaky nightly diff.  Rules:
                         with dynamic_cast (ccm/component.h), so a type-
                         erased value has no place in src/.  std::any_of is
                         unrelated and fine.
+  threads               std::thread, std::jthread, std::async, std::mutex,
+                        std::atomic or the <thread>, <mutex> and <atomic>
+                        headers anywhere in the linted tree.  A run is one
+                        deterministic event sequence on one thread; the
+                        only thread (the Figure 8 loopback echo) lives
+                        under bench/rt, outside src/.
 
 Suppressions:
   * inline: `// rtcm-lint: allow(<rule>) <reason>` on the offending line or
@@ -81,6 +87,7 @@ RULES = {
     "sim-path-alloc": "std::function or raw new on an event path",
     "env-switch": "environment variable read (behaviour switch)",
     "std-any": "type-erased std::any value (ports are typed)",
+    "threads": "thread, lock or atomic (src/ is single-threaded)",
 }
 
 ALLOW_RE = re.compile(r"//\s*rtcm-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
@@ -188,6 +195,10 @@ GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 # character, so each spelling is matched whole.
 STD_ANY_RE = re.compile(
     r"\bstd\s*::\s*(?:any|any_cast|make_any)\b|#\s*include\s*<any>"
+)
+THREADS_RE = re.compile(
+    r"\bstd\s*::\s*(?:thread|jthread|async|mutex|atomic)\b"
+    r"|#\s*include\s*<(?:thread|mutex|atomic)>"
 )
 
 
@@ -384,6 +395,18 @@ def lint_text(
                 "std-any",
                 "std::any: bind ports as typed interface pointers "
                 "(Component::connect / bind)",
+            )
+        )
+
+    # threads -----------------------------------------------------------
+    for m in THREADS_RE.finditer(code):
+        raw.append(
+            Finding(
+                path,
+                line_of(m.start()),
+                "threads",
+                "thread, lock or atomic: src/ is single-threaded; "
+                "threaded harnesses belong under bench/",
             )
         )
 

@@ -2,7 +2,7 @@
 # Run every benchmark binary from an existing build tree and collect their
 # machine-readable reports (BENCH_<name>.json) into a report directory.
 # Pass-through arguments go to each sweep bench, e.g.
-# `scripts/run_benches.sh --seeds=3 --threads=0` for a quick parallel pass.
+# `scripts/run_benches.sh --seeds=3` for a quick pass.
 #
 # A bench fails the whole script (after running the rest) when it exits
 # nonzero OR when it produced no report file — a binary that dies after
@@ -13,9 +13,8 @@
 # list of registry entries (those without a dedicated figure bench).
 #
 # --profile=nightly expands to the paper-scale run parameters the nightly
-# CI baseline uses (seeds=10, horizon 100 s, all cores); explicit
-# pass-through flags still win because the bench flag parser keeps the last
-# occurrence.
+# CI baseline uses (seeds=10, horizon 100 s); explicit pass-through flags
+# still win because the bench flag parser keeps the last occurrence.
 #
 # Usage: scripts/run_benches.sh [--build-dir DIR] [--report-dir DIR]
 #                               [--grids a,b,c] [--profile nightly]
@@ -50,9 +49,9 @@ case "${PROFILE}" in
   "") ;;
   # Paper scale: what the nightly baseline workflow runs and what the
   # cross-PR regression gate compares against.
-  nightly) PROFILE_ARGS+=(--seeds=10 --horizon_s=100 --threads=0) ;;
+  nightly) PROFILE_ARGS+=(--seeds=10 --horizon_s=100) ;;
   # The cheap per-PR smoke pass.
-  smoke) PROFILE_ARGS+=(--seeds=2 --horizon_s=20 --threads=0) ;;
+  smoke) PROFILE_ARGS+=(--seeds=2 --horizon_s=20) ;;
   *) echo "unknown profile '${PROFILE}' (expected nightly or smoke)" >&2
      exit 2 ;;
 esac
@@ -88,15 +87,6 @@ for bench in "${BUILD_DIR}"/bench_*; do
   report="${REPORT_DIR}/BENCH_${name}.json"
   echo "== bench_${name} =="
   case "${name}" in
-    # Google-Benchmark binaries reject the sweep benches' flags (and exit 1
-    # on unknown ones); run them with their own JSON output flags instead.
-    admission_micro)
-      "${bench}" \
-        "--benchmark_out=${report}" \
-        --benchmark_out_format=json
-      check_report "bench_${name}" $? "${report}"
-      status=$?
-      ;;
     # The registry bench: one pass per named scenario grid, each with its
     # own report file.
     scenario_grids)

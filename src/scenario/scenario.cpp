@@ -1,5 +1,6 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -114,6 +115,69 @@ Status validate_burst(const workload::BurstShape& burst) {
   return Status::ok();
 }
 
+/// Upper bound on the arrivals one run materializes.  A Poisson or bursty
+/// trace is generated whole before the first event, so a horizon far past
+/// the release gaps (10^18 us over 250 ms deadlines) would grow memory for
+/// minutes and end in std::bad_alloc instead of failing with a Status.
+/// The largest checked-in scenario, library grid (at its own horizon or the
+/// nightly 100 s) or end-to-end workload estimates 96,240 arrivals
+/// (huge-topology at 100 s); the bound sits ~100x above that, at ~160 MB of
+/// trace.
+constexpr double kMaxTraceArrivals = 1e7;
+
+/// The trace size from the horizon and the smallest release gap: periods
+/// (equal to deadlines in a generated shape) and Poisson mean interarrivals.
+/// Bursty aperiodic tasks add their burst jobs instead.
+Status validate_trace_size(const ScenarioSpec& spec) {
+  const bool poisson = spec.arrivals.kind == ArrivalModel::Kind::kPoisson;
+  std::size_t periodic = 0;
+  std::size_t aperiodic = 0;
+  Duration min_gap = Duration::max();
+  if (spec.workload.kind == WorkloadSpec::Kind::kGenerated) {
+    const workload::WorkloadShape& shape = spec.workload.shape;
+    periodic = shape.periodic_tasks;
+    aperiodic = shape.aperiodic_tasks;
+    if (periodic > 0) min_gap = shape.min_deadline;
+    if (poisson && aperiodic > 0) {
+      min_gap = std::min(
+          min_gap,
+          shape.min_deadline.scaled(shape.aperiodic_interarrival_factor));
+    }
+  } else {
+    for (const sched::TaskSpec& task : spec.workload.tasks.tasks()) {
+      if (task.kind == sched::TaskKind::kPeriodic) {
+        ++periodic;
+        min_gap = std::min(min_gap, task.period);
+      } else {
+        ++aperiodic;
+        if (poisson) min_gap = std::min(min_gap, task.mean_interarrival);
+      }
+    }
+  }
+  const std::size_t gap_tasks = poisson ? periodic + aperiodic : periodic;
+  if (gap_tasks > 0 && min_gap <= Duration::zero()) {
+    return Status::error("arrival trace needs positive release gaps, got " +
+                         min_gap.to_string());
+  }
+  double arrivals =
+      gap_tasks == 0 ? 0.0
+                     : static_cast<double>(gap_tasks) *
+                           (spec.horizon.ratio(min_gap) + 1.0);
+  if (!poisson) {
+    arrivals += static_cast<double>(aperiodic) *
+                static_cast<double>(spec.arrivals.burst.bursts *
+                                    spec.arrivals.burst.jobs_per_burst);
+  }
+  if (arrivals > kMaxTraceArrivals) {
+    return Status::error("arrival trace over a " + spec.horizon.to_string() +
+                         " horizon would hold ~" +
+                         json::number_to_string(arrivals) +
+                         " arrivals, more than " +
+                         json::number_to_string(kMaxTraceArrivals));
+  }
+  return Status::ok();
+}
+
 /// Largest integer the JSON number form (IEEE double) represents exactly;
 /// seeds beyond it would come back changed from a round trip.
 constexpr std::uint64_t kMaxJsonExactInt = 1ull << 53;
@@ -158,6 +222,10 @@ Status validate(const ScenarioSpec& spec) {
   }
   if (spec.arrivals.kind == ArrivalModel::Kind::kBursty) {
     if (Status s = validate_burst(spec.arrivals.burst); !s.is_ok()) return s;
+  }
+  if (spec.arrivals.kind == ArrivalModel::Kind::kPoisson ||
+      spec.arrivals.kind == ArrivalModel::Kind::kBursty) {
+    if (Status s = validate_trace_size(spec); !s.is_ok()) return s;
   }
   for (const config::ModeChange& change : spec.reconfig) {
     if (change.strategies.has_value() && !change.strategies->valid()) {

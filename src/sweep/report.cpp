@@ -174,7 +174,6 @@ Status Report::write_file(const std::string& path) const {
 }
 
 std::string git_head_sha() {
-  // Env reads happen before any worker thread exists.
   // rtcm-lint: allow(env-switch) provenance label; no result depends on it
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* env = std::getenv("RTCM_GIT_SHA");

@@ -28,7 +28,7 @@
 // Two renderings exist: to_json() is the full report (what run_benches.sh
 // collects and check_bench_regression.py compares), and deterministic_dump()
 // drops the non-reproducible / provenance fields (git_sha, wall times) so
-// tests can assert byte-identity between runs at different thread counts.
+// tests can assert byte-identity between runs.
 #pragma once
 
 #include <string>
@@ -61,7 +61,7 @@ struct Report {
   int schema_version = kReportSchemaVersion;
   std::string git_sha;
   /// Free-form run parameters recorded for reproducibility (seeds, horizon,
-  /// thread count, flags).
+  /// flags).
   json::Value params = json::Value::object();
   std::vector<CellResult> cells;
 

@@ -1,8 +1,6 @@
 #include "sweep/sweep.h"
 
-#include <utility>
-
-#include "util/thread_pool.h"
+#include <algorithm>
 
 namespace rtcm::sweep {
 
@@ -65,51 +63,23 @@ CellResult run_cell(const Cell& cell, const workload::WorkloadShape& shape,
   return result;
 }
 
-std::vector<CellResult> run_sweep(const Grid& grid, const SweepParams& params,
-                                  const SweepOptions& options) {
+std::vector<CellResult> run_sweep(const Grid& grid,
+                                  const SweepParams& params) {
   const std::vector<Cell> cells = grid.cells();
-  std::vector<CellResult> results(cells.size());
-
-  // Shape lookup is read-only during the sweep; build it once up front.
-  std::vector<const workload::WorkloadShape*> cell_shapes(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const workload::WorkloadShape* found = nullptr;
-    for (const auto& spec : grid.shapes) {
-      if (spec.name == cells[i].shape) {
-        found = &spec.shape;
-        break;
-      }
+  std::vector<CellResult> results;
+  results.reserve(cells.size());
+  for (const Cell& cell : cells) {
+    const auto shape = std::find_if(
+        grid.shapes.begin(), grid.shapes.end(),
+        [&](const ShapeSpec& spec) { return spec.name == cell.shape; });
+    if (shape == grid.shapes.end()) {
+      CellResult& unknown = results.emplace_back();
+      unknown.cell = cell;
+      unknown.error = "unknown workload shape: " + cell.shape;
+    } else {
+      results.push_back(run_cell(cell, shape->shape, params));
     }
-    cell_shapes[i] = found;
   }
-
-  // One context struct keeps the per-job capture at two words (the
-  // InlineFunction inline capacity covers it with room to spare).  Result
-  // slots are written at disjoint indices and synchronized by the pool's
-  // join: the sweep engine shares no other mutable state across threads.
-  struct JobContext {
-    const std::vector<Cell>& cells;
-    const std::vector<const workload::WorkloadShape*>& shapes;
-    std::vector<CellResult>& results;
-    const SweepParams& params;
-  };
-  JobContext ctx{cells, cell_shapes, results, params};
-
-  std::vector<ThreadPool::Job> jobs;
-  jobs.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    jobs.push_back([&ctx, i] {
-      if (ctx.shapes[i] == nullptr) {
-        ctx.results[i].cell = ctx.cells[i];
-        ctx.results[i].error = "unknown workload shape: " + ctx.cells[i].shape;
-      } else {
-        ctx.results[i] = run_cell(ctx.cells[i], *ctx.shapes[i], ctx.params);
-      }
-    });
-  }
-
-  ThreadPool pool(options.threads);
-  pool.run(std::move(jobs));
   return results;
 }
 

@@ -1,14 +1,12 @@
-// Parallel scenario-sweep engine.
+// Scenario-sweep engine.
 //
 // The paper's evaluation is a grid of (strategy combination x workload
 // shape x seed) experiments (Figures 5/6 run 15 combinations x 10 seeds
-// each).  This engine models that grid explicitly and spreads it across a
-// work-stealing thread pool: every cell owns its own Rng, workload,
+// each).  This engine models that grid explicitly and runs it as a plain
+// loop in Grid::cells() order: every cell owns its own Rng, workload,
 // Simulator and SystemRuntime, so a cell's result is a pure function of its
-// coordinates — the PR-1 determinism contract (same seed => byte-identical
-// trace) extends to "same grid => byte-identical report, at any thread
-// count".  Results land in a pre-sized vector indexed by cell order, so
-// thread interleaving never reorders output.
+// coordinates — the determinism contract (same seed => byte-identical
+// trace) extends to "same grid => byte-identical report".
 //
 // Since the Scenario API landed, a cell is just coordinates over a base
 // scenario::ScenarioSpec: cell_spec() folds (combo, shape, variant, seed)
@@ -74,7 +72,7 @@ struct Grid {
   int seeds = 10;
 
   /// All cells in canonical order: combo-major, then shape, variant, seed.
-  /// This order is the report's cell order regardless of thread count.
+  /// This order is the report's cell order.
   [[nodiscard]] std::vector<Cell> cells() const;
 };
 
@@ -89,14 +87,8 @@ struct SweepParams {
   /// the cell coordinates by cell_spec().
   scenario::ScenarioSpec base;
   /// Maps the cell coordinates onto the final spec; runs after the
-  /// coordinates are applied.  Must be thread-safe (it runs concurrently on
-  /// different cells).
+  /// coordinates are applied.
   std::function<void(const Cell&, scenario::ScenarioSpec&)> specialize;
-};
-
-struct SweepOptions {
-  /// 0 = hardware concurrency; 1 = inline on the calling thread.
-  std::size_t threads = 1;
 };
 
 /// The fully specialized spec a cell runs: base + coordinates + specialize.
@@ -111,10 +103,9 @@ struct SweepOptions {
                                   const workload::WorkloadShape& shape,
                                   const SweepParams& params);
 
-/// Run every cell of the grid across a work-stealing pool.  Results are in
-/// Grid::cells() order whatever the thread count.
-[[nodiscard]] std::vector<CellResult> run_sweep(
-    const Grid& grid, const SweepParams& params,
-    const SweepOptions& options = {});
+/// Run every cell of the grid, one after another.  Results are in
+/// Grid::cells() order.
+[[nodiscard]] std::vector<CellResult> run_sweep(const Grid& grid,
+                                                const SweepParams& params);
 
 }  // namespace rtcm::sweep

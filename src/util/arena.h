@@ -9,7 +9,7 @@
 // cell needs, and steady-state churn at fixed capacity touches the arena
 // not at all: grown SmallVecs keep their spill buffers until teardown.
 //
-// Not thread-safe; each SystemRuntime (= sweep cell) owns its own arena.
+// Each SystemRuntime (= sweep cell) owns its own arena.
 #pragma once
 
 #include <cassert>

@@ -5,8 +5,7 @@
 // "-0.25"): those stay positional, so a negative value must be spelled
 // --name=-5.  A lone "--" ends flag parsing; every later token is
 // positional verbatim.  Unknown flags are collected so callers can reject
-// or ignore them (the google-benchmark binaries pass their own flags
-// through).
+// them.
 #pragma once
 
 #include <cstdint>

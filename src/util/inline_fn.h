@@ -4,10 +4,10 @@
 // `Capacity` bytes in an inline buffer — no heap allocation, no type-erased
 // node behind a pointer — and falls back to a single heap allocation only
 // for captures that are oversized, over-aligned, or not nothrow-movable.
-// This is the callback currency of the simulation kernel: event callbacks,
-// work-item completions and thread-pool jobs are all hot enough that the
-// per-closure allocation `std::function` performs (libstdc++ inlines only
-// 16 bytes) shows up in sweep wall time.
+// This is the callback currency of the simulation kernel: event callbacks
+// and work-item completions are both hot enough that the per-closure
+// allocation `std::function` performs (libstdc++ inlines only 16 bytes)
+// shows up in sweep wall time.
 //
 // Differences from std::function, all deliberate:
 //   - move-only (so captures may own move-only state, and copies of hot

@@ -1,19 +1,11 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
-
-#include "util/thread_annotations.h"
 
 namespace rtcm::log_internal {
 
 namespace {
-std::atomic<LogLevel> g_threshold{LogLevel::kWarn};
-// Serializes emit(): stderr writes from concurrent sweep workers must not
-// interleave mid-line.  Nothing is guarded by it in the capability sense
-// (the stream is global), but the annotated type keeps the locking visible
-// to -Wthread-safety should guarded state grow here.
-rtcm::Mutex g_mutex;
+LogLevel g_threshold = LogLevel::kWarn;
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -32,14 +24,11 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-LogLevel threshold() { return g_threshold.load(std::memory_order_relaxed); }
+LogLevel threshold() { return g_threshold; }
 
-void set_threshold(LogLevel level) {
-  g_threshold.store(level, std::memory_order_relaxed);
-}
+void set_threshold(LogLevel level) { g_threshold = level; }
 
 void emit(LogLevel level, const std::string& msg) {
-  MutexLock lock(g_mutex);
   std::fprintf(stderr, "[rtcm %s] %s\n", level_tag(level), msg.c_str());
 }
 

@@ -2,7 +2,10 @@
 // ergonomics, library determinism, and the headline contract — a sweep
 // whose cells are round-tripped through their JSON form is byte-identical
 // to the direct sweep.  `ctest -L scenario` selects this layer.
+#include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -339,6 +342,41 @@ TEST(ScenarioJson, HostileBurstCountsFailWithStatus) {
   EXPECT_TRUE(scenario::validate(with_burst(1000, 100)).is_ok());
 }
 
+TEST(ScenarioJson, HostileHorizonFailsWithStatus) {
+  // The edit to scenarios/fig5_random_cell.json that once ran for ~49 s and
+  // then died with std::bad_alloc: a 10^18 us horizon over 250 ms release
+  // gaps.  The arrival trace is sized from the spec and refused before any
+  // arrival is generated.
+  std::ifstream file(RTCM_SCENARIO_DIR "/fig5_random_cell.json");
+  std::stringstream text;
+  text << file.rdbuf();
+  const auto fixture = json::Value::parse(text.str());
+  ASSERT_TRUE(fixture.is_ok()) << fixture.message();
+  const auto fixture_spec = scenario::spec_from_json(fixture.value());
+  ASSERT_TRUE(fixture_spec.is_ok()) << fixture_spec.message();
+  EXPECT_TRUE(scenario::validate(fixture_spec.value()).is_ok());
+
+  json::Value doc = fixture.value();
+  doc.set("horizon_us", std::int64_t{1000000000000000000});
+  const auto spec = scenario::spec_from_json(doc);
+  ASSERT_TRUE(spec.is_ok()) << spec.message();
+  const auto started = std::chrono::steady_clock::now();
+  const auto run = scenario::run_scenario(spec.value());
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(1));
+  ASSERT_FALSE(run.is_ok());
+  EXPECT_NE(run.message().find("arrivals"), std::string::npos) << run.message();
+
+  // An interarrival factor that rounds every mean gap to zero would never
+  // leave the generator's loop.
+  auto zero_gap = fixture_spec.value();
+  zero_gap.workload.shape.aperiodic_interarrival_factor = 1e-9;
+  const Status status = scenario::validate(zero_gap);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_NE(status.message().find("release gaps"), std::string::npos)
+      << status.message();
+}
+
 // --- Running -----------------------------------------------------------------
 
 TEST(ScenarioRun, GeneratedSpecProducesMetricsAndRuntime) {
@@ -496,7 +534,7 @@ TEST(ScenarioSweep, RoundTrippedFigure5GridIsByteIdenticalToDirectSweep) {
   params.base.horizon = Duration::seconds(10);
   params.base.drain = Duration::seconds(5);
 
-  const auto direct = sweep::run_sweep(grid, params, {});
+  const auto direct = sweep::run_sweep(grid, params);
 
   // Re-run every cell from its serialized spec: JSON -> spec -> run.
   std::vector<sweep::CellResult> replayed;
@@ -533,23 +571,19 @@ TEST(ScenarioLibrary, EveryEntryRunsCleanAndDeterministically) {
     params.base.horizon = Duration::seconds(5);
     params.base.drain = Duration::seconds(2);
 
-    sweep::SweepOptions single;
-    single.threads = 1;
-    sweep::SweepOptions sharded;
-    sharded.threads = 2;
-    const auto serial = sweep::run_sweep(grid, params, single);
-    const auto parallel = sweep::run_sweep(grid, params, sharded);
-    ASSERT_EQ(serial.size(), grid.cells().size()) << entry.name;
-    for (const auto& cell : serial) {
+    const auto first = sweep::run_sweep(grid, params);
+    const auto second = sweep::run_sweep(grid, params);
+    ASSERT_EQ(first.size(), grid.cells().size()) << entry.name;
+    for (const auto& cell : first) {
       EXPECT_TRUE(cell.error.empty())
           << entry.name << ": " << cell.error;
     }
     sweep::Report a;
     a.name = entry.name;
-    a.cells = serial;
+    a.cells = first;
     sweep::Report b;
     b.name = entry.name;
-    b.cells = parallel;
+    b.cells = second;
     EXPECT_EQ(a.deterministic_dump(), b.deterministic_dump()) << entry.name;
   }
 }
@@ -558,8 +592,8 @@ TEST(ScenarioLibrary, HugeTopologyRunsCleanAndDeterministically) {
   // The admission-index scale entry: 80 processors and 240 tasks per cell —
   // far beyond the paper's 5-node runs.  One seed, shortened horizon; the
   // run must stay error-free, exercise real admission traffic, and remain
-  // byte-deterministic across thread counts (the incremental index must
-  // not introduce any ordering sensitivity).
+  // byte-deterministic across reruns (the incremental index must not
+  // introduce any ordering sensitivity).
   const auto entry = scenario::find_grid("huge-topology");
   ASSERT_TRUE(entry.is_ok());
   sweep::Grid grid = entry.value().grid;
@@ -568,24 +602,20 @@ TEST(ScenarioLibrary, HugeTopologyRunsCleanAndDeterministically) {
   params.base.horizon = Duration::seconds(10);
   params.base.drain = Duration::seconds(2);
 
-  sweep::SweepOptions single;
-  single.threads = 1;
-  sweep::SweepOptions sharded;
-  sharded.threads = 2;
-  const auto serial = sweep::run_sweep(grid, params, single);
-  const auto parallel = sweep::run_sweep(grid, params, sharded);
-  ASSERT_EQ(serial.size(), grid.cells().size());
-  for (const auto& cell : serial) {
+  const auto first = sweep::run_sweep(grid, params);
+  const auto second = sweep::run_sweep(grid, params);
+  ASSERT_EQ(first.size(), grid.cells().size());
+  for (const auto& cell : first) {
     ASSERT_TRUE(cell.error.empty()) << cell.error;
     EXPECT_GT(cell.accept_ratio, 0.0) << cell.cell.combo;
     EXPECT_LE(cell.accept_ratio, 1.0) << cell.cell.combo;
   }
   sweep::Report a;
   a.name = entry.value().name;
-  a.cells = serial;
+  a.cells = first;
   sweep::Report b;
   b.name = entry.value().name;
-  b.cells = parallel;
+  b.cells = second;
   EXPECT_EQ(a.deterministic_dump(), b.deterministic_dump());
 }
 
@@ -608,7 +638,7 @@ TEST(ScenarioLibrary, DrainStormCellsApplyTheirScript) {
   sweep::SweepParams params = entry.value().params;
   params.base.horizon = Duration::seconds(10);
   params.base.drain = Duration::seconds(5);
-  const auto results = sweep::run_sweep(grid, params, {});
+  const auto results = sweep::run_sweep(grid, params);
   bool saw_storm = false;
   for (const auto& cell : results) {
     ASSERT_TRUE(cell.error.empty()) << cell.error;

@@ -1,9 +1,9 @@
-// Sweep engine: parallel determinism, report round-trips, thread pool.
+// Sweep engine: determinism and report round-trips.
 //
-// The headline property (PR-1 contract cashed in): a sweep of the Figure-5
-// grid sharded over N threads renders byte-identical results to the same
-// sweep run single-threaded.  `ctest -R Sweep` selects this layer.
-#include <atomic>
+// The headline property: a sweep of the Figure-5 grid renders
+// byte-identical results every time it runs, and any one cell rerun alone
+// reproduces what the whole sweep computed for it.  `ctest -R Sweep`
+// selects this layer.
 #include <string>
 #include <vector>
 
@@ -12,7 +12,6 @@
 #include "sweep/report.h"
 #include "sweep/sweep.h"
 #include "test_helpers.h"
-#include "util/thread_pool.h"
 
 namespace rtcm {
 namespace {
@@ -66,48 +65,26 @@ TEST(SweepGrid, CellsEnumerateComboMajorWithSeedsInnermost) {
   EXPECT_EQ(cells.back().seed, 3u);
 }
 
-TEST(SweepEngine, MultiThreadSweepIsByteIdenticalToSingleThread) {
+TEST(SweepEngine, RepeatedSweepsAreByteIdentical) {
   const sweep::Grid grid = figure5_grid(3);
   const sweep::SweepParams params = fast_params();
 
-  sweep::SweepOptions single;
-  single.threads = 1;
-  sweep::SweepOptions sharded;
-  sharded.threads = 4;
+  const auto first = sweep::run_sweep(grid, params);
+  const auto second = sweep::run_sweep(grid, params);
 
-  const auto serial = sweep::run_sweep(grid, params, single);
-  const auto parallel = sweep::run_sweep(grid, params, sharded);
-
-  const std::string serial_bytes =
-      report_of("fig5", serial).deterministic_dump();
-  const std::string parallel_bytes =
-      report_of("fig5", parallel).deterministic_dump();
-  ASSERT_FALSE(serial_bytes.empty());
-  EXPECT_EQ(serial_bytes, parallel_bytes);
+  const std::string first_bytes =
+      report_of("fig5", first).deterministic_dump();
+  ASSERT_FALSE(first_bytes.empty());
+  EXPECT_EQ(first_bytes, report_of("fig5", second).deterministic_dump());
 
   // The sweep actually simulated something: ratios are populated and no
   // cell errored.
-  ASSERT_EQ(serial.size(), grid.cells().size());
-  for (const auto& cell : serial) {
+  ASSERT_EQ(first.size(), grid.cells().size());
+  for (const auto& cell : first) {
     EXPECT_TRUE(cell.error.empty()) << cell.error;
     EXPECT_GT(cell.accept_ratio, 0.0);
     EXPECT_LE(cell.accept_ratio, 1.0);
   }
-}
-
-TEST(SweepEngine, RepeatedSweepsAreByteIdentical) {
-  const sweep::Grid grid = figure5_grid(2);
-  const sweep::SweepParams params = fast_params();
-  sweep::SweepOptions options;
-  options.threads = 3;
-
-  const std::string first =
-      report_of("r", sweep::run_sweep(grid, params, options))
-          .deterministic_dump();
-  const std::string second =
-      report_of("r", sweep::run_sweep(grid, params, options))
-          .deterministic_dump();
-  EXPECT_EQ(first, second);
 }
 
 TEST(SweepEngine, ConfigureHookSeesVariantAxis) {
@@ -123,7 +100,7 @@ TEST(SweepEngine, ConfigureHookSeesVariantAxis) {
     spec.config.lb_policy = cell.variant;
   };
 
-  const auto results = sweep::run_sweep(grid, params, {});
+  const auto results = sweep::run_sweep(grid, params);
   ASSERT_EQ(results.size(), 4u);
   for (const auto& cell : results) {
     EXPECT_TRUE(cell.error.empty()) << cell.error;
@@ -154,7 +131,7 @@ sweep::SweepParams mode_change_params() {
   return params;
 }
 
-TEST(SweepEngine, ModeChangeCellsAreByteIdenticalAcrossThreadCounts) {
+TEST(SweepEngine, ModeChangeCellsAreByteIdenticalOnRerun) {
   sweep::Grid grid;
   grid.combos = {core::StrategyCombination::parse("T_N_N").value(),
                  core::StrategyCombination::parse("J_J_J").value()};
@@ -163,18 +140,14 @@ TEST(SweepEngine, ModeChangeCellsAreByteIdenticalAcrossThreadCounts) {
   grid.seeds = 2;
   const sweep::SweepParams params = mode_change_params();
 
-  sweep::SweepOptions single;
-  single.threads = 1;
-  sweep::SweepOptions sharded;
-  sharded.threads = 4;
-  const auto serial = sweep::run_sweep(grid, params, single);
-  const auto parallel = sweep::run_sweep(grid, params, sharded);
+  const auto first = sweep::run_sweep(grid, params);
+  const auto second = sweep::run_sweep(grid, params);
 
-  EXPECT_EQ(report_of("reconfig", serial).deterministic_dump(),
-            report_of("reconfig", parallel).deterministic_dump());
+  EXPECT_EQ(report_of("reconfig", first).deterministic_dump(),
+            report_of("reconfig", second).deterministic_dump());
 
-  ASSERT_EQ(serial.size(), grid.cells().size());
-  for (const auto& cell : serial) {
+  ASSERT_EQ(first.size(), grid.cells().size());
+  for (const auto& cell : first) {
     EXPECT_TRUE(cell.error.empty()) << cell.error;
     EXPECT_EQ(cell.deadline_misses, 0u);
     if (cell.cell.variant == "reconfig") {
@@ -210,13 +183,10 @@ TEST(SweepReport, ReconfigCountersSurviveJsonRoundTrip) {
 TEST(SweepEngine, AnyCellOfAFullSweepRerunsBitExact) {
   // The "reproduce any nightly cell on a laptop" contract: a cell's result
   // is a pure function of its coordinates, so run_cell alone reproduces
-  // what the whole pooled sweep computed for it.
+  // what the whole sweep computed for it.
   const sweep::Grid grid = figure5_grid(2);
   const sweep::SweepParams params = fast_params();
-  sweep::SweepOptions pooled;
-  pooled.threads = 4;
-  const std::vector<sweep::CellResult> swept =
-      sweep::run_sweep(grid, params, pooled);
+  const std::vector<sweep::CellResult> swept = sweep::run_sweep(grid, params);
   ASSERT_EQ(swept.size(), grid.cells().size());
 
   for (const sweep::CellResult& from_sweep : swept) {
@@ -243,7 +213,7 @@ TEST(SweepReport, JsonRoundTripPreservesCellsAndParams) {
   grid.combos = {core::StrategyCombination::parse("J_J_N").value(),
                  core::StrategyCombination::parse("T_N_N").value()};
   sweep::Report report =
-      report_of("roundtrip", sweep::run_sweep(grid, fast_params(), {}));
+      report_of("roundtrip", sweep::run_sweep(grid, fast_params()));
   report.params.set("seeds", 2);
   report.params.set("horizon_s", 10);
 
@@ -274,7 +244,7 @@ TEST(SweepReport, DeterministicDumpOmitsTimingAndProvenance) {
   grid.shapes = {{"random", workload::random_workload_shape()}};
   grid.seeds = 1;
   sweep::Report report =
-      report_of("det", sweep::run_sweep(grid, fast_params(), {}));
+      report_of("det", sweep::run_sweep(grid, fast_params()));
 
   const std::string full = report.to_json().dump();
   const std::string det = report.deterministic_dump();
@@ -327,7 +297,7 @@ TEST(SweepReport, SplitRunProvenanceKeysAreIgnored) {
   // carry "shard" / "merged_shards" keys.  No report writes them now; old
   // ones still parse, and the keys drop out on re-serialization.
   sweep::Report plain = report_of(
-      "fig5", sweep::run_sweep(figure5_grid(1), fast_params(), {}));
+      "fig5", sweep::run_sweep(figure5_grid(1), fast_params()));
   EXPECT_EQ(plain.to_json().dump().find("shard"), std::string::npos);
   json::Value doc = plain.to_json();
   json::Value shard = json::Value::object();
@@ -360,64 +330,6 @@ TEST(SweepReport, AggregatesGroupByComboShapeVariant) {
   EXPECT_EQ(aggregates[0].accept_ratio.count(), 2u);
   EXPECT_DOUBLE_EQ(aggregates[0].accept_ratio.mean(), 0.6);
   EXPECT_DOUBLE_EQ(report.mean_accept_ratio("B"), 1.0);
-}
-
-TEST(SweepThreadPool, RunsEveryJobExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  constexpr int kJobs = 300;
-  std::vector<std::atomic<int>> hits(kJobs);
-  std::vector<ThreadPool::Job> jobs;
-  jobs.reserve(kJobs);
-  for (int i = 0; i < kJobs; ++i) {
-    jobs.push_back([&hits, i] { hits[i].fetch_add(1); });
-  }
-  pool.run(std::move(jobs));
-  for (int i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "job " << i;
-  }
-}
-
-TEST(SweepThreadPool, SingleThreadRunsInlineInOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<ThreadPool::Job> jobs;
-  for (int i = 0; i < 5; ++i) {
-    jobs.push_back([&order, i] { order.push_back(i); });
-  }
-  pool.run(std::move(jobs));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(SweepThreadPool, IdleWorkersStealQueuedWork) {
-  // One long job pins worker 0's deque; the short jobs dealt to it must be
-  // stolen and completed by the other workers for run() to return quickly.
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  std::vector<ThreadPool::Job> jobs;
-  jobs.push_back([&done] {
-    // Busy-wait until every other job has been run by someone else.
-    while (done.load() < 30) {
-    }
-    done.fetch_add(1);
-  });
-  for (int i = 0; i < 30; ++i) {
-    jobs.push_back([&done] { done.fetch_add(1); });
-  }
-  pool.run(std::move(jobs));
-  EXPECT_EQ(done.load(), 31);
-}
-
-TEST(SweepThreadPool, ZeroSelectsHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1u);
-  std::atomic<int> count{0};
-  std::vector<ThreadPool::Job> jobs;
-  for (int i = 0; i < 10; ++i) {
-    jobs.push_back([&count] { count.fetch_add(1); });
-  }
-  pool.run(std::move(jobs));
-  EXPECT_EQ(count.load(), 10);
 }
 
 }  // namespace
