@@ -1,9 +1,10 @@
 // Sweep engine: determinism and report round-trips.
 //
 // The headline property: a sweep of the Figure-5 grid renders
-// byte-identical results every time it runs, and any one cell rerun alone
-// reproduces what the whole sweep computed for it.  `ctest -R Sweep`
+// byte-identical results every time and in any cell order, and any one
+// cell rerun alone reproduces what the whole sweep computed for it.  `ctest -R Sweep`
 // selects this layer.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -65,26 +66,57 @@ TEST(SweepGrid, CellsEnumerateComboMajorWithSeedsInnermost) {
   EXPECT_EQ(cells.back().seed, 3u);
 }
 
-TEST(SweepEngine, RepeatedSweepsAreByteIdentical) {
+TEST(SweepEngine, CellOrderDoesNotChangeSweepBytes) {
+  // No state leaks from one cell into the next: the Figure-5 grid swept
+  // with its combination axis reversed computes, cell for cell, the same
+  // bytes as the sweep in canonical order.
   const sweep::Grid grid = figure5_grid(3);
+  sweep::Grid reversed = grid;
+  std::reverse(reversed.combos.begin(), reversed.combos.end());
   const sweep::SweepParams params = fast_params();
 
-  const auto first = sweep::run_sweep(grid, params);
-  const auto second = sweep::run_sweep(grid, params);
+  const auto forward = sweep::run_sweep(grid, params);
+  const auto backward = sweep::run_sweep(reversed, params);
+  ASSERT_EQ(forward.size(), grid.cells().size());
+  ASSERT_EQ(backward.size(), forward.size());
 
-  const std::string first_bytes =
-      report_of("fig5", first).deterministic_dump();
-  ASSERT_FALSE(first_bytes.empty());
-  EXPECT_EQ(first_bytes, report_of("fig5", second).deterministic_dump());
+  // Put the reversed sweep's cells back into canonical order.
+  std::vector<sweep::CellResult> reordered;
+  for (const sweep::CellResult& want : forward) {
+    const auto match = std::find_if(
+        backward.begin(), backward.end(), [&](const sweep::CellResult& r) {
+          return r.cell.combo == want.cell.combo &&
+                 r.cell.shape == want.cell.shape &&
+                 r.cell.variant == want.cell.variant &&
+                 r.cell.seed == want.cell.seed;
+        });
+    ASSERT_NE(match, backward.end()) << want.cell.combo;
+    reordered.push_back(*match);
+  }
+
+  const std::string forward_bytes =
+      report_of("fig5", forward).deterministic_dump();
+  ASSERT_FALSE(forward_bytes.empty());
+  EXPECT_EQ(forward_bytes, report_of("fig5", reordered).deterministic_dump());
 
   // The sweep actually simulated something: ratios are populated and no
   // cell errored.
-  ASSERT_EQ(first.size(), grid.cells().size());
-  for (const auto& cell : first) {
+  for (const auto& cell : forward) {
     EXPECT_TRUE(cell.error.empty()) << cell.error;
     EXPECT_GT(cell.accept_ratio, 0.0);
     EXPECT_LE(cell.accept_ratio, 1.0);
   }
+}
+
+TEST(SweepEngine, RepeatedSweepsAreByteIdentical) {
+  const sweep::Grid grid = figure5_grid(2);
+  const sweep::SweepParams params = fast_params();
+
+  const std::string first =
+      report_of("r", sweep::run_sweep(grid, params)).deterministic_dump();
+  const std::string second =
+      report_of("r", sweep::run_sweep(grid, params)).deterministic_dump();
+  EXPECT_EQ(first, second);
 }
 
 TEST(SweepEngine, ConfigureHookSeesVariantAxis) {
