@@ -54,7 +54,10 @@ echo "::group::Scenario API layer (spec round trips, library, validation)"
 "${CTEST[@]}" -L scenario
 echo "::endgroup::"
 
-echo "::group::Admission layer (incremental-index equivalence, oracles)"
+echo "::group::Admission layer (exact ledger, incremental index, book, oracles)"
+# The admission label: ledger and Equation (1) unit tests, the incremental
+# AdmissionIndex, the book of record and the oracle differential binary.
+"${CTEST[@]}" -L admission
 "${CTEST[@]}" -R IncrementalAub
 # Test-only differential harnesses: every library grid stepped with the
 # incremental index held to the full Equation (1) rescan, and the

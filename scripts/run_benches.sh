@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Run every benchmark binary from an existing build tree and collect their
-# machine-readable reports (BENCH_<name>.json) into a report directory.
+# Run every benchmark the build tree's CMake configuration defines and
+# collect their machine-readable reports (BENCH_<name>.json) into a report
+# directory.  The benches to run are read from BUILD_DIR/bench_targets.txt,
+# which CMake writes at configure time: a binary a deleted bench left in an
+# old tree is not listed and never runs, and a tree without the list (not
+# configured, or configured without benches) is refused.
 # Pass-through arguments go to each sweep bench, e.g.
 # `scripts/run_benches.sh --seeds=3` for a quick pass.
 #
@@ -62,6 +66,13 @@ if [[ ! -d "${BUILD_DIR}" ]]; then
   echo "build tree '${BUILD_DIR}' not found; run scripts/verify.sh first" >&2
   exit 1
 fi
+BENCH_LIST="${BUILD_DIR}/bench_targets.txt"
+if [[ ! -f "${BENCH_LIST}" ]]; then
+  echo "${BENCH_LIST} not found: configure '${BUILD_DIR}' with CMake" \
+       "(benches enabled) so it lists the bench targets to run" >&2
+  exit 1
+fi
+mapfile -t BENCH_TARGETS < "${BENCH_LIST}"
 mkdir -p "${REPORT_DIR}"
 # Drop stale reports (renamed/removed benches) so the collected set always
 # reflects this run.
@@ -79,13 +90,18 @@ check_report() { # <bench label> <status> <report path>
   return "$2"
 }
 
-shopt -s nullglob
-for bench in "${BUILD_DIR}"/bench_*; do
-  [[ -x "${bench}" && ! -d "${bench}" ]] || continue
-  name="${bench##*/}"
-  name="${name#bench_}"
+for target in "${BENCH_TARGETS[@]}"; do
+  [[ -n "${target}" ]] || continue
+  bench="${BUILD_DIR}/${target}"
+  name="${target#bench_}"
   report="${REPORT_DIR}/BENCH_${name}.json"
   echo "== bench_${name} =="
+  if [[ ! -x "${bench}" || -d "${bench}" ]]; then
+    echo "bench_${name} is listed in ${BENCH_LIST} but not built" >&2
+    FAILED+=("bench_${name}")
+    echo
+    continue
+  fi
   case "${name}" in
     # The registry bench: one pass per named scenario grid, each with its
     # own report file.

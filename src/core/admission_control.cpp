@@ -216,8 +216,9 @@ void AdmissionControl::maybe_move_reservation(const sched::TaskSpec& spec) {
     return;
   }
   // Release, test the new placement against the remaining load, and keep
-  // whichever placement is admissible (the old one always is: removing and
-  // re-adding it restores the exact prior state).
+  // whichever placement is admissible (the old one always is: re-reserving
+  // it re-adds the units it released, restoring every ledger total
+  // exactly).
   const events::Placement old_placement = state_.release_reservation(spec);
   if (test(spec, fresh).admitted) {
     state_.reserve_task(spec, fresh);
@@ -257,7 +258,8 @@ void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
     return;
   }
   ++counters_.admission_tests;
-  const std::vector<Duration> bounds = ds_->stage_bounds(spec, placement);
+  const std::span<const Duration> bounds =
+      ds_->stage_bounds(spec, placement);
   const Duration round_trip = ds_->config().hop_overhead * 2;
   const Duration bound = bounds.back() + round_trip;
   const bool admitted = bound <= spec.deadline;
@@ -272,30 +274,19 @@ void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
     return;
   }
 
-  ds_jobs_.emplace(a.job, ds_->add_backlog(spec, placement));
+  ds_->admit(a.job, spec, placement);
   const JobId job = a.job;
   // Each stage's backlog is released at its predicted completion bound —
   // never earlier than the real completion, so later admission tests stay
   // sound while shedding finished work far before the deadline backstop.
   for (std::size_t j = 0; j < bounds.size(); ++j) {
     context().sim.schedule_at(
-        a.arrival_time + round_trip + bounds[j], [this, job, j] {
-          const auto it = ds_jobs_.find(job);
-          if (it == ds_jobs_.end() || j >= it->second.size()) return;
-          if (ds_->remove_backlog(it->second[j])) {
-            it->second[j] = sched::ContributionId();
-          }
-        });
+        a.arrival_time + round_trip + bounds[j],
+        [this, job, j] { (void)ds_->release_stage(job, j); });
   }
   // Deadline backstop: drop whatever remains and forget the job.
-  context().sim.schedule_at(a.arrival_time + spec.deadline, [this, job] {
-    const auto it = ds_jobs_.find(job);
-    if (it == ds_jobs_.end()) return;
-    for (const sched::ContributionId c : it->second) {
-      (void)ds_->remove_backlog(c);
-    }
-    ds_jobs_.erase(it);
-  });
+  context().sim.schedule_at(a.arrival_time + spec.deadline,
+                            [this, job] { ds_->expire(job); });
   accept(spec, a, std::move(placement), /*task_admitted=*/false);
 }
 
@@ -415,8 +406,9 @@ Result<AdmissionControl::TransitionSummary> AdmissionControl::apply_drain(
     // lowest-utilization live candidate); the rest stay where they are.
     events::Placement fresh = drain_adjusted(*spec, old_placement);
     if (fresh.empty() || !test(*spec, fresh).admitted) {
-      // Roll everything back: re-adding the exact old contributions restores
-      // the ledger byte-for-byte (same stages, same amounts).
+      // Roll everything back.  Re-reserving a placement re-adds the same
+      // units it released, and ledger totals are exact integers, so every
+      // total returns to its value before the attempt, bit for bit.
       state_.reserve_task(*spec, old_placement);
       for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
         const sched::TaskSpec* undone = tasks_.find(it->first);
@@ -495,12 +487,7 @@ void AdmissionControl::handle_idle_reset(const IdleResetPayload& payload) {
       continue;
     }
     // DS-admitted jobs keep their backlog in the DS book instead.
-    const auto it = ds_jobs_.find(ref.job);
-    if (it != ds_jobs_.end() && ref.stage < it->second.size() &&
-        ds_->remove_backlog(it->second[ref.stage])) {
-      it->second[ref.stage] = sched::ContributionId();
-      ++applied;
-    }
+    if (ds_ && ds_->release_stage(ref.job, ref.stage)) ++applied;
   }
   counters_.subjobs_reset += applied;
   if (metrics_) metrics_->on_idle_reset(applied);

@@ -187,10 +187,8 @@ class AdmissionControl final : public ccm::Component {
   /// test()'s candidate stages; reused, so a test does not allocate.
   std::vector<sched::CandidateStage> stages_;
 
-  // DS mode only.
+  // DS mode only: the servers' backlogs and each DS-admitted job's stages.
   std::optional<sched::DsAdmission> ds_;
-  /// Per-stage backlog handles of DS-admitted jobs.
-  std::map<JobId, std::vector<sched::ContributionId>> ds_jobs_;
 };
 
 }  // namespace rtcm::core

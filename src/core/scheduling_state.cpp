@@ -96,15 +96,14 @@ void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
   job_footprint_.emplace_back();
   if (row == job_placement_.size()) {
     job_placement_.emplace_back();
-    job_contrib_.emplace_back();
+    job_units_.emplace_back();
     job_proc_refs_.emplace_back();
   }
   job_placement_[row].assign(placement, *arena_);
-  job_contrib_[row].clear();
+  job_units_[row].clear();
   for (std::size_t j = 0; j < placement.size(); ++j) {
-    const sched::ContributionId c =
-        ledger_.add(placement[j], spec.subtask_utilization(j));
-    job_contrib_[row].push_back(c, *arena_);
+    job_units_[row].push_back(
+        ledger_.add(placement[j], spec.subtask_utilization(j)), *arena_);
   }
   refresh_placement(placement);
   job_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
@@ -122,21 +121,21 @@ std::optional<SchedulingState::JobView> SchedulingState::job(
 SchedulingState::JobView SchedulingState::job_view(std::uint32_t row) const {
   return {job_task_[row],          job_ids_[row],
           job_deadline_[row],      job_footprint_[row],
-          job_placement_[row].span(), job_contrib_[row].span()};
+          job_placement_[row].span(), job_units_[row].span()};
 }
 
 SchedulingState::ReservationView SchedulingState::reservation_view(
     std::uint32_t row) const {
   return {res_ids_[row], res_footprint_[row], res_placement_[row].span(),
-          res_contrib_[row].span()};
+          res_units_[row].span()};
 }
 
 void SchedulingState::expire_job(JobId job) {
   const std::uint32_t row = job_index_.lookup(job.value());
   if (row == util::IdSlotMap::kNoSlot) return;
   index_.remove_footprint(job_footprint_[row]);
-  for (const sched::ContributionId c : job_contrib_[row]) {
-    ledger_.remove(c);  // reset stages already gone
+  for (std::size_t j = 0; j < job_units_[row].size(); ++j) {
+    ledger_.remove(job_placement_[row][j], job_units_[row][j]);  // 0 if reset
   }
   refresh_placement(job_placement_[row].span());
   unlink_job_procs(row);
@@ -148,7 +147,7 @@ void SchedulingState::expire_job(JobId job) {
     job_deadline_[row] = job_deadline_[last];
     job_footprint_[row] = job_footprint_[last];
     std::swap(job_placement_[row], job_placement_[last]);
-    std::swap(job_contrib_[row], job_contrib_[last]);
+    std::swap(job_units_[row], job_units_[last]);
     std::swap(job_proc_refs_[row], job_proc_refs_[last]);
     job_index_.update(job_ids_[row].value(), row);
     for (const ProcRef& ref : job_proc_refs_[row]) {
@@ -182,15 +181,15 @@ Time SchedulingState::latest_deadline_touching(
 bool SchedulingState::reset_subjob(JobId job, std::size_t stage) {
   const std::uint32_t row = job_index_.lookup(job.value());
   if (row == util::IdSlotMap::kNoSlot) return false;
-  util::SmallVec<sched::ContributionId, 4>& contributions = job_contrib_[row];
-  if (stage >= contributions.size()) return false;
-  const bool removed = ledger_.remove(contributions[stage]);
-  contributions[stage] = sched::ContributionId();
+  util::SmallVec<sched::UtilizationLedger::Units, 4>& units = job_units_[row];
+  if (stage >= units.size() || units[stage] == 0) return false;
+  const ProcessorId proc = job_placement_[row][stage];
+  ledger_.remove(proc, std::exchange(units[stage], 0));
   // The job's footprint stays registered in full (matching the reference
   // test, which re-checks the whole placement until expiry); only the
   // stage's processor total — and so its cached term — changed.
-  if (removed) index_.refresh(job_placement_[row][stage], ledger_);
-  return removed;
+  index_.refresh(proc, ledger_);
+  return true;
 }
 
 void SchedulingState::add_background(ProcessorId proc, double utilization) {
@@ -207,14 +206,13 @@ void SchedulingState::reserve_task(const sched::TaskSpec& spec,
   res_footprint_.emplace_back();
   if (row == res_placement_.size()) {
     res_placement_.emplace_back();
-    res_contrib_.emplace_back();
+    res_units_.emplace_back();
   }
   res_placement_[row].assign(placement, *arena_);
-  res_contrib_[row].clear();
+  res_units_[row].clear();
   for (std::size_t j = 0; j < placement.size(); ++j) {
-    const sched::ContributionId c =
-        ledger_.add(placement[j], spec.subtask_utilization(j));
-    res_contrib_[row].push_back(c, *arena_);
+    res_units_[row].push_back(
+        ledger_.add(placement[j], spec.subtask_utilization(j)), *arena_);
   }
   refresh_placement(placement);
   res_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
@@ -234,8 +232,8 @@ events::Placement SchedulingState::release_reservation(
   assert(row != util::IdSlotMap::kNoSlot &&
          "releasing a reservation that is not held");
   index_.remove_footprint(res_footprint_[row]);
-  for (const sched::ContributionId c : res_contrib_[row]) {
-    ledger_.remove(c);
+  for (std::size_t j = 0; j < res_units_[row].size(); ++j) {
+    ledger_.remove(res_placement_[row][j], res_units_[row][j]);
   }
   events::Placement placement(res_placement_[row].span());
   refresh_placement(placement);
@@ -245,7 +243,7 @@ events::Placement SchedulingState::release_reservation(
     res_ids_[row] = res_ids_[last];
     res_footprint_[row] = res_footprint_[last];
     std::swap(res_placement_[row], res_placement_[last]);
-    std::swap(res_contrib_[row], res_contrib_[last]);
+    std::swap(res_units_[row], res_units_[last]);
     res_index_.update(res_ids_[row].value(), row);
   }
   res_ids_.pop_back();
@@ -262,15 +260,15 @@ std::size_t SchedulingState::footprint_bytes() const {
       job_deadline_.capacity() * sizeof(Time) +
       job_footprint_.capacity() * sizeof(sched::FootprintId) +
       job_placement_.capacity() * sizeof(util::SmallVec<ProcessorId, 4>) +
-      job_contrib_.capacity() *
-          sizeof(util::SmallVec<sched::ContributionId, 4>) +
+      job_units_.capacity() *
+          sizeof(util::SmallVec<sched::UtilizationLedger::Units, 4>) +
       job_proc_refs_.capacity() * sizeof(util::SmallVec<ProcRef, 4>) +
       proc_jobs_.capacity() * sizeof(std::vector<std::uint32_t>) +
       res_ids_.capacity() * sizeof(TaskId) +
       res_footprint_.capacity() * sizeof(sched::FootprintId) +
       res_placement_.capacity() * sizeof(util::SmallVec<ProcessorId, 4>) +
-      res_contrib_.capacity() *
-          sizeof(util::SmallVec<sched::ContributionId, 4>);
+      res_units_.capacity() *
+          sizeof(util::SmallVec<sched::UtilizationLedger::Units, 4>);
   for (const std::vector<std::uint32_t>& m : proc_jobs_) {
     bytes += m.capacity() * sizeof(std::uint32_t);
   }

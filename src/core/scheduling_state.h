@@ -11,9 +11,14 @@
 //     footprint list stays available for the reconfiguration engine and for
 //     the full-rescan differential test.
 //
+// The book owns every contribution: each row keeps the ledger units its
+// stages added (0 once reset), and expiry, reset and release hand exactly
+// those back.  The integer totals then depend only on which rows are live,
+// so a rolled-back reconfiguration leaves every total as it was.
+//
 // Storage is struct-of-arrays: jobs and reservations live in dense slabs
 // (parallel columns, swap-with-last removal) keyed by open-addressing
-// id -> row tables, placements and contribution lists sit inline in their
+// id -> row tables, placements and per-stage units sit inline in their
 // rows (<= 4 stages) spilling into the cell's MonotonicArena beyond that
 // (the list columns keep their high-water length, so a freed row's spill
 // buffer is reused by the next row, never abandoned in the arena),
@@ -23,10 +28,9 @@
 // slabs are warm (tests/sim_alloc_test.cpp pins this with a counting
 // allocator).
 //
-// The pre-slab, std::map-backed book lives on as a test-only shadow
-// (tests/shadow_book.h): it mirrors every mutator with the exact arithmetic
-// of the node-based implementation and compares totals bitwise, live
-// counts and rows through the public views below after each one.
+// A std::map-backed book lives on as a test-only shadow
+// (tests/shadow_book.h): it mirrors every mutator and compares totals
+// exactly, and rows through the public views below, after each one.
 #pragma once
 
 #include <cstdint>
@@ -60,15 +64,15 @@ class SchedulingState {
     Time absolute_deadline;
     sched::FootprintId footprint;
     std::span<const ProcessorId> placement;
-    /// One handle per stage (invalid after that stage was reset).
-    std::span<const sched::ContributionId> contributions;
+    /// Ledger units each stage holds (0 once that stage was reset).
+    std::span<const sched::UtilizationLedger::Units> units;
   };
 
   struct ReservationView {
     TaskId task;
     sched::FootprintId footprint;
     std::span<const ProcessorId> placement;
-    std::span<const sched::ContributionId> contributions;
+    std::span<const sched::UtilizationLedger::Units> units;
   };
 
   /// Spill storage beyond the inline row capacity comes from `arena` (the
@@ -217,7 +221,7 @@ class SchedulingState {
   // The list columns below are never shrunk: rows past job_ids_.size() are
   // free and keep their spill buffers for the next admissions.
   std::vector<util::SmallVec<ProcessorId, 4>> job_placement_;
-  std::vector<util::SmallVec<sched::ContributionId, 4>> job_contrib_;
+  std::vector<util::SmallVec<sched::UtilizationLedger::Units, 4>> job_units_;
   std::vector<util::SmallVec<ProcRef, 4>> job_proc_refs_;
   /// Per-processor job index: rows of jobs whose placement touches the
   /// processor at this dense ledger slot.
@@ -229,7 +233,7 @@ class SchedulingState {
   std::vector<sched::FootprintId> res_footprint_;
   // Never shrunk, like the job list columns.
   std::vector<util::SmallVec<ProcessorId, 4>> res_placement_;
-  std::vector<util::SmallVec<sched::ContributionId, 4>> res_contrib_;
+  std::vector<util::SmallVec<sched::UtilizationLedger::Units, 4>> res_units_;
 };
 
 }  // namespace rtcm::core

@@ -36,7 +36,6 @@ class SubtaskComponentBase : public ccm::Component {
   [[nodiscard]] TaskId task() const { return task_; }
   [[nodiscard]] std::size_t stage() const { return stage_; }
   [[nodiscard]] Priority priority() const { return priority_; }
-  [[nodiscard]] Duration execution_time() const { return execution_; }
   [[nodiscard]] std::uint64_t subjobs_executed() const {
     return subjobs_executed_;
   }

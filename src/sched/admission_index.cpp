@@ -146,24 +146,27 @@ AdmissionDecision AdmissionIndex::admission_test(
     std::span<const CandidateStage> stages) const {
   AdmissionDecision decision;
 
-  // The candidate's tentative additions, deduplicated by processor.  Stage
-  // counts are single digits, so linear scans beat hashing here.
+  // The candidate's tentative additions in ledger units, deduplicated by
+  // processor.  Stage counts are single digits, so linear scans beat hashing.
   overlay_.clear();
   for (const CandidateStage& s : stages) {
     assert(s.processor.valid());
     assert(s.utilization >= 0.0);
+    const UtilizationLedger::Units units =
+        UtilizationLedger::units(s.utilization);
     const auto it = std::find_if(
         overlay_.begin(), overlay_.end(),
         [&s](const OverlayEntry& o) { return o.proc == s.processor; });
     if (it != overlay_.end()) {
-      it->amount += s.utilization;
+      it->amount += units;
     } else {
-      overlay_.push_back({s.processor, s.utilization, 0, false, 0.0});
+      overlay_.push_back({s.processor, units, 0, false, 0.0});
     }
   }
   for (OverlayEntry& o : overlay_) {
     o.entry = proc_index_.lookup(o.proc.value());
-    const double u = ledger.total(o.proc) + o.amount;
+    const double u =
+        UtilizationLedger::utilization(ledger.total_units(o.proc) + o.amount);
     o.saturated = is_saturated(u);
     if (!o.saturated) o.term = aub_term(u);
   }

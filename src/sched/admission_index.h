@@ -136,7 +136,7 @@ class AdmissionIndex {
   /// (computed once per admission test).
   struct OverlayEntry {
     ProcessorId proc;
-    double amount = 0.0;       // the candidate's stages on proc, summed
+    UtilizationLedger::Units amount = 0;  // the candidate's stages on proc
     std::uint32_t entry = 0;   // dense proc-entry index, or kNoEntry
     bool saturated = false;    // total + amount at or past full utilization
     double term = 0.0;         // aub_term(total + amount) unless saturated

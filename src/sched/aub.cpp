@@ -21,14 +21,15 @@ namespace {
 
 double lhs_with_overlay(
     const UtilizationLedger& ledger,
-    const std::unordered_map<ProcessorId, double>& overlay,
+    const std::unordered_map<ProcessorId, UtilizationLedger::Units>& overlay,
     const std::vector<ProcessorId>& footprint) {
   double sum = 0;
   for (const ProcessorId proc : footprint) {
-    double u = ledger.total(proc);
+    UtilizationLedger::Units units = ledger.total_units(proc);
     if (const auto it = overlay.find(proc); it != overlay.end()) {
-      u += it->second;
+      units += it->second;
     }
+    const double u = UtilizationLedger::utilization(units);
     if (u >= 1.0 - kEpsilon) return kUnsatisfiable;
     sum += aub_term(u);
   }
@@ -48,14 +49,15 @@ AdmissionDecision aub_admission_test(
     const std::vector<TaskFootprint>& current) {
   AdmissionDecision decision;
 
-  // Tentatively overlay the candidate's contributions on the ledger totals.
-  std::unordered_map<ProcessorId, double> overlay;
+  // Tentatively overlay the candidate's contributions on the ledger totals,
+  // converted exactly as the book converts them on admission.
+  std::unordered_map<ProcessorId, UtilizationLedger::Units> overlay;
   std::vector<ProcessorId> candidate_footprint;
   candidate_footprint.reserve(stages.size());
   for (const CandidateStage& s : stages) {
     assert(s.processor.valid());
     assert(s.utilization >= 0.0);
-    overlay[s.processor] += s.utilization;
+    overlay[s.processor] += UtilizationLedger::units(s.utilization);
     candidate_footprint.push_back(s.processor);
   }
 

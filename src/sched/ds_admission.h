@@ -16,9 +16,10 @@
 // jobs register their backlog (W) on every hop; each stage's backlog is
 // released at its *predicted completion bound* (always at or after the real
 // completion), earlier when the idle resetter reports the subjob complete,
-// or at the job's deadline as a backstop — the same lifecycle machinery as
-// AUB synthetic utilization, which is what lets the AC component host both
-// analyses behind one configuration attribute.
+// or at the job's deadline as a backstop — the same lifecycle as AUB
+// synthetic utilization, which is what lets the AC component host both
+// analyses behind one configuration attribute.  Backlogs are integer
+// microseconds, and each job's per-stage records live here.
 //
 // Periodic tasks under DS mode are still admitted with the AUB test; the
 // servers appear there as a permanent background utilization of 2B/P per
@@ -26,13 +27,14 @@
 // lower-priority work).
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "events/placement.h"
 #include "sched/task.h"
-#include "sched/utilization_ledger.h"
 #include "util/ids.h"
+#include "util/slab.h"
 #include "util/time.h"
 
 namespace rtcm::sched {
@@ -64,8 +66,9 @@ class DsAdmission {
 
   /// Cumulative completion bound per stage (relative to the job's release),
   /// including one hop_overhead per stage.  Placement must have one
-  /// processor per stage.
-  [[nodiscard]] std::vector<Duration> stage_bounds(
+  /// processor per stage.  The span is a reused scratch buffer, valid until
+  /// the next call.
+  [[nodiscard]] std::span<const Duration> stage_bounds(
       const TaskSpec& task, const events::Placement& placement) const;
 
   /// End-to-end delay bound for executing `task` on `placement` given the
@@ -78,22 +81,43 @@ class DsAdmission {
   [[nodiscard]] bool admissible(
       const TaskSpec& task, const events::Placement& placement) const;
 
-  /// Register an admitted job's backlog; one handle per stage.
-  [[nodiscard]] std::vector<ContributionId> add_backlog(
-      const TaskSpec& task, const events::Placement& placement);
-
-  /// Remove one stage's backlog (idle reset / completion).  Idempotent.
-  bool remove_backlog(ContributionId id) { return backlog_.remove(id); }
+  /// Register an admitted job's backlog, stage by stage.
+  void admit(JobId job, const TaskSpec& task,
+             const events::Placement& placement);
+  /// Release one stage's backlog (predicted completion or idle reset);
+  /// false when the job is unknown or the stage was already released.
+  bool release_stage(JobId job, std::size_t stage);
+  /// Release what the job still holds and forget it (deadline backstop).
+  void expire(JobId job);
 
   /// Queued-but-unexpired execution on one processor's server.
   [[nodiscard]] Duration backlog(ProcessorId proc) const {
-    return Duration(static_cast<std::int64_t>(backlog_.total(proc)));
+    const std::uint32_t slot = proc_index_.lookup(proc.value());
+    return slot == util::IdSlotMap::kNoSlot ? Duration::zero()
+                                            : Duration(backlog_[slot]);
   }
 
+  /// Jobs holding stage records (admitted and not yet expired).
+  [[nodiscard]] std::size_t active_jobs() const { return job_ids_.size(); }
+
  private:
+  struct StageRecord {
+    std::uint32_t proc_slot = 0;  // into backlog_
+    std::int64_t usec = 0;        // 0 once released
+  };
+
   DsServerConfig config_;
-  /// Amounts stored as microseconds of execution backlog.
-  UtilizationLedger backlog_;
+  // Per-processor backlog (microseconds), by dense slot.
+  util::IdSlotMap proc_index_;
+  std::vector<std::int64_t> backlog_;
+  // Per-job stage records in dense rows (swap-with-last removal); stages_
+  // never shrinks, so freed rows keep their buffers for reuse.
+  util::IdSlotMap job_index_;
+  std::vector<JobId> job_ids_;
+  std::vector<std::vector<StageRecord>> stages_;
+
+  /// stage_bounds() scratch.
+  mutable std::vector<Duration> bounds_;
 };
 
 }  // namespace rtcm::sched

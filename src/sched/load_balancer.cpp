@@ -28,10 +28,11 @@ events::Placement LoadBalancer::place(const TaskSpec& task,
       case PlacementPolicy::kLowestUtilization: {
         // Primary first, then replicas in order; strict < keeps the earliest
         // candidate (the primary) on ties, avoiding gratuitous
-        // re-allocations.
-        double best = std::numeric_limits<double>::infinity();
+        // re-allocations.  Loads are compared in exact ledger units, so a
+        // tie is a real tie, not float noise.
+        auto best = std::numeric_limits<UtilizationLedger::Units>::max();
         const auto consider = [&](ProcessorId p) {
-          const double u = ledger.total(p) + pending(task, placement, j, p);
+          const auto u = ledger.total_units(p) + pending(task, placement, j, p);
           if (u < best) {
             best = u;
             chosen = p;
@@ -47,14 +48,14 @@ events::Placement LoadBalancer::place(const TaskSpec& task,
   return placement;
 }
 
-double LoadBalancer::pending(const TaskSpec& task,
-                             const events::Placement& placement,
-                             std::size_t stage, ProcessorId proc) {
-  // Summed in stage order from zero, the order the per-candidate running
-  // totals were kept in, so the sums (and ties) are bit-identical.
-  double sum = 0.0;
+UtilizationLedger::Units LoadBalancer::pending(
+    const TaskSpec& task, const events::Placement& placement,
+    std::size_t stage, ProcessorId proc) {
+  UtilizationLedger::Units sum = 0;
   for (std::size_t i = 0; i < stage; ++i) {
-    if (placement[i] == proc) sum += task.subtask_utilization(i);
+    if (placement[i] == proc) {
+      sum += UtilizationLedger::units(task.subtask_utilization(i));
+    }
   }
   return sum;
 }

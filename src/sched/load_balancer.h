@@ -49,10 +49,10 @@ class LoadBalancer {
       const TaskSpec& task, const UtilizationLedger& ledger) const;
 
  private:
-  /// Utilization stages [0, stage) of `placement` already put on `proc`.
-  [[nodiscard]] static double pending(const TaskSpec& task,
-                                      const events::Placement& placement,
-                                      std::size_t stage, ProcessorId proc);
+  /// Ledger units stages [0, stage) of `placement` already put on `proc`.
+  [[nodiscard]] static UtilizationLedger::Units pending(
+      const TaskSpec& task, const events::Placement& placement,
+      std::size_t stage, ProcessorId proc);
 
   PlacementPolicy policy_;
   std::function<std::size_t(std::size_t)> random_pick_;

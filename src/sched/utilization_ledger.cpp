@@ -1,72 +1,40 @@
 #include "sched/utilization_ledger.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace rtcm::sched {
 
-std::uint32_t UtilizationLedger::intern(ProcessorId proc) {
-  const std::uint32_t found = proc_index_.lookup(proc.value());
-  if (found != kNoSlot) return found;
-  const auto slot = static_cast<std::uint32_t>(proc_ids_.size());
-  proc_index_.insert(proc.value(), slot);
-  proc_ids_.push_back(proc);
-  totals_.push_back(0.0);
-  live_counts_.push_back(0);
-  return slot;
-}
-
-ContributionId UtilizationLedger::add(ProcessorId proc, double amount) {
+UtilizationLedger::Units UtilizationLedger::add(ProcessorId proc, double u) {
   assert(proc.valid());
-  assert(amount >= 0.0);
-  const std::uint32_t proc_slot = intern(proc);
-  totals_[proc_slot] += amount;
-  ++live_counts_[proc_slot];
-  const auto [slot, fresh] = entries_.acquire();
-  if (fresh) {
-    entry_proc_.push_back(proc_slot);
-    entry_amount_.push_back(amount);
-  } else {
-    entry_proc_[slot] = proc_slot;
-    entry_amount_[slot] = amount;
+  std::uint32_t slot = proc_index_.lookup(proc.value());
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(proc_ids_.size());
+    proc_index_.insert(proc.value(), slot);
+    proc_ids_.push_back(proc);
+    totals_.push_back(0);
   }
-  return ContributionId(entries_.handle(slot));
+  const Units added = units(u);
+  totals_[slot] += added;
+  return added;
 }
 
-bool UtilizationLedger::remove(ContributionId id) {
-  const std::uint32_t slot = entries_.slot_of(id.v_);
-  if (slot == util::SlotAllocator::kNoSlot) return false;
-  const std::uint32_t proc_slot = entry_proc_[slot];
-  double& total = totals_[proc_slot];
-  total -= entry_amount_[slot];
-  const std::uint32_t remaining = --live_counts_[proc_slot];
-  if (remaining == 0) {
-    // A processor whose last live contribution is removed snaps to exactly
-    // zero (drift residue would otherwise leak into later admission tests
-    // and quiescence checks).
-    total = 0.0;
-  } else if (total < 0.0) {
-    // With live contributions remaining, the total can only dip below zero
-    // by accumulated floating-point drift; a real negative means an
-    // accounting bug (e.g. removing a different amount than was added),
-    // which unconditional snapping used to mask.
-    assert(total > -1e-9 && "ledger total negative with live contributions");
-    total = 0.0;
-  }
-  entries_.release(slot);
-  return true;
+void UtilizationLedger::remove(ProcessorId proc, Units units) {
+  const std::uint32_t slot = proc_index_.lookup(proc.value());
+  assert(slot != kNoSlot && totals_[slot] >= units &&
+         "removing units the ledger never held");
+  totals_[slot] -= units;
 }
 
 double UtilizationLedger::total_all() const {
-  double sum = 0;
-  for (const double total : totals_) sum += total;
-  return sum;
+  Units sum = 0;
+  for (const Units total : totals_) sum += total;
+  return utilization(sum);
 }
 
 std::vector<ProcessorId> UtilizationLedger::processors() const {
   std::vector<ProcessorId> out;
   for (std::size_t slot = 0; slot < totals_.size(); ++slot) {
-    if (totals_[slot] > 0.0) out.push_back(proc_ids_[slot]);
+    if (totals_[slot] > 0) out.push_back(proc_ids_[slot]);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -75,11 +43,7 @@ std::vector<ProcessorId> UtilizationLedger::processors() const {
 std::size_t UtilizationLedger::footprint_bytes() const {
   return proc_index_.footprint_bytes() +
          proc_ids_.capacity() * sizeof(ProcessorId) +
-         totals_.capacity() * sizeof(double) +
-         live_counts_.capacity() * sizeof(std::uint32_t) +
-         entries_.footprint_bytes() +
-         entry_proc_.capacity() * sizeof(std::uint32_t) +
-         entry_amount_.capacity() * sizeof(double);
+         totals_.capacity() * sizeof(Units);
 }
 
 }  // namespace rtcm::sched

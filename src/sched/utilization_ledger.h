@@ -1,26 +1,28 @@
 // Synthetic utilization ledger (paper §2, AUB analysis).
 //
-// The ledger is the admission controller's book of record: every admitted
-// job (or per-task reservation) contributes `C_i,j / D_i` to the synthetic
-// utilization U_j(t) of each processor its subtasks are assigned to.
-// Contributions are added on admission and removed either when the job's
-// absolute deadline expires or earlier via the resetting rule (idle
-// resetting).  Each add() returns a handle so the owner can remove exactly
-// the contribution it created — the same subtask can have many live
-// contributions at once (one per in-flight job).
+// The admission controller's per-processor synthetic utilization U_j(t):
+// every admitted job (or per-task reservation) contributes C_i,j / D_i to
+// each processor its subtasks are assigned to, from admission until its
+// absolute deadline expires or the resetting rule (idle resetting) removes
+// it earlier.
 //
-// Storage is struct-of-arrays: processors are interned into dense slots
-// (an id -> slot remap table plus flat total / live-count arrays; slots
-// persist for the ledger's lifetime), and contributions live in a
-// generation-counted slab whose packed handles are the ContributionIds.
-// At steady state — fixed resident capacity, contributions churning — no
-// path here allocates: released slab rows are reused, and the remap table
-// only grows when a never-seen processor appears.  The dense slots are
-// public (proc_slot() / total_at()) so the AdmissionIndex and the
-// scheduling state can key their own per-processor arrays off the same
-// remap instead of hashing ProcessorIds again.
+// Totals are exact: a uint64 count of units of 2^-40 of a processor, and
+// every contribution enters through the one conversion units(u) = ⌈u·2^40⌉
+// (rounding up keeps the admission test conservative).  Integer sums make
+// a total a function of the live contributions alone, whatever order they
+// came and went in.  The ledger keeps no per-contribution record: add()
+// returns the units it added, and the owner (core::SchedulingState) hands
+// exactly those back to remove().  total() is the exact double of the
+// integer total; Equation (1) itself stays in double (sched/aub.h).  Both
+// scale factors are powers of two, so a conversion is one multiply.
+//
+// Processors are interned into dense slots (an id -> slot remap plus a
+// flat totals array, never recycled), so nothing here allocates once every
+// processor has been seen.  proc_slot() is public so the scheduling state
+// can key its per-processor job index off the same remap.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -29,67 +31,52 @@
 
 namespace rtcm::sched {
 
-/// Opaque handle for one contribution.  Default-constructed handles are
-/// inert.
-class ContributionId {
- public:
-  constexpr ContributionId() = default;
-  [[nodiscard]] constexpr bool valid() const { return v_ != 0; }
-  constexpr auto operator<=>(const ContributionId&) const = default;
-
- private:
-  friend class UtilizationLedger;
-  constexpr explicit ContributionId(std::uint64_t v) : v_(v) {}
-  std::uint64_t v_ = 0;
-};
-
 class UtilizationLedger {
  public:
+  /// One unit is 2^-40 of a processor's utilization.
+  using Units = std::uint64_t;
   static constexpr std::uint32_t kNoSlot = util::IdSlotMap::kNoSlot;
 
-  /// Register `amount` of synthetic utilization on `proc` (amount >= 0).
-  [[nodiscard]] ContributionId add(ProcessorId proc, double amount);
+  /// The one conversion into the ledger: ⌈u·2^40⌉, for 0 <= u < 2^23.
+  [[nodiscard]] static Units units(double u) {
+    assert(u >= 0.0 && u < 0x1p23);
+    const double scaled = u * 0x1p40;
+    const auto whole = static_cast<Units>(scaled);
+    return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+  }
 
-  /// Remove a contribution.  Returns false if the handle is inert or the
-  /// contribution was already removed (callers use this to make removal
-  /// idempotent across the deadline-expiry and idle-reset paths).
-  bool remove(ContributionId id);
+  /// The exact utilization of `units` (below 2^53 units).
+  [[nodiscard]] static double utilization(Units units) {
+    return static_cast<double>(units) * 0x1p-40;
+  }
 
-  /// Current synthetic utilization of one processor.
-  [[nodiscard]] double total(ProcessorId proc) const {
+  /// Register `u` (>= 0) of synthetic utilization on `proc`; returns the
+  /// units added, which the owner later hands back to remove().
+  Units add(ProcessorId proc, double u);
+  void remove(ProcessorId proc, Units units);
+
+  /// Current synthetic utilization of one processor, in units.
+  [[nodiscard]] Units total_units(ProcessorId proc) const {
     const std::uint32_t slot = proc_index_.lookup(proc.value());
-    return slot == kNoSlot ? 0.0 : totals_[slot];
+    return slot == kNoSlot ? 0 : totals_[slot];
+  }
+
+  /// Current synthetic utilization of one processor (exact).
+  [[nodiscard]] double total(ProcessorId proc) const {
+    return utilization(total_units(proc));
   }
 
   /// Sum across all processors.
   [[nodiscard]] double total_all() const;
-
-  /// Number of live contributions.
-  [[nodiscard]] std::size_t live() const { return entries_.live(); }
 
   /// Processors with a nonzero recorded total (sorted: callers render
   /// these into traces and reports, so the order is part of the
   /// determinism contract — pinned by LedgerTest.ProcessorsOrderIsSorted).
   [[nodiscard]] std::vector<ProcessorId> processors() const;
 
-  // --- Dense processor slots ----------------------------------------------
-  //
-  // Slots are assigned in first-seen order and never recycled; consumers
-  // (AdmissionIndex, SchedulingState's per-processor job index) size their
-  // own flat arrays by proc_slot_count() and index them with proc_slot().
-
   /// Dense slot of `proc`, or kNoSlot if it never carried a contribution.
   [[nodiscard]] std::uint32_t proc_slot(ProcessorId proc) const {
     return proc_index_.lookup(proc.value());
-  }
-  [[nodiscard]] std::size_t proc_slot_count() const {
-    return proc_ids_.size();
-  }
-  [[nodiscard]] ProcessorId proc_at(std::uint32_t slot) const {
-    return proc_ids_[slot];
-  }
-  [[nodiscard]] double total_at(std::uint32_t slot) const {
-    return totals_[slot];
   }
 
   /// Heap bytes held by the ledger's arrays (the bytes-per-resident-task
@@ -97,21 +84,10 @@ class UtilizationLedger {
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
-  /// Dense slot of `proc`, interning it on first sight.
-  std::uint32_t intern(ProcessorId proc);
-
   // Processor remap + flat per-processor columns (parallel, same length).
   util::IdSlotMap proc_index_;
   std::vector<ProcessorId> proc_ids_;
-  std::vector<double> totals_;
-  /// Live contributions per processor, so totals snap to exactly zero when
-  /// the last one is removed (no floating-point residue).
-  std::vector<std::uint32_t> live_counts_;
-
-  // Contribution slab (parallel columns indexed by slot).
-  util::SlotAllocator entries_;
-  std::vector<std::uint32_t> entry_proc_;  // dense processor slot
-  std::vector<double> entry_amount_;
+  std::vector<Units> totals_;
 };
 
 }  // namespace rtcm::sched

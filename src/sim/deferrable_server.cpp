@@ -68,7 +68,7 @@ void DeferrableServer::on_chunk_complete(Duration chunk) {
   head.remaining -= chunk;
   if (head.remaining.is_zero()) {
     Pending done = std::move(head);
-    queue_.pop_front();
+    queue_.erase(queue_.begin());
     ++stats_.jobs_served;
     if (done.on_complete) done.on_complete(done.id);
   } else {
@@ -78,7 +78,7 @@ void DeferrableServer::on_chunk_complete(Duration chunk) {
     // work) would be violated.
     ++stats_.budget_exhaustions;
     Pending unfinished = std::move(head);
-    queue_.pop_front();
+    queue_.erase(queue_.begin());
     auto it = queue_.begin();
     while (it != queue_.end() && it->id <= unfinished.id) ++it;
     queue_.insert(it, std::move(unfinished));

@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/processor.h"
 #include "sim/simulator.h"
@@ -91,7 +91,10 @@ class DeferrableServer {
   Duration budget_;
   bool started_ = false;
   bool chunk_in_flight_ = false;
-  std::deque<Pending> queue_;
+  /// Admission-ordered FIFO, head at the front.  A vector, not a deque: it
+  /// keeps its capacity across drains, so a warm server queues without
+  /// allocating (queues are a few subjobs deep, so front erases are cheap).
+  std::vector<Pending> queue_;
   DeferrableServerStats stats_;
 };
 

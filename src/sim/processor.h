@@ -62,8 +62,6 @@ class Processor {
   void set_idle_callback(EventFn fn) { idle_callback_ = std::move(fn); }
 
   [[nodiscard]] bool idle() const { return !running_.has_value(); }
-  /// Ready items excluding the running one.
-  [[nodiscard]] std::size_t ready_count() const { return ready_.size(); }
   [[nodiscard]] const ProcessorStats& stats() const { return stats_; }
 
   /// Fraction of time busy since construction (needs now > epoch).

@@ -47,7 +47,6 @@ struct TraceRecord {
 class Trace {
  public:
   void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   void record(TraceRecord record) {

@@ -57,7 +57,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] std::size_t underflow() const { return underflow_; }
   [[nodiscard]] std::size_t overflow() const { return overflow_; }

@@ -82,7 +82,7 @@ TEST(IncrementalAubIndex, RefreshPushesTermDeltasIntoMembers) {
   index.refresh(ProcessorId(0), ledger);
   EXPECT_NEAR(index.cached_lhs(id), sched::aub_lhs(ledger, footprint), 1e-12);
 
-  EXPECT_TRUE(ledger.remove(contribution));
+  ledger.remove(ProcessorId(0), contribution);
   index.refresh(ProcessorId(0), ledger);
   EXPECT_NEAR(index.cached_lhs(id), sched::aub_lhs(ledger, footprint), 1e-12);
 }
@@ -106,7 +106,7 @@ TEST(IncrementalAubIndex, SaturatedProcessorCarriesTheSentinel) {
   EXPECT_EQ(blocked.blocking_task, TaskId(1));
 
   // ...and desaturating restores the exact finite partial.
-  EXPECT_TRUE(ledger.remove(heavy));
+  ledger.remove(ProcessorId(0), heavy);
   index.refresh(ProcessorId(0), ledger);
   EXPECT_NEAR(index.cached_lhs(id), sched::aub_lhs(ledger, footprint), 1e-12);
   EXPECT_TRUE(

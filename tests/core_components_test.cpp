@@ -227,7 +227,7 @@ TEST(AcPerJobTest, ContributionExpiresAtDeadline) {
   EXPECT_GT(rt->admission_control()->state().ledger().total(ProcessorId(0)),
             0.0);
   rt->run_until(Time(Duration::milliseconds(101).usec()));
-  EXPECT_DOUBLE_EQ(
+  EXPECT_EQ(
       rt->admission_control()->state().ledger().total(ProcessorId(0)), 0.0);
   EXPECT_EQ(rt->admission_control()->state().active_jobs(), 0u);
 }
@@ -274,9 +274,9 @@ TEST(IdleResetTest, PerJobResetsPeriodicContributions) {
   // Job completes at ~20 ms; processors go idle; IR reports; contributions
   // removed well before the 100 ms deadline.
   rt->run_until(Time(Duration::milliseconds(50).usec()));
-  EXPECT_DOUBLE_EQ(
+  EXPECT_EQ(
       rt->admission_control()->state().ledger().total(ProcessorId(0)), 0.0);
-  EXPECT_DOUBLE_EQ(
+  EXPECT_EQ(
       rt->admission_control()->state().ledger().total(ProcessorId(1)), 0.0);
   EXPECT_GT(rt->admission_control()->counters().subjobs_reset, 0u);
   EXPECT_GT(rt->metrics().idle_resets(), 0u);
@@ -296,9 +296,10 @@ TEST(IdleResetTest, PerTaskOnlyResetsAperiodic) {
   rt->run_until(Time(Duration::milliseconds(60).usec()));
   // Aperiodic contribution reset; periodic contribution still held until
   // its deadline.
-  const double p0 =
-      rt->admission_control()->state().ledger().total(ProcessorId(0));
-  EXPECT_NEAR(p0, 0.1, 1e-9);  // only the periodic task's 0.1 remains
+  // Only the periodic task's 0.1 remains.
+  EXPECT_EQ(
+      rt->admission_control()->state().ledger().total_units(ProcessorId(0)),
+      sched::UtilizationLedger::units(0.1));
   EXPECT_EQ(rt->admission_control()->counters().subjobs_reset, 1u);
 }
 

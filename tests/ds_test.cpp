@@ -179,8 +179,9 @@ TEST(DsAdmissionTest, TightDeadlineRejected) {
 TEST(DsAdmissionTest, BacklogRaisesTheBound) {
   sched::DsAdmission admission(test_config());
   const auto first = make_aperiodic(0, Duration::seconds(2), {{0, 10000}});
-  const auto handles = admission.add_backlog(first, {ProcessorId(0)});
+  admission.admit(JobId(7), first, {ProcessorId(0)});
   EXPECT_EQ(admission.backlog(ProcessorId(0)), Duration::milliseconds(10));
+  EXPECT_EQ(admission.active_jobs(), 1u);
 
   const auto second = make_aperiodic(1, Duration::milliseconds(500),
                                      {{0, 10000}});
@@ -188,11 +189,35 @@ TEST(DsAdmissionTest, BacklogRaisesTheBound) {
   EXPECT_EQ(admission.delay_bound(second, {ProcessorId(0)}),
             Duration::milliseconds(155));
 
-  // Removing the backlog restores the empty-server bound.
-  EXPECT_TRUE(admission.remove_backlog(handles[0]));
-  EXPECT_FALSE(admission.remove_backlog(handles[0]));  // idempotent
+  // Releasing the stage restores the empty-server bound.
+  EXPECT_TRUE(admission.release_stage(JobId(7), 0));
+  EXPECT_FALSE(admission.release_stage(JobId(7), 0));  // idempotent
+  EXPECT_FALSE(admission.release_stage(JobId(7), 1));  // no such stage
+  EXPECT_FALSE(admission.release_stage(JobId(8), 0));  // unknown job
+  EXPECT_EQ(admission.backlog(ProcessorId(0)), Duration::zero());
   EXPECT_EQ(admission.delay_bound(second, {ProcessorId(0)}),
             Duration::milliseconds(115));
+}
+
+TEST(DsAdmissionTest, ExpireReleasesOnlyWhatRemains) {
+  sched::DsAdmission admission(test_config());
+  const auto two_hop = make_aperiodic(0, Duration::seconds(2),
+                                      {{0, 10000}, {1, 20000}});
+  const auto one_hop = make_aperiodic(1, Duration::seconds(2), {{1, 5000}});
+  admission.admit(JobId(1), two_hop, {ProcessorId(0), ProcessorId(1)});
+  admission.admit(JobId(2), one_hop, {ProcessorId(1)});
+  EXPECT_EQ(admission.backlog(ProcessorId(1)), Duration::milliseconds(25));
+  EXPECT_TRUE(admission.release_stage(JobId(1), 0));
+  // Expiry takes back stage 1 only; stage 0 was already released.
+  admission.expire(JobId(1));
+  EXPECT_EQ(admission.backlog(ProcessorId(0)), Duration::zero());
+  EXPECT_EQ(admission.backlog(ProcessorId(1)), Duration::microseconds(5000));
+  EXPECT_FALSE(admission.release_stage(JobId(1), 1));  // forgotten
+  admission.expire(JobId(1));                           // no-op
+  EXPECT_EQ(admission.active_jobs(), 1u);
+  // The moved row (job 2) is still addressable.
+  EXPECT_TRUE(admission.release_stage(JobId(2), 0));
+  EXPECT_EQ(admission.backlog(ProcessorId(1)), Duration::zero());
 }
 
 TEST(DsAdmissionTest, MultiHopSumsPerStage) {

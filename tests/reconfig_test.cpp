@@ -317,8 +317,9 @@ TEST(ReconfigManagerTest, DrainMigratesReservationAndQuiescesLater) {
   EXPECT_TRUE(std::ranges::equal(
       reservation->placement, std::vector<ProcessorId>{ProcessorId(1)}));
   const auto& ledger = runtime->admission_control()->state().ledger();
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(0)), 0.0);
-  EXPECT_NEAR(ledger.total(ProcessorId(1)), 0.1, 1e-12);
+  EXPECT_EQ(ledger.total(ProcessorId(0)), 0.0);
+  EXPECT_EQ(ledger.total_units(ProcessorId(1)),
+            sched::UtilizationLedger::units(0.1));
 
   // Quiesce is deferred past every deadline that could still reach P0
   // (now + D = 5 ms + 100 ms), so the in-flight subjob finishes in place.
@@ -370,8 +371,9 @@ TEST(ReconfigManagerTest, GuaranteeViolatingDrainIsRejectedAtomically) {
   RTCM_EXPECT_OK(runtime->inject_arrival(TaskId(1), Time(0)));
   runtime->run_until(Time(Duration::milliseconds(50).usec()));
   const auto& ledger = runtime->admission_control()->state().ledger();
-  ASSERT_NEAR(ledger.total(ProcessorId(0)), 0.3, 1e-12);
-  ASSERT_NEAR(ledger.total(ProcessorId(1)), 0.4, 1e-12);
+  const auto units = sched::UtilizationLedger::units;
+  ASSERT_EQ(ledger.total_units(ProcessorId(0)), units(0.3));
+  ASSERT_EQ(ledger.total_units(ProcessorId(1)), units(0.4));
 
   config::ModeChange change;
   change.at = runtime->simulator().now();
@@ -385,8 +387,8 @@ TEST(ReconfigManagerTest, GuaranteeViolatingDrainIsRejectedAtomically) {
   EXPECT_TRUE(runtime->admission_control()->drained().empty());
 
   // Rolled back exactly: ledger, reservation placement, and future behavior.
-  EXPECT_NEAR(ledger.total(ProcessorId(0)), 0.3, 1e-12);
-  EXPECT_NEAR(ledger.total(ProcessorId(1)), 0.4, 1e-12);
+  EXPECT_EQ(ledger.total_units(ProcessorId(0)), units(0.3));
+  EXPECT_EQ(ledger.total_units(ProcessorId(1)), units(0.4));
   EXPECT_TRUE(std::ranges::equal(
       runtime->admission_control()->state().reservation(TaskId(0))->placement,
       std::vector<ProcessorId>{ProcessorId(0)}));
@@ -399,6 +401,55 @@ TEST(ReconfigManagerTest, GuaranteeViolatingDrainIsRejectedAtomically) {
   // A rolled-back migration never happened: no counter, no trace record.
   EXPECT_EQ(runtime->admission_control()->counters().migrations, 0u);
   EXPECT_EQ(runtime->trace().count(sim::TraceKind::kTaskMigrated), 0u);
+}
+
+/// Four single-stage tasks, sized so draining P0 first migrates T0 onto
+/// P1 (0.1 + 0.2 there passes) and then fails on T2 (0.3 onto P2's 0.5
+/// gives term(0.8) > 1), forcing a rollback of an applied migration.
+sched::TaskSet partly_migratable_set() {
+  sched::TaskSet tasks;
+  const Duration d = Duration::milliseconds(100);
+  for (const sched::TaskSpec& spec :
+       {make_periodic(0, d, {{0, 20000, {1}}}), make_periodic(1, d, {{1, 10000}}),
+        make_periodic(2, d, {{0, 30000, {2}}}),
+        make_periodic(3, d, {{2, 50000}})}) {
+    EXPECT_TRUE(tasks.add(spec).is_ok());
+  }
+  return tasks;
+}
+
+TEST(ReconfigManagerTest, RejectedDrainLeavesEveryLedgerTotalUnchanged) {
+  // The rollback releases T0 from P1 after its migration had added it
+  // there.  Every total must come back equal to its value before the
+  // attempt, not merely close: with floating-point totals P1 would read
+  // (0.1 + 0.2) - 0.2 = 0.10000000000000003 afterwards.
+  auto runtime = make_runtime("T_N_N", partly_migratable_set());
+  reconfig::ReconfigurationManager manager(*runtime);
+  for (const std::int32_t task : {0, 1, 2, 3}) {
+    RTCM_EXPECT_OK(runtime->inject_arrival(TaskId(task), Time(0)));
+  }
+  runtime->run_until(Time(Duration::milliseconds(50).usec()));
+  const auto& state = runtime->admission_control()->state();
+  ASSERT_EQ(state.reservation_count(), 4u);
+  const std::vector<ProcessorId> procs = {ProcessorId(0), ProcessorId(1),
+                                          ProcessorId(2)};
+  std::vector<double> before;
+  for (const ProcessorId p : procs) before.push_back(state.ledger().total(p));
+
+  config::ModeChange change;
+  change.at = runtime->simulator().now();
+  change.label = "partial-drain";
+  change.drain = {ProcessorId(0)};
+  const auto report = manager.apply_now(change);
+  ASSERT_FALSE(report.applied);
+  EXPECT_NE(report.error.find("T2"), std::string::npos) << report.error;
+
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    EXPECT_EQ(state.ledger().total(procs[i]), before[i])
+        << "P" << procs[i].value();
+  }
+  EXPECT_TRUE(std::ranges::equal(state.reservation(TaskId(0))->placement,
+                                 std::vector<ProcessorId>{ProcessorId(0)}));
 }
 
 TEST(ReconfigManagerTest, NewAttributeKeyInReconfigureIsRejected) {

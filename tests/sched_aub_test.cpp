@@ -18,85 +18,127 @@ using rtcm::testing::make_periodic;
 TEST(LedgerTest, AddAndTotal) {
   UtilizationLedger ledger;
   const auto a = ledger.add(ProcessorId(0), 0.3);
-  (void)ledger.add(ProcessorId(0), 0.2);
-  (void)ledger.add(ProcessorId(1), 0.4);
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(0)), 0.5);
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(1)), 0.4);
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(9)), 0.0);
-  EXPECT_NEAR(ledger.total_all(), 0.9, 1e-12);
-  EXPECT_EQ(ledger.live(), 3u);
-  EXPECT_TRUE(ledger.remove(a));
-  EXPECT_NEAR(ledger.total(ProcessorId(0)), 0.2, 1e-12);
+  const auto b = ledger.add(ProcessorId(0), 0.2);
+  const auto c = ledger.add(ProcessorId(1), 0.4);
+  EXPECT_EQ(a, UtilizationLedger::units(0.3));
+  EXPECT_EQ(ledger.total_units(ProcessorId(0)), a + b);
+  EXPECT_EQ(ledger.total_units(ProcessorId(1)), c);
+  EXPECT_EQ(ledger.total(ProcessorId(0)), UtilizationLedger::utilization(a + b));
+  EXPECT_EQ(ledger.total(ProcessorId(9)), 0.0);
+  EXPECT_EQ(ledger.total_all(), UtilizationLedger::utilization(a + b + c));
+  ledger.remove(ProcessorId(0), a);
+  EXPECT_EQ(ledger.total_units(ProcessorId(0)), b);
 }
 
-TEST(LedgerTest, RemoveIsIdempotent) {
+TEST(LedgerTest, UnitsRoundUpExactly) {
+  // units(u) = ceil(u * 2^40): exact multiples of 2^-40 convert exactly,
+  // anything else rounds up, so no positive contribution is ever dropped
+  // or understated.
+  EXPECT_EQ(UtilizationLedger::units(0.0), 0u);
+  EXPECT_EQ(UtilizationLedger::units(0.5), std::uint64_t{1} << 39);
+  EXPECT_EQ(UtilizationLedger::units(1.0), std::uint64_t{1} << 40);
+  EXPECT_EQ(UtilizationLedger::units(0x1p-40), 1u);
+  EXPECT_EQ(UtilizationLedger::units(0x1p-60), 1u);
+  EXPECT_EQ(UtilizationLedger::units(0.1), 109951162778u);  // 2^40/10 up
+  EXPECT_GE(UtilizationLedger::utilization(UtilizationLedger::units(0.1)),
+            0.1);
+  EXPECT_EQ(UtilizationLedger::utilization(std::uint64_t{3} << 38), 0.75);
+}
+
+TEST(LedgerTest, RemoveGivesBackTheExactPriorTotal) {
   UtilizationLedger ledger;
-  const auto id = ledger.add(ProcessorId(0), 0.5);
-  EXPECT_TRUE(ledger.remove(id));
-  EXPECT_FALSE(ledger.remove(id));
-  EXPECT_FALSE(ledger.remove(ContributionId()));
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(0)), 0.0);
+  const auto keep = ledger.add(ProcessorId(0), 0.25);
+  const UtilizationLedger::Units before = ledger.total_units(ProcessorId(0));
+  const auto gone = ledger.add(ProcessorId(0), 0.1 / 3.0);
+  ledger.remove(ProcessorId(0), gone);
+  EXPECT_EQ(ledger.total_units(ProcessorId(0)), before);
+  ledger.remove(ProcessorId(0), keep);
+  EXPECT_EQ(ledger.total(ProcessorId(0)), 0.0);
 }
 
 TEST(LedgerTest, TotalsNeverGoNegative) {
   UtilizationLedger ledger;
-  // Accumulated floating-point drift could push a total slightly below
-  // zero; the ledger clamps.
-  std::vector<ContributionId> ids;
+  // Drift-prone amounts (not multiples of 2^-40) added and removed a
+  // thousand times leave exactly zero, not a residue either side of it.
+  std::vector<UtilizationLedger::Units> added;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(ledger.add(ProcessorId(0), 0.1 / 3.0));
+    added.push_back(ledger.add(ProcessorId(0), 0.1 / 3.0));
   }
-  for (const auto id : ids) EXPECT_TRUE(ledger.remove(id));
-  EXPECT_GE(ledger.total(ProcessorId(0)), 0.0);
-  EXPECT_LT(ledger.total(ProcessorId(0)), 1e-9);
+  for (const auto units : added) ledger.remove(ProcessorId(0), units);
+  EXPECT_EQ(ledger.total_units(ProcessorId(0)), 0u);
+  EXPECT_EQ(ledger.total(ProcessorId(0)), 0.0);
 }
 
 TEST(LedgerTest, DrainedProcessorTotalIsExactlyZero) {
   UtilizationLedger ledger;
-  // Interleaved adds/removes with drift-prone amounts: once the last live
-  // contribution on a processor goes away, the total must snap to exactly
-  // zero, not a residue — admission tests and quiescence checks compare
-  // against it.
-  std::vector<ContributionId> ids;
+  // Interleaved adds/removes with drift-prone amounts: once every
+  // contribution on a processor is gone, the total is exactly zero —
+  // admission tests and quiescence checks compare against it.
+  std::vector<UtilizationLedger::Units> added;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 20; ++i) {
-      ids.push_back(ledger.add(ProcessorId(0), (i + 1) / 7.0 / 300.0));
+      added.push_back(ledger.add(ProcessorId(0), (i + 1) / 7.0 / 300.0));
     }
-    for (const auto id : ids) EXPECT_TRUE(ledger.remove(id));
-    ids.clear();
-    EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(0)), 0.0);
-    EXPECT_DOUBLE_EQ(ledger.total_all(), 0.0);
+    for (const auto units : added) ledger.remove(ProcessorId(0), units);
+    added.clear();
+    EXPECT_EQ(ledger.total(ProcessorId(0)), 0.0);
+    EXPECT_EQ(ledger.total_all(), 0.0);
   }
-  // A survivor on another processor is unaffected by the snap.
+  // Another processor's total is untouched by all of that.
   const auto keep = ledger.add(ProcessorId(1), 0.25);
   const auto gone = ledger.add(ProcessorId(1), 0.5);
-  EXPECT_TRUE(ledger.remove(gone));
-  EXPECT_NEAR(ledger.total(ProcessorId(1)), 0.25, 1e-12);
-  EXPECT_TRUE(ledger.remove(keep));
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(1)), 0.0);
+  ledger.remove(ProcessorId(1), gone);
+  EXPECT_EQ(ledger.total(ProcessorId(1)), 0.25);
+  ledger.remove(ProcessorId(1), keep);
+  EXPECT_EQ(ledger.total(ProcessorId(1)), 0.0);
 }
 
 TEST(LedgerTest, MidFlightRemovalKeepsResidualTotal) {
   UtilizationLedger ledger;
-  // Removing a contribution while others stay live must leave the exact
-  // residual — the exact-zero snap applies only when the *last* live
-  // contribution on the processor goes away.  (A snap-to-zero here would
-  // erase live utilization and let unsound admissions through.)
+  // Removing one contribution while others stay live leaves exactly the
+  // residual: the survivors' units, no more and no less.
   const auto small = ledger.add(ProcessorId(0), 0.3);
   const auto large = ledger.add(ProcessorId(0), 0.4);
-  EXPECT_TRUE(ledger.remove(large));
-  EXPECT_NEAR(ledger.total(ProcessorId(0)), 0.3, 1e-12);
+  ledger.remove(ProcessorId(0), large);
+  EXPECT_EQ(ledger.total_units(ProcessorId(0)), small);
   EXPECT_GT(ledger.total(ProcessorId(0)), 0.0);
-  EXPECT_EQ(ledger.live(), 1u);
-  EXPECT_TRUE(ledger.remove(small));
-  EXPECT_DOUBLE_EQ(ledger.total(ProcessorId(0)), 0.0);
+  ledger.remove(ProcessorId(0), small);
+  EXPECT_EQ(ledger.total(ProcessorId(0)), 0.0);
+}
+
+TEST(LedgerTest, TotalsIgnoreAddAndRemoveOrder) {
+  // The same contributions added and removed in two different orders give
+  // equal totals: integer units make the ledger's state a function of the
+  // live set alone.  (Floating-point totals differ here: 0.1 + 0.2 + 0.3
+  // and 0.3 + 0.2 + 0.1 round differently.)
+  const std::vector<double> amounts = {0.1,  0.2,       0.3,  1.0 / 3.0,
+                                       0.07, 0.1 / 7.0, 0.15, 0.011};
+  UtilizationLedger forward;
+  UtilizationLedger backward;
+  std::vector<UtilizationLedger::Units> f_units;
+  std::vector<UtilizationLedger::Units> b_units(amounts.size());
+  for (const double u : amounts) f_units.push_back(forward.add(ProcessorId(0), u));
+  for (std::size_t i = amounts.size(); i-- > 0;) {
+    b_units[i] = backward.add(ProcessorId(0), amounts[i]);
+  }
+  EXPECT_EQ(forward.total(ProcessorId(0)), backward.total(ProcessorId(0)));
+  // Remove the even-indexed contributions: forward in index order,
+  // backward in reverse.
+  for (std::size_t i = 0; i < amounts.size(); i += 2) {
+    forward.remove(ProcessorId(0), f_units[i]);
+  }
+  for (std::size_t i = amounts.size(); i-- > 0;) {
+    if (i % 2 == 0) backward.remove(ProcessorId(0), b_units[i]);
+  }
+  EXPECT_EQ(forward.total(ProcessorId(0)), backward.total(ProcessorId(0)));
+  EXPECT_EQ(forward.total_all(), backward.total_all());
 }
 
 TEST(LedgerTest, ProcessorsListsNonZero) {
   UtilizationLedger ledger;
   (void)ledger.add(ProcessorId(3), 0.1);
   const auto a = ledger.add(ProcessorId(1), 0.1);
-  EXPECT_TRUE(ledger.remove(a));
+  ledger.remove(ProcessorId(1), a);
   const auto procs = ledger.processors();
   ASSERT_EQ(procs.size(), 1u);
   EXPECT_EQ(procs[0], ProcessorId(3));
@@ -111,7 +153,7 @@ TEST(LedgerTest, ProcessorsOrderIsSorted) {
   (void)ledger.add(ProcessorId(2), 0.1);
   (void)ledger.add(ProcessorId(7), 0.1);
   (void)ledger.add(ProcessorId(0), 0.1);
-  EXPECT_TRUE(ledger.remove(a));
+  ledger.remove(ProcessorId(9), a);
   (void)ledger.add(ProcessorId(9), 0.1);  // re-added after removal
   const std::vector<ProcessorId> expected = {ProcessorId(0), ProcessorId(2),
                                              ProcessorId(7), ProcessorId(9)};
@@ -186,7 +228,10 @@ TEST(AdmissionTest, EmptySystemAdmitsLightTask) {
   const auto decision = aub_admission_test(
       ledger, TaskId(0), {{ProcessorId(0), 0.3}, {ProcessorId(1), 0.3}}, {});
   EXPECT_TRUE(decision.admitted);
-  EXPECT_NEAR(decision.candidate_lhs, 2 * aub_term(0.3), 1e-12);
+  // Each stage is judged at the ledger's exact value of 0.3.
+  EXPECT_EQ(decision.candidate_lhs,
+            2 * aub_term(UtilizationLedger::utilization(
+                    UtilizationLedger::units(0.3))));
 }
 
 TEST(AdmissionTest, RejectsOverloadedCandidate) {
@@ -246,7 +291,10 @@ TEST(AdmissionTest, MultiStageCandidateOnSameProcessor) {
   const auto decision = aub_admission_test(
       ledger, TaskId(0), {{ProcessorId(0), 0.15}, {ProcessorId(0), 0.15}}, {});
   EXPECT_TRUE(decision.admitted);
-  EXPECT_NEAR(decision.candidate_lhs, 2 * aub_term(0.3), 1e-12);
+  // Both stages convert to ledger units before they sum on P0.
+  EXPECT_EQ(decision.candidate_lhs,
+            2 * aub_term(UtilizationLedger::utilization(
+                    2 * UtilizationLedger::units(0.15))));
   // At 0.2 per stage the same shape fails: 2*term(0.4) ~ 1.07 > 1.
   const auto too_heavy = aub_admission_test(
       ledger, TaskId(0), {{ProcessorId(0), 0.2}, {ProcessorId(0), 0.2}}, {});
@@ -311,7 +359,10 @@ TEST(AnalysisTest, FeasibilityReport) {
   const auto ok_report = analyze_feasibility(feasible);
   EXPECT_TRUE(ok_report.feasible);
   ASSERT_EQ(ok_report.lhs.size(), 1u);
-  EXPECT_NEAR(ok_report.lhs[0], 2 * aub_term(0.2), 1e-12);
+  // Each processor's total is the ledger's exact value of 0.2.
+  EXPECT_EQ(ok_report.lhs[0],
+            2 * aub_term(UtilizationLedger::utilization(
+                    UtilizationLedger::units(0.2))));
 
   TaskSet infeasible;
   ASSERT_TRUE(infeasible

@@ -151,12 +151,12 @@ TEST(LoadBalancerTest, NoReplicasMeansPrimary) {
 
 TEST(LoadBalancerTest, SpreadMetric) {
   UtilizationLedger ledger;
-  (void)ledger.add(ProcessorId(0), 0.7);
-  (void)ledger.add(ProcessorId(1), 0.2);
-  EXPECT_NEAR(
-      utilization_spread(ledger, {ProcessorId(0), ProcessorId(1)}), 0.5,
-      1e-12);
-  EXPECT_NEAR(utilization_spread(ledger, {ProcessorId(0)}), 0.0, 1e-12);
+  const auto high = ledger.add(ProcessorId(0), 0.7);
+  const auto low = ledger.add(ProcessorId(1), 0.2);
+  // Totals are exact multiples of 2^-40, so their difference is exact.
+  EXPECT_EQ(utilization_spread(ledger, {ProcessorId(0), ProcessorId(1)}),
+            UtilizationLedger::utilization(high - low));
+  EXPECT_EQ(utilization_spread(ledger, {ProcessorId(0)}), 0.0);
 }
 
 // Property: the heuristic never increases the utilization spread compared
@@ -189,8 +189,10 @@ TEST(LoadBalancerTest, HeuristicNeverWorseThanPrimaryForSpread) {
       }
       return utilization_spread(copy, procs);
     };
+    // Exact: loading the lighter candidate can neither raise the maximum
+    // nor lower the minimum more than loading the heavier one.
     EXPECT_LE(spread_after(balanced.place(task, ledger)),
-              spread_after(primary.place(task, ledger)) + 1e-12);
+              spread_after(primary.place(task, ledger)));
   }
 }
 

@@ -1,6 +1,9 @@
 // Direct unit tests of the admission controller's book of record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/scheduling_state.h"
 #include "test_helpers.h"
 
@@ -10,11 +13,16 @@ namespace {
 using rtcm::testing::make_aperiodic;
 using rtcm::testing::make_periodic;
 
+using Units = sched::UtilizationLedger::Units;
+
 sched::TaskSpec two_stage_task(std::int32_t id = 0) {
   // 100 ms deadline, stages of 20 ms (u=0.2) on P0 and 10 ms (u=0.1) on P1.
   return make_periodic(id, Duration::milliseconds(100),
                        {{0, 20000}, {1, 10000}});
 }
+
+/// Ledger units of `u`: totals are compared exactly, in units.
+Units units(double u) { return sched::UtilizationLedger::units(u); }
 
 TEST(SchedulingStateTest, AdmitJobAddsStageContributions) {
   SchedulingState state;
@@ -23,10 +31,13 @@ TEST(SchedulingStateTest, AdmitJobAddsStageContributions) {
                   Time(100000));
   EXPECT_TRUE(state.has_job(JobId(1)));
   EXPECT_EQ(state.active_jobs(), 1u);
-  EXPECT_NEAR(state.ledger().total(ProcessorId(0)), 0.2, 1e-12);
-  EXPECT_NEAR(state.ledger().total(ProcessorId(1)), 0.1, 1e-12);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), units(0.2));
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(1)), units(0.1));
   ASSERT_TRUE(state.job(JobId(1)).has_value());
   EXPECT_EQ(state.job(JobId(1))->absolute_deadline, Time(100000));
+  // The row keeps the units each stage added.
+  EXPECT_TRUE(std::ranges::equal(state.job(JobId(1))->units,
+                                 std::vector<Units>{units(0.2), units(0.1)}));
 }
 
 TEST(SchedulingStateTest, AdmitJobHonoursAlternatePlacement) {
@@ -35,9 +46,9 @@ TEST(SchedulingStateTest, AdmitJobHonoursAlternatePlacement) {
   // Both stages re-allocated to P5/P6.
   state.admit_job(task, JobId(1), {ProcessorId(5), ProcessorId(6)},
                   Time(100000));
-  EXPECT_NEAR(state.ledger().total(ProcessorId(5)), 0.2, 1e-12);
-  EXPECT_NEAR(state.ledger().total(ProcessorId(6)), 0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(0)), 0.0);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(5)), units(0.2));
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(6)), units(0.1));
+  EXPECT_EQ(state.ledger().total(ProcessorId(0)), 0.0);
 }
 
 TEST(SchedulingStateTest, ExpireJobRemovesEverything) {
@@ -46,8 +57,8 @@ TEST(SchedulingStateTest, ExpireJobRemovesEverything) {
                   {ProcessorId(0), ProcessorId(1)}, Time(100000));
   state.expire_job(JobId(1));
   EXPECT_FALSE(state.has_job(JobId(1)));
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(0)), 0.0);
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(1)), 0.0);
+  EXPECT_EQ(state.ledger().total(ProcessorId(0)), 0.0);
+  EXPECT_EQ(state.ledger().total(ProcessorId(1)), 0.0);
   // Idempotent.
   state.expire_job(JobId(1));
   EXPECT_EQ(state.active_jobs(), 0u);
@@ -58,15 +69,16 @@ TEST(SchedulingStateTest, ResetSubjobRemovesOnlyThatStage) {
   state.admit_job(two_stage_task(), JobId(1),
                   {ProcessorId(0), ProcessorId(1)}, Time(100000));
   EXPECT_TRUE(state.reset_subjob(JobId(1), 0));
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(0)), 0.0);
-  EXPECT_NEAR(state.ledger().total(ProcessorId(1)), 0.1, 1e-12);
+  EXPECT_EQ(state.ledger().total(ProcessorId(0)), 0.0);
+  EXPECT_EQ(state.job(JobId(1))->units[0], 0u);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(1)), units(0.1));
   // Second reset of the same stage is a no-op.
   EXPECT_FALSE(state.reset_subjob(JobId(1), 0));
   // The job is still tracked until expiry.
   EXPECT_TRUE(state.has_job(JobId(1)));
   // Expiry removes the remaining stage only.
   state.expire_job(JobId(1));
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(1)), 0.0);
+  EXPECT_EQ(state.ledger().total(ProcessorId(1)), 0.0);
 }
 
 TEST(SchedulingStateTest, ResetUnknownJobOrStage) {
@@ -86,7 +98,7 @@ TEST(SchedulingStateTest, ReservationsAreImmuneToJobOperations) {
   // Job-level operations must not touch the reservation.
   EXPECT_FALSE(state.reset_subjob(JobId(0), 0));
   state.expire_job(JobId(0));
-  EXPECT_NEAR(state.ledger().total(ProcessorId(0)), 0.2, 1e-12);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), units(0.2));
   ASSERT_TRUE(state.reservation(TaskId(0)).has_value());
   EXPECT_EQ(state.reservation(TaskId(0))->placement[1], ProcessorId(1));
 }
@@ -99,8 +111,8 @@ TEST(SchedulingStateTest, ReleaseReservationReturnsPlacementAndFrees) {
   EXPECT_EQ(placement,
             (std::vector<ProcessorId>{ProcessorId(3), ProcessorId(4)}));
   EXPECT_FALSE(state.is_reserved(TaskId(0)));
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(3)), 0.0);
-  EXPECT_DOUBLE_EQ(state.ledger().total(ProcessorId(4)), 0.0);
+  EXPECT_EQ(state.ledger().total(ProcessorId(3)), 0.0);
+  EXPECT_EQ(state.ledger().total(ProcessorId(4)), 0.0);
 }
 
 TEST(SchedulingStateTest, FootprintsCoverJobsAndReservations) {
@@ -119,7 +131,7 @@ TEST(SchedulingStateTest, FootprintsCoverJobsAndReservations) {
 TEST(SchedulingStateTest, BackgroundLoadHasNoFootprint) {
   SchedulingState state;
   state.add_background(ProcessorId(0), 0.4);
-  EXPECT_NEAR(state.ledger().total(ProcessorId(0)), 0.4, 1e-12);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), units(0.4));
   EXPECT_TRUE(state.current_footprints().empty());
 }
 
@@ -134,9 +146,9 @@ TEST(SchedulingStateTest, ManyConcurrentJobsOfOneTask) {
                     Time(100000 + k));
   }
   EXPECT_EQ(state.active_jobs(), 5u);
-  EXPECT_NEAR(state.ledger().total(ProcessorId(0)), 0.5, 1e-12);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), 5 * units(0.1));
   state.expire_job(JobId(2));
-  EXPECT_NEAR(state.ledger().total(ProcessorId(0)), 0.4, 1e-12);
+  EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), 4 * units(0.1));
   EXPECT_EQ(state.current_footprints().size(), 4u);
 }
 
@@ -182,7 +194,7 @@ TEST(SchedulingStateTest, ResetsAreDecreaseOnlyUnderRandomInterleaving) {
   }
   for (const LiveJob& j : live) state.expire_job(j.job);
   EXPECT_EQ(state.active_jobs(), 0u);
-  EXPECT_DOUBLE_EQ(state.ledger().total_all(), 0.0);
+  EXPECT_EQ(state.ledger().total_all(), 0.0);
 }
 
 }  // namespace

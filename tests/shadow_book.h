@@ -1,14 +1,14 @@
 // A map-backed shadow of the admission book of record, for tests.
 //
 // ShadowedBook owns a core::SchedulingState and forwards every mutator to
-// it and to a std::map shadow that keeps the pre-slab, node-based book:
-// the same ledger arithmetic (same operations, same order, same
-// snap-to-zero rules), so processor totals must match *bitwise*.  After
-// each mutation the two are compared through the book's public views
-// only:
-//   - ledger(): live contribution count and every processor total;
+// it and to a std::map shadow that keeps the book node-based: per-row
+// stage units, converted with the ledger's one conversion
+// (UtilizationLedger::units), and per-processor unit totals, so processor
+// totals must match *exactly*.  After each mutation the two are compared
+// through the book's public views only:
+//   - ledger(): every processor total, in units;
 //   - job() / reservation(): task, deadline, footprint handle, placement
-//     and contribution handles of every row, plus the row counts;
+//     and per-stage units of every row, plus the row counts;
 //   - admission_index(): one footprint per row, each footprint's cached
 //     LHS against a fresh aub_lhs() recompute over the row's placement
 //     (this is what catches an index that missed a ledger change);
@@ -61,11 +61,7 @@ class ShadowedBook {
       fail("admitted job has no row");
       return;
     }
-    Row row{spec.id, {placement.begin(), placement.end()},
-            absolute_deadline,
-            {view->contributions.begin(), view->contributions.end()},
-            view->footprint};
-    shadow_add(row, spec);
+    Row row = shadow_add(spec, placement, absolute_deadline, view->footprint);
     jobs_.emplace(job.value(), std::move(row));
     verify();
   }
@@ -74,9 +70,7 @@ class ShadowedBook {
     book_.expire_job(job);
     const auto it = jobs_.find(job.value());
     if (it != jobs_.end()) {
-      for (const sched::ContributionId c : it->second.contributions) {
-        ledger_remove(c);  // reset stages are already gone
-      }
+      shadow_remove(it->second);  // reset stages hold 0
       jobs_.erase(it);
     }
     verify();
@@ -86,9 +80,11 @@ class ShadowedBook {
     const bool removed = book_.reset_subjob(job, stage);
     bool shadow_removed = false;
     const auto it = jobs_.find(job.value());
-    if (it != jobs_.end() && stage < it->second.contributions.size()) {
-      shadow_removed = ledger_remove(it->second.contributions[stage]);
-      it->second.contributions[stage] = sched::ContributionId();
+    if (it != jobs_.end() && stage < it->second.units.size() &&
+        it->second.units[stage] != 0) {
+      totals_[it->second.placement[stage].value()] -= it->second.units[stage];
+      it->second.units[stage] = 0;
+      shadow_removed = true;
     }
     if (removed != shadow_removed) fail("reset_subjob() outcome");
     verify();
@@ -97,10 +93,8 @@ class ShadowedBook {
 
   void add_background(ProcessorId proc, double utilization) {
     book_.add_background(proc, utilization);
-    // Background load is never removed, so it needs no handle.
-    totals_[proc.value()] += utilization;
-    ++live_[proc.value()];
-    ++background_;
+    // Background load is never removed, so no row keeps its units.
+    totals_[proc.value()] += sched::UtilizationLedger::units(utilization);
     verify();
   }
 
@@ -112,10 +106,7 @@ class ShadowedBook {
       fail("reserved task has no row");
       return;
     }
-    Row row{spec.id, {placement.begin(), placement.end()}, Time::epoch(),
-            {view->contributions.begin(), view->contributions.end()},
-            view->footprint};
-    shadow_add(row, spec);
+    Row row = shadow_add(spec, placement, Time::epoch(), view->footprint);
     reservations_.emplace(spec.id.value(), std::move(row));
     verify();
   }
@@ -129,9 +120,7 @@ class ShadowedBook {
       if (placement != it->second.placement) {
         fail("release_reservation() placement");
       }
-      for (const sched::ContributionId c : it->second.contributions) {
-        ledger_remove(c);
-      }
+      shadow_remove(it->second);
       reservations_.erase(it);
     }
     verify();
@@ -143,39 +132,28 @@ class ShadowedBook {
     TaskId task;
     std::vector<ProcessorId> placement;
     Time deadline;  // jobs only
-    std::vector<sched::ContributionId> contributions;
+    std::vector<sched::UtilizationLedger::Units> units;  // 0 once reset
     sched::FootprintId footprint;
   };
-  struct Contribution {
-    ProcessorId proc;
-    double amount;
-  };
 
-  // The book adds one contribution per stage, in stage order.
-  void shadow_add(const Row& row, const sched::TaskSpec& spec) {
-    if (row.contributions.size() != row.placement.size()) {
-      fail("one contribution per stage");
-      return;
+  // One stage contribution per placement entry, in the ledger's units.
+  Row shadow_add(const sched::TaskSpec& spec,
+                 std::span<const ProcessorId> placement, Time deadline,
+                 sched::FootprintId footprint) {
+    Row row{spec.id, {placement.begin(), placement.end()}, deadline, {},
+            footprint};
+    for (std::size_t j = 0; j < placement.size(); ++j) {
+      row.units.push_back(
+          sched::UtilizationLedger::units(spec.subtask_utilization(j)));
+      totals_[placement[j].value()] += row.units.back();
     }
-    for (std::size_t j = 0; j < row.placement.size(); ++j) {
-      const double amount = spec.subtask_utilization(j);
-      contributions_.emplace(row.contributions[j],
-                             Contribution{row.placement[j], amount});
-      totals_[row.placement[j].value()] += amount;
-      ++live_[row.placement[j].value()];
-    }
+    return row;
   }
 
-  bool ledger_remove(sched::ContributionId id) {
-    const auto it = contributions_.find(id);
-    if (it == contributions_.end()) return false;
-    const std::int32_t proc = it->second.proc.value();
-    double& total = totals_[proc];
-    total -= it->second.amount;
-    const std::size_t remaining = --live_[proc];
-    if (remaining == 0 || total < 0.0) total = 0.0;
-    contributions_.erase(it);
-    return true;
+  void shadow_remove(const Row& row) {
+    for (std::size_t j = 0; j < row.placement.size(); ++j) {
+      totals_[row.placement[j].value()] -= row.units[j];
+    }
   }
 
   void fail(const std::string& what) {
@@ -187,16 +165,14 @@ class ShadowedBook {
 
   void verify_row(const Row& row, TaskId task,
                   std::span<const ProcessorId> placement,
-                  std::span<const sched::ContributionId> contributions,
+                  std::span<const sched::UtilizationLedger::Units> units,
                   sched::FootprintId footprint, const std::string& what) {
     if (task != row.task) fail(what + " task");
     if (footprint != row.footprint) fail(what + " footprint handle");
     if (!std::ranges::equal(placement, row.placement)) {
       fail(what + " placement");
     }
-    if (!std::ranges::equal(contributions, row.contributions)) {
-      fail(what + " contributions");
-    }
+    if (!std::ranges::equal(units, row.units)) fail(what + " stage units");
     // The index's cached terms must follow every ledger change on the
     // row's processors.  Summation order differs (count x term against
     // one term per visit), so this one comparison is not bitwise.
@@ -212,12 +188,9 @@ class ShadowedBook {
   void verify() {
     ++checks_;
     const sched::UtilizationLedger& ledger = book_.ledger();
-    if (ledger.live() != contributions_.size() + background_) {
-      fail("live contribution count");
-    }
     for (const auto& [proc, total] : totals_) {
-      if (ledger.total(ProcessorId(proc)) != total) {
-        fail("processor total (bitwise) on P" + std::to_string(proc));
+      if (ledger.total_units(ProcessorId(proc)) != total) {
+        fail("processor total (units) on P" + std::to_string(proc));
       }
     }
     if (book_.active_jobs() != jobs_.size()) fail("active job count");
@@ -228,7 +201,7 @@ class ShadowedBook {
         continue;
       }
       if (view->absolute_deadline != row.deadline) fail("job deadline");
-      verify_row(row, view->task, view->placement, view->contributions,
+      verify_row(row, view->task, view->placement, view->units,
                  view->footprint, "job");
     }
     if (book_.reservation_count() != reservations_.size()) {
@@ -240,7 +213,7 @@ class ShadowedBook {
         fail("reservation missing from the book");
         continue;
       }
-      verify_row(row, view->task, view->placement, view->contributions,
+      verify_row(row, view->task, view->placement, view->units,
                  view->footprint, "reservation");
     }
     if (book_.admission_index().footprint_count() !=
@@ -262,10 +235,8 @@ class ShadowedBook {
   }
 
   core::SchedulingState book_;
-  std::map<sched::ContributionId, Contribution> contributions_;
-  std::map<std::int32_t, double> totals_;     // by ProcessorId::value
-  std::map<std::int32_t, std::size_t> live_;  // by ProcessorId::value
-  std::size_t background_ = 0;
+  // Unit totals by ProcessorId::value.
+  std::map<std::int32_t, sched::UtilizationLedger::Units> totals_;
   std::map<std::int32_t, Row> jobs_;          // by JobId::value
   std::map<std::int32_t, Row> reservations_;  // by TaskId::value
   std::uint64_t checks_ = 0;
@@ -282,6 +253,8 @@ struct ChurnCoverage {
   std::size_t reservations = 0;
   std::size_t releases = 0;
   std::size_t backgrounds = 0;
+  /// Ledger units of all background load added (never removed).
+  sched::UtilizationLedger::Units background_units = 0;
 };
 
 /// `steps` random mutations of `book` over `tasks`, then a full drain
@@ -343,9 +316,11 @@ inline ChurnCoverage run_book_churn(ShadowedBook& book,
       }
     } else {  // permanent background load on one processor
       const std::vector<ProcessorId> procs = tasks.processors();
-      book.add_background(procs[rng.index(procs.size())],
-                          0.001 * static_cast<double>(1 + rng.index(10)));
+      const ProcessorId proc = procs[rng.index(procs.size())];
+      const double u = 0.001 * static_cast<double>(1 + rng.index(10));
+      book.add_background(proc, u);
       ++coverage.backgrounds;
+      coverage.background_units += sched::UtilizationLedger::units(u);
     }
   }
 

@@ -475,11 +475,21 @@ TEST(AdmissionAllocTest, SpilledRowChurnReusesTheArena) {
 // horizon plus a drain longer than any deadline.  The rehearsal passes
 // grow every table to the trace's needs; the measured pass replays the
 // same jobs and must allocate exactly one block per idle report.
+//
+// The deferrable-server cases hold DS analysis to the same contract: the
+// delay-bound test, the per-job backlog records, the stage-release and
+// deadline-backstop timers and the server's own queue reuse their storage
+// once warm.
 struct JobPathCase {
   std::string combo;
+  bool deferrable_server = false;
+
+  [[nodiscard]] std::string name() const {
+    return deferrable_server ? combo + "_DS" : combo;
+  }
 };
 
-void PrintTo(const JobPathCase& c, std::ostream* os) { *os << c.combo; }
+void PrintTo(const JobPathCase& c, std::ostream* os) { *os << c.name(); }
 
 class JobPathAllocTest : public ::testing::TestWithParam<JobPathCase> {};
 
@@ -497,6 +507,9 @@ TEST_P(JobPathAllocTest, WarmRunAllocatesOnlyIdleReports) {
       workload::generate_workload(workload::random_workload_shape(), rng);
   SystemConfig config;
   config.strategies = StrategyCombination::parse(GetParam().combo).value();
+  if (GetParam().deferrable_server) {
+    config.analysis = AperiodicAnalysis::kDeferrableServer;
+  }
   SystemRuntime runtime(config, std::move(tasks));
   ASSERT_TRUE(runtime.assemble().is_ok());
 
@@ -536,6 +549,15 @@ TEST_P(JobPathAllocTest, WarmRunAllocatesOnlyIdleReports) {
   EXPECT_EQ(total.arrivals - warm.arrivals, trace.size());
   EXPECT_GT(total.releases - warm.releases, 0u);
   EXPECT_EQ(total.completions, total.releases);
+  if (GetParam().deferrable_server) {
+    // The measured pass served aperiodic subjobs through the servers.
+    std::uint64_t served = 0;
+    for (const ProcessorId p : runtime.app_processors()) {
+      served += runtime.deferrable_server(p)->stats().jobs_served;
+    }
+    EXPECT_GT(served, 0u);
+    EXPECT_EQ(runtime.admission_control()->ds_admission()->active_jobs(), 0u);
+  }
   EXPECT_EQ(allocations, reports)
       << "the job path allocated beyond one block per idle report ("
       << reports << " reports)";
@@ -552,7 +574,14 @@ INSTANTIATE_TEST_SUITE_P(
                       JobPathCase{"J_J_N"}, JobPathCase{"J_J_T"},
                       JobPathCase{"J_J_J"}),
     [](const ::testing::TestParamInfo<JobPathCase>& info) {
-      return info.param.combo;
+      return info.param.name();
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    DeferrableServer, JobPathAllocTest,
+    ::testing::Values(JobPathCase{"T_N_N", true}, JobPathCase{"J_J_J", true}),
+    [](const ::testing::TestParamInfo<JobPathCase>& info) {
+      return info.param.name();
     });
 
 }  // namespace

@@ -180,7 +180,8 @@ TEST(SoaEquivalence, BookMatchesShadowOracleUnderChurn) {
   // Drained: only the background load is left on the ledger.
   EXPECT_EQ(book.book().active_jobs(), 0u);
   EXPECT_EQ(book.book().reservation_count(), 0u);
-  EXPECT_EQ(book.book().ledger().live(), coverage.backgrounds);
+  EXPECT_EQ(book.book().ledger().total_all(),
+            sched::UtilizationLedger::utilization(coverage.background_units));
   EXPECT_GT(book.book().ledger().total_all(), 0.0);
 }
 

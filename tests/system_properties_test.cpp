@@ -462,8 +462,7 @@ RTCM_EXPECT_OK(runtime.inject_arrivals(
 
   // Quiescence: with per-job strategies there are no standing reservations,
   // so once every deadline has passed the ledger must drain to zero.
-  EXPECT_DOUBLE_EQ(
-      runtime.admission_control()->state().ledger().total_all(), 0.0);
+  EXPECT_EQ(runtime.admission_control()->state().ledger().total_all(), 0.0);
 }
 
 // --- Reconfiguration safety --------------------------------------------------
