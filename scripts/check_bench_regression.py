@@ -10,11 +10,12 @@ files.  Reports are matched by their "name" field.
 
 Two classes of regression are detected:
 
-  * accept-ratio drift: sweep cells are deterministic (same grid cell =>
-    bit-identical result), so any per-cell accept-ratio or deadline-miss
-    change beyond --accept-ratio-eps means the middleware's behaviour
-    changed.  That is sometimes intended (an optimisation that admits more)
-    but must never happen silently.
+  * cell drift: sweep cells are deterministic (same grid cell =>
+    bit-identical result), so any change of a cell field other than wall_ms
+    (accept ratio, deadline misses, aperiodic response time, ...) beyond
+    --accept-ratio-eps means the middleware's behaviour changed.  That is
+    sometimes intended (an optimisation that admits more) but must never
+    happen silently.
   * wall-time regression: the candidate's total simulation wall time for a
     report exceeding the baseline's by more than --walltime-pct percent.
 
@@ -101,6 +102,22 @@ def comparable_params(doc):
     return params
 
 
+def cell_drift(base, cand, eps):
+    """Describe every field of a cell that differs, except wall_ms (host
+    time): numbers beyond `eps`, anything else on inequality, and fields
+    present on one side only."""
+    changed = []
+    for field in sorted((set(base) | set(cand)) - {"wall_ms"}):
+        b, c = base.get(field), cand.get(field)
+        numeric = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in (b, c)
+        )
+        if (abs(b - c) > eps) if numeric else (b != c):
+            changed.append(f"{field} {b} -> {c}")
+    return changed
+
+
 def compare_report(name, base, cand, eps, walltime_pct):
     """Return a list of human-readable failure strings."""
     failures = []
@@ -131,27 +148,16 @@ def compare_report(name, base, cand, eps, walltime_pct):
             f"{name}: no cells in common between baseline and candidate"
         )
     for key in matched:
-        b, c = base_cells[key], cand_cells[key]
-        ratio_delta = abs(
-            b.get("accept_ratio", 0.0) - c.get("accept_ratio", 0.0)
-        )
-        miss_delta = abs(
-            b.get("deadline_misses", 0) - c.get("deadline_misses", 0)
-        )
-        if ratio_delta > eps or miss_delta > eps:
+        changed = cell_drift(base_cells[key], cand_cells[key], eps)
+        if changed:
             drifted += 1
             if first_drift is None:
-                first_drift = (
-                    f"cell {key}: accept_ratio "
-                    f"{b.get('accept_ratio')} -> {c.get('accept_ratio')}, "
-                    f"deadline_misses {b.get('deadline_misses')} -> "
-                    f"{c.get('deadline_misses')}"
-                )
+                first_drift = f"cell {key}: " + ", ".join(changed)
     if drifted:
         failures.append(
-            f"{name}: accept-ratio/deadline-miss drift in {drifted} "
-            f"cell(s) ({first_drift}); sweep cells are deterministic, so "
-            f"this is a behaviour change — update the baseline if intended"
+            f"{name}: cell drift in {drifted} cell(s) ({first_drift}); "
+            f"sweep cells are deterministic, so this is a behaviour change "
+            f"— update the baseline if intended"
         )
 
     # Sum wall time over the matched cells only: a candidate run with more
@@ -179,8 +185,9 @@ def main():
         "--accept-ratio-eps",
         type=float,
         default=1e-12,
-        help="tolerated absolute accept-ratio / deadline-miss delta "
-        "(default: %(default)g; cells are deterministic, so near-zero)",
+        help="tolerated absolute delta of any numeric cell field but "
+        "wall_ms (default: %(default)g; cells are deterministic, so "
+        "near-zero)",
     )
     parser.add_argument(
         "--walltime-pct",

@@ -20,15 +20,17 @@ const char* to_string(LifecycleState state) {
   return "?";
 }
 
-Component::Component(std::string type_name)
-    : type_name_(std::move(type_name)) {}
-
 const ContainerContext& Component::context() const {
   assert(container_ && "component not installed in a container");
   return container_->context();
 }
 
-Status Component::configure(const AttributeMap& properties) {
+Status Component::configure(const ComponentConfig& config) {
+  if (!config_fits(kind(), config)) {
+    return Status::error("component '" + id_.to_string() + "' (" +
+                         to_string(kind()) +
+                         ") refuses a config of another kind");
+  }
   const bool pre_activation = state_ == LifecycleState::kCreated ||
                               state_ == LifecycleState::kConfigured;
   // Runtime reconfiguration covers both live components and quiesced
@@ -37,23 +39,23 @@ Status Component::configure(const AttributeMap& properties) {
                            state_ == LifecycleState::kPassivated) &&
                           supports_runtime_reconfiguration();
   if (!pre_activation && !runtime_ok) {
-    return Status::error("component '" + instance_name_ +
+    return Status::error("component '" + id_.to_string() +
                          "' cannot be configured in state " +
                          std::string(to_string(state_)));
   }
-  attributes_.merge(properties);
-  if (Status s = on_configure(attributes_); !s.is_ok()) return s;
+  if (Status s = on_configure(config); !s.is_ok()) return s;
   if (pre_activation) state_ = LifecycleState::kConfigured;
   return Status::ok();
 }
 
 Status Component::activate() {
   if (state_ == LifecycleState::kActive) {
-    return Status::error("component '" + instance_name_ + "' already active");
+    return Status::error("component '" + id_.to_string() + "' already active");
   }
   if (container_ == nullptr) {
-    return Status::error("component '" + type_name_ +
-                         "' must be installed before activation");
+    return Status::error(std::string("component of kind ") +
+                         to_string(kind()) +
+                         " must be installed before activation");
   }
   // Reactivation after passivate() must not re-run on_activate(): event
   // subscriptions made there survive passivation (channels have no
@@ -67,26 +69,25 @@ Status Component::activate() {
 
 Status Component::passivate() {
   if (state_ != LifecycleState::kActive) {
-    return Status::error("component '" + instance_name_ + "' is not active");
+    return Status::error("component '" + id_.to_string() + "' is not active");
   }
   on_passivate();
   state_ = LifecycleState::kPassivated;
   return Status::ok();
 }
 
-Status Component::connect(std::string_view receptacle, Component& provider) {
+Status Component::connect(Port port, Component& provider) {
   (void)provider;
-  return Status::error("component '" + instance_name_ +
-                       "' has no receptacle '" + std::string(receptacle) +
-                       "'");
+  return Status::error("component '" + id_.to_string() +
+                       "' has no receptacle '" + to_string(port) + "'");
 }
 
-Status Component::wrong_interface(std::string_view receptacle,
+Status Component::wrong_interface(Port port,
                                   const Component& provider) const {
-  return Status::error("receptacle '" + std::string(receptacle) + "' of '" +
-                       instance_name_ + "' cannot use '" +
-                       provider.instance_name() + "' (" +
-                       provider.type_name() +
+  return Status::error(std::string("receptacle '") + to_string(port) +
+                       "' of '" + id_.to_string() + "' cannot use '" +
+                       provider.id().to_string() + "' (" +
+                       to_string(provider.kind()) +
                        "): it lacks the required interface");
 }
 

@@ -1,22 +1,22 @@
 // CCM-lite component base class.
 //
 // A component is a unit of implementation and composition (paper §2) with:
-//   - typed attributes applied through configure() — the Configurator /
-//     set_configuration path of Figure 4,
+//   - a kind and, once installed, an InstanceId (ccm/instance.h),
+//   - a typed configuration applied through configure() — the Configurator /
+//     set_configuration path of Figure 4.  Each kind takes its own struct;
+//     configure() refuses another kind's and replaces the old config whole,
 //   - typed ports: a facet is an interface the component class itself
-//     implements, named through provides(); a receptacle is a typed pointer
-//     member that connect() fills from the providing component after
-//     checking the interface with dynamic_cast,
+//     implements (which kind provides which port is fixed in
+//     ccm/instance.h); a receptacle is a typed pointer member that connect()
+//     fills from the providing component after checking the interface with
+//     dynamic_cast,
 //   - a lifecycle: Created -> Configured -> Active -> Passivated.
 //
 // Event ports need no declaration: components subscribe to and push on the
 // federated channel held by their container.
 #pragma once
 
-#include <string>
-#include <string_view>
-
-#include "ccm/attributes.h"
+#include "ccm/instance.h"
 #include "util/result.h"
 
 namespace rtcm::ccm {
@@ -30,29 +30,27 @@ enum class LifecycleState { kCreated, kConfigured, kActive, kPassivated };
 
 class Component {
  public:
-  explicit Component(std::string type_name);
+  explicit Component(ComponentKind kind) : id_(kind) {}
   virtual ~Component() = default;
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
 
-  [[nodiscard]] const std::string& type_name() const { return type_name_; }
-  /// Instance name; empty until installed into a container.
-  [[nodiscard]] const std::string& instance_name() const {
-    return instance_name_;
-  }
+  [[nodiscard]] ComponentKind kind() const { return id_.kind; }
+  /// The instance identity; only the kind is set until installed.
+  [[nodiscard]] const InstanceId& id() const { return id_; }
   [[nodiscard]] LifecycleState state() const { return state_; }
   /// The hosting container; null until installed.
   [[nodiscard]] Container* container() const { return container_; }
   /// The hosting container's context; asserts if not installed.
   [[nodiscard]] const ContainerContext& context() const;
 
-  /// Apply configProperties (set_configuration).  Allowed in Created or
-  /// Configured state — and, for components that opt in via
-  /// supports_runtime_reconfiguration(), also while Active or Passivated
-  /// (paper §5: the TE's attributes "may be modified at run-time"; the
-  /// reconfiguration engine configures quiesced components before
-  /// reactivating them).  Attributes are retained and re-readable.
-  [[nodiscard]] Status configure(const AttributeMap& properties);
+  /// Apply this kind's config (set_configuration), replacing the previous
+  /// one.  Allowed in Created or Configured state — and, for components that
+  /// opt in via supports_runtime_reconfiguration(), also while Active or
+  /// Passivated (paper §5: the TE's attributes "may be modified at
+  /// run-time"; the reconfiguration engine configures quiesced components
+  /// before reactivating them).
+  [[nodiscard]] Status configure(const ComponentConfig& config);
 
   /// Whether configure() is permitted while Active.
   [[nodiscard]] virtual bool supports_runtime_reconfiguration() const {
@@ -65,29 +63,25 @@ class Component {
   /// Transition to Passivated; must currently be Active.
   [[nodiscard]] Status passivate();
 
-  [[nodiscard]] const AttributeMap& attributes() const { return attributes_; }
-
   // --- Ports -------------------------------------------------------------
   //
-  // A plan connection names a receptacle on its source instance and a facet
-  // on its target; the deployment engine checks provides() on the target,
-  // then hands the target to connect() on the source.
+  // A plan connection names a port, its source instance (the receptacle)
+  // and its target (the facet); the deployment engine checks provides() on
+  // the target, then hands the target to connect() on the source.
 
-  /// Whether this component provides the named facet.
-  [[nodiscard]] virtual bool provides(std::string_view facet) const {
-    (void)facet;
-    return false;
+  /// Whether this component provides the facet of `port`.
+  [[nodiscard]] bool provides(Port port) const {
+    return has_facet(kind(), port);
   }
 
-  /// Wire the named receptacle to `provider`.  Errors for unknown
-  /// receptacles and for providers lacking the receptacle's interface.
-  [[nodiscard]] virtual Status connect(std::string_view receptacle,
-                                       Component& provider);
+  /// Wire the receptacle of `port` to `provider`.  Errors for receptacles
+  /// this component lacks and for providers lacking the interface.
+  [[nodiscard]] virtual Status connect(Port port, Component& provider);
 
  protected:
-  /// Subclass hooks.
-  [[nodiscard]] virtual Status on_configure(const AttributeMap& properties) {
-    (void)properties;
+  /// Subclass hook; `config` holds the struct of this component's kind.
+  [[nodiscard]] virtual Status on_configure(const ComponentConfig& config) {
+    (void)config;
     return Status::ok();
   }
   [[nodiscard]] virtual Status on_activate() { return Status::ok(); }
@@ -96,25 +90,22 @@ class Component {
   /// connect() helper: point `slot` at `provider` as an `Interface`, or
   /// report that the provider does not implement it.
   template <typename Interface>
-  [[nodiscard]] Status bind(Interface*& slot, std::string_view receptacle,
-                            Component& provider) {
+  [[nodiscard]] Status bind(Interface*& slot, Port port, Component& provider) {
     auto* iface = dynamic_cast<Interface*>(&provider);
-    if (iface == nullptr) return wrong_interface(receptacle, provider);
+    if (iface == nullptr) return wrong_interface(port, provider);
     slot = iface;
     return Status::ok();
   }
 
  private:
-  [[nodiscard]] Status wrong_interface(std::string_view receptacle,
+  [[nodiscard]] Status wrong_interface(Port port,
                                        const Component& provider) const;
 
   friend class Container;
 
-  std::string type_name_;
-  std::string instance_name_;
+  InstanceId id_;
   LifecycleState state_ = LifecycleState::kCreated;
   Container* container_ = nullptr;
-  AttributeMap attributes_;
 };
 
 }  // namespace rtcm::ccm

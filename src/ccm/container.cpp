@@ -2,29 +2,36 @@
 
 namespace rtcm::ccm {
 
-Status Container::install(const std::string& instance_name,
+Status Container::install(const InstanceId& id,
                           std::unique_ptr<Component> component) {
   if (!component) {
-    return Status::error("cannot install null component '" + instance_name +
+    return Status::error("cannot install null component '" + id.to_string() +
                          "'");
   }
-  if (instance_name.empty()) {
-    return Status::error("component instance name must not be empty");
+  if (component->kind() != id.kind) {
+    return Status::error(std::string("cannot install a ") +
+                         to_string(component->kind()) + " component as '" +
+                         id.to_string() + "'");
   }
-  const auto [slot, inserted] = components_.try_emplace(instance_name);
+  if (id.node != context_.processor) {
+    return Status::error("instance '" + id.to_string() +
+                         "' does not belong on " +
+                         context_.processor.to_string());
+  }
+  const auto [slot, inserted] = components_.try_emplace(id);
   if (!inserted) {
-    return Status::error("duplicate component instance '" + instance_name +
+    return Status::error("duplicate component instance '" + id.to_string() +
                          "' on " + context_.processor.to_string());
   }
-  component->instance_name_ = instance_name;
+  component->id_ = id;
   component->container_ = this;
   order_.push_back(component.get());
   slot->second = std::move(component);
   return Status::ok();
 }
 
-Component* Container::find(std::string_view instance_name) const {
-  const auto it = components_.find(instance_name);
+Component* Container::find(const InstanceId& id) const {
+  const auto it = components_.find(id);
   return it == components_.end() ? nullptr : it->second.get();
 }
 

@@ -9,8 +9,6 @@
 
 #include <map>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ccm/component.h"
@@ -54,16 +52,17 @@ class Container {
   [[nodiscard]] const ContainerContext& context() const { return context_; }
   [[nodiscard]] ProcessorId processor() const { return context_.processor; }
 
-  /// Install a component under a unique instance name.
-  [[nodiscard]] Status install(const std::string& instance_name,
+  /// Install a component under a unique identity of its kind on this
+  /// container's processor.
+  [[nodiscard]] Status install(const InstanceId& id,
                                std::unique_ptr<Component> component);
 
-  [[nodiscard]] Component* find(std::string_view instance_name) const;
+  [[nodiscard]] Component* find(const InstanceId& id) const;
 
   /// Typed lookup; returns null if missing or of a different dynamic type.
   template <typename T>
-  [[nodiscard]] T* find_as(std::string_view instance_name) const {
-    return dynamic_cast<T*>(find(instance_name));
+  [[nodiscard]] T* find_as(const InstanceId& id) const {
+    return dynamic_cast<T*>(find(id));
   }
 
   /// Activate every installed component (in installation order).
@@ -79,7 +78,7 @@ class Container {
 
  private:
   ContainerContext context_;
-  std::map<std::string, std::unique_ptr<Component>, std::less<>> components_;
+  std::map<InstanceId, std::unique_ptr<Component>> components_;
   std::vector<Component*> order_;
 };
 

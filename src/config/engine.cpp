@@ -5,7 +5,6 @@
 
 #include "config/workload_spec.h"
 #include "dance/plan_xml.h"
-#include "sched/edms.h"
 #include "util/strings.h"
 
 namespace rtcm::config {
@@ -51,7 +50,6 @@ Result<EngineOutput> ConfigurationEngine::configure(
   if (!plan.is_ok()) return R::error(plan.message());
   out.plan = std::move(plan).value();
   out.xml = dance::plan_to_xml(out.plan);
-  out.priorities = sched::assign_edms_priorities(out.tasks);
 
   // Fold the mode-change schedule into a plan sequence: each step mutates
   // the accumulated PlanBuilderInput and emits a full target plan, so a bad

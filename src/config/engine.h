@@ -2,16 +2,15 @@
 //
 // Ties the pieces together: parse the developer's workload specification,
 // map the questionnaire answers to service strategies (Table 1), refuse
-// invalid explicit combinations, assign EDMS priorities, and emit the
-// XML-based deployment plan DAnCE launches.  `launch()` then assembles a
-// fresh SystemRuntime from the plan: deploy components on each node ->
-// set_configuration -> wire ports -> activate.
+// invalid explicit combinations, build the typed plan (EDMS priorities in
+// its Subtask configs) and emit the XML deployment plan DAnCE launches.
+// `launch()` then assembles a fresh SystemRuntime from the plan: deploy
+// components on each node -> set_configuration -> wire ports -> activate.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "config/plan_builder.h"
@@ -59,7 +58,6 @@ struct EngineOutput {
   std::string lb_policy;
   dance::DeploymentPlan plan;
   std::string xml;
-  std::unordered_map<TaskId, Priority> priorities;
   /// Target plans for each mode change, in schedule order.
   std::vector<TimedPlan> schedule;
 };

@@ -1,13 +1,7 @@
 #include "config/plan_builder.h"
 
 #include <algorithm>
-#include <set>
 
-#include "core/admission_control.h"
-#include "core/idle_resetter.h"
-#include "core/load_balancer_component.h"
-#include "core/subtask_component.h"
-#include "core/task_effector.h"
 #include "sched/edms.h"
 #include "util/strings.h"
 
@@ -23,12 +17,11 @@ PlanBuilderInput plan_input(const core::SystemConfig& config,
   input.lb_policy = config.lb_policy;
   input.lb_seed = config.lb_seed;
   if (config.analysis == core::AperiodicAnalysis::kDeferrableServer) {
-    input.analysis = "DS";
-    input.ds_budget = config.ds_server.budget;
-    input.ds_period = config.ds_server.period;
-    input.ds_hop_overhead = config.ds_server.hop_overhead.is_zero()
-                                ? config.comm_latency
-                                : config.ds_server.hop_overhead;
+    input.analysis = config.analysis;
+    input.ds = config.ds_server;
+    if (input.ds.hop_overhead.is_zero()) {
+      input.ds.hop_overhead = config.comm_latency;
+    }
   }
   return input;
 }
@@ -44,9 +37,9 @@ Result<dance::DeploymentPlan> build_deployment_plan(
                     input.strategies.label() + ": " +
                     input.strategies.invalid_reason());
   }
-  if (input.analysis != "AUB" && input.analysis != "DS") {
-    return R::error("analysis must be 'AUB' or 'DS', got '" + input.analysis +
-                    "'");
+  const auto policy = sched::parse_placement_policy(input.lb_policy);
+  if (!policy.is_ok()) {
+    return R::error("LB policy " + policy.message());
   }
   const sched::TaskSet& tasks = *input.tasks;
   const auto app_processors = tasks.processors();
@@ -68,102 +61,57 @@ Result<dance::DeploymentPlan> build_deployment_plan(
   plan.connections.reserve(1 + subtask_hosts);
 
   // Central task manager: LB then AC.
-  {
-    dance::InstanceDeployment lb;
-    lb.id = "Central-LB";
-    lb.type = core::LoadBalancerComponent::kTypeName;
-    lb.node = input.task_manager;
-    lb.properties.set_string(core::LoadBalancerComponent::kPolicyAttr,
-                             input.lb_policy);
-    lb.properties.set_int(core::LoadBalancerComponent::kSeedAttr,
-                          static_cast<std::int64_t>(input.lb_seed));
-    plan.instances.push_back(std::move(lb));
-
-    dance::InstanceDeployment ac;
-    ac.id = "Central-AC";
-    ac.type = core::AdmissionControl::kTypeName;
-    ac.node = input.task_manager;
-    ac.properties.set_string(core::AdmissionControl::kAcStrategyAttr,
-                             core::to_attr(input.strategies.ac));
-    ac.properties.set_string(core::AdmissionControl::kLbStrategyAttr,
-                             core::to_attr(input.strategies.lb));
-    if (input.analysis == "DS") {
-      ac.properties.set_string(core::AdmissionControl::kAnalysisAttr, "DS");
-      ac.properties.set_duration(core::AdmissionControl::kDsBudgetAttr,
-                                 input.ds_budget);
-      ac.properties.set_duration(core::AdmissionControl::kDsPeriodAttr,
-                                 input.ds_period);
-      ac.properties.set_duration(core::AdmissionControl::kDsHopOverheadAttr,
-                                 input.ds_hop_overhead);
-    }
-    plan.instances.push_back(std::move(ac));
-
-    plan.connections.push_back(dance::ConnectionDeployment{
-        "ac-location", "Central-AC", std::string(core::kLocationPort),
-        "Central-LB", std::string(core::kLocationPort)});
-  }
+  const ccm::InstanceId lb{ccm::ComponentKind::kLoadBalancer,
+                           input.task_manager};
+  const ccm::InstanceId ac{ccm::ComponentKind::kAdmissionControl,
+                           input.task_manager};
+  plan.instances.push_back({lb, ccm::LbConfig{policy.value(), input.lb_seed}});
+  plan.instances.push_back(
+      {ac, ccm::AcConfig{input.strategies.ac, input.strategies.lb,
+                         input.analysis, input.ds}});
+  plan.connections.push_back({ac, ccm::Port::kLocation, lb});
 
   // Per application processor: TE + IR.
-  const std::string te_mode = core::te_mode_attr(input.strategies);
-  const std::string ir_value = core::to_attr(input.strategies.ir);
+  const ccm::TeConfig te{core::te_mode(input.strategies)};
+  const ccm::IrConfig ir{input.strategies.ir};
   for (const ProcessorId p : app_processors) {
-    dance::InstanceDeployment te;
-    te.id = "TE@" + p.to_string();
-    te.type = core::TaskEffector::kTypeName;
-    te.node = p;
-    te.properties.set_string(core::TaskEffector::kModeAttr, te_mode);
-    te.properties.set_int("ProcessorID", p.value());
-    plan.instances.push_back(std::move(te));
-
-    dance::InstanceDeployment ir;
-    ir.id = "IR@" + p.to_string();
-    ir.type = core::IdleResetter::kTypeName;
-    ir.node = p;
-    ir.properties.set_string(core::IdleResetter::kStrategyAttr, ir_value);
-    ir.properties.set_int("ProcessorID", p.value());
-    plan.instances.push_back(std::move(ir));
+    plan.instances.push_back({{ccm::ComponentKind::kTaskEffector, p}, te});
+    plan.instances.push_back({{ccm::ComponentKind::kIdleResetter, p}, ir});
   }
 
   // Subtask instances with EDMS priorities.  Execution-drained processors
   // host no Subtask instances; a stage losing every host is a plan error.
-  const std::set<ProcessorId> drained(input.drained.begin(),
-                                      input.drained.end());
+  const auto is_drained = [&input](ProcessorId host) {
+    return std::find(input.drained.begin(), input.drained.end(), host) !=
+           input.drained.end();
+  };
   const auto priorities = sched::assign_edms_priorities(tasks);
   for (const sched::TaskSpec& task : tasks.tasks()) {
     const Priority priority = priorities.at(task.id);
     for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
       const sched::SubtaskSpec& st = task.subtasks[j];
       const bool last = (j + 1 == task.subtasks.size());
-      const std::vector<ProcessorId> candidates = st.candidates();
-      const auto is_drained = [&drained](ProcessorId host) {
-        return drained.count(host) > 0;
+      const ccm::SubtaskConfig config{st.execution, priority,
+                                      input.strategies.ir};
+      bool hosted = false;
+      const auto deploy = [&](ProcessorId host) {
+        if (is_drained(host)) return;
+        hosted = true;
+        const ccm::InstanceId id{last ? ccm::ComponentKind::kSubtaskLast
+                                      : ccm::ComponentKind::kSubtaskFI,
+                                 host, task.id,
+                                 static_cast<std::uint32_t>(j)};
+        plan.connections.push_back(
+            {id, ccm::Port::kComplete,
+             ccm::InstanceId{ccm::ComponentKind::kIdleResetter, host}});
+        plan.instances.push_back({id, config});
       };
-      if (std::all_of(candidates.begin(), candidates.end(), is_drained)) {
+      deploy(st.primary);
+      for (const ProcessorId replica : st.replicas) deploy(replica);
+      if (!hosted) {
         return R::error(strfmt(
             "draining leaves stage %zu of task %d without any host", j,
             task.id.value()));
-      }
-      for (const ProcessorId host : candidates) {
-        if (is_drained(host)) continue;
-        dance::InstanceDeployment inst;
-        inst.id = strfmt("T%d_S%zu@P%d", task.id.value(), j, host.value());
-        inst.type = last ? core::LastSubtask::kTypeName
-                         : core::FirstIntermediateSubtask::kTypeName;
-        inst.node = host;
-        inst.properties.set_int(core::SubtaskComponentBase::kTaskAttr,
-                                task.id.value());
-        inst.properties.set_int(core::SubtaskComponentBase::kStageAttr,
-                                static_cast<std::int64_t>(j));
-        inst.properties.set_duration(core::SubtaskComponentBase::kExecutionAttr,
-                                     st.execution);
-        inst.properties.set_int(core::SubtaskComponentBase::kPriorityAttr,
-                                priority.level());
-        inst.properties.set_string(core::SubtaskComponentBase::kIrModeAttr,
-                                   ir_value);
-        plan.connections.push_back(dance::ConnectionDeployment{
-            inst.id + "-complete", inst.id, std::string(core::kCompletePort),
-            "IR@" + host.to_string(), std::string(core::kCompletePort)});
-        plan.instances.push_back(std::move(inst));
       }
     }
   }

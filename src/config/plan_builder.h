@@ -3,11 +3,11 @@
 // The one description of a deployment's topology: Central-LB and Central-AC
 // on the task manager node, one TE and IR per application processor, and
 // F/I / Last Subtask instances on every primary and replica processor — with
-// EDMS priorities written into the subtask instances' configProperties
-// exactly as the paper's front-end configuration engine writes them into the
-// XML plan.  SystemRuntime::assemble() launches this plan for its own
-// SystemConfig; the configuration engine and the reconfiguration manager
-// derive theirs from the same builder.
+// EDMS priorities written into the subtask instances' configs exactly as the
+// paper's front-end configuration engine writes them into the XML plan.
+// SystemRuntime::assemble() launches this plan for its own SystemConfig; the
+// configuration engine and the reconfiguration manager derive theirs from
+// the same builder.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +31,10 @@ struct PlanBuilderInput {
   std::string lb_policy = "lowest-util";
   std::uint64_t lb_seed = 1;
   std::string label = "rtcm-deployment";
-  /// Aperiodic analysis configured on the Central-AC ("AUB" or "DS"), with
-  /// the DS server parameters when "DS".
-  std::string analysis = "AUB";
-  Duration ds_budget = Duration::milliseconds(25);
-  Duration ds_period = Duration::milliseconds(100);
-  Duration ds_hop_overhead = Duration::zero();
+  /// Aperiodic analysis configured on the Central-AC, with the DS server
+  /// parameters it uses under deferrable-server analysis.
+  core::AperiodicAnalysis analysis = core::AperiodicAnalysis::kAub;
+  sched::DsServerConfig ds;
   /// Execution-drained processors: no Subtask instance is deployed on them
   /// (their TE/IR stay, so arrivals still land there and migrate away).  An
   /// error is returned if draining leaves some stage without any host.

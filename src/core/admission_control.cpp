@@ -20,69 +20,47 @@ using events::TaskArrivePayload;
 AdmissionControl::AdmissionControl(const sched::TaskSet& tasks,
                                    MetricsCollector* metrics,
                                    util::MonotonicArena* arena)
-    : Component(kTypeName),
+    : Component(ccm::ComponentKind::kAdmissionControl),
       tasks_(tasks),
       metrics_(metrics),
       state_(arena) {}
 
-Status AdmissionControl::connect(std::string_view receptacle,
-                                 ccm::Component& provider) {
-  if (receptacle == kLocationPort) {
-    return bind(location_, receptacle, provider);
-  }
-  return Component::connect(receptacle, provider);
+Status AdmissionControl::connect(ccm::Port port, ccm::Component& provider) {
+  if (port == ccm::Port::kLocation) return bind(location_, port, provider);
+  return Component::connect(port, provider);
 }
 
-Status AdmissionControl::on_configure(const ccm::AttributeMap& attributes) {
-  const auto ac =
-      parse_ac_attr(attributes.get_string_or(kAcStrategyAttr, "PT"));
-  if (!ac.is_ok()) {
-    return Status::error(std::string(kAcStrategyAttr) + " " + ac.message());
-  }
-  const auto lb =
-      parse_lb_attr(attributes.get_string_or(kLbStrategyAttr, "N"));
-  if (!lb.is_ok()) {
-    return Status::error(std::string(kLbStrategyAttr) + " " + lb.message());
-  }
-  ac_ = ac.value();
-  lb_ = lb.value();
+Status AdmissionControl::on_configure(const ccm::ComponentConfig& config) {
+  const auto& ac = std::get<ccm::AcConfig>(config);
+  ac_ = ac.ac;
+  lb_ = ac.lb;
   // Runtime reconfiguration may swap the strategy attributes freely, but the
   // analysis (and a live DS server's parameters) carry admission state that
   // cannot be rebuilt mid-run; switching them on a live AC is refused.
   const bool live =
       ccm::Component::state() == ccm::LifecycleState::kActive ||
       ccm::Component::state() == ccm::LifecycleState::kPassivated;
-  const std::string analysis = attributes.get_string_or(kAnalysisAttr, "AUB");
-  if (analysis == "AUB") {
+  if (ac.analysis == AperiodicAnalysis::kAub) {
     if (live && analysis_ != AperiodicAnalysis::kAub) {
       return Status::error(
           "cannot switch a live AC from DS to AUB analysis");
     }
     analysis_ = AperiodicAnalysis::kAub;
     ds_.reset();
-  } else if (analysis == "DS") {
-    sched::DsServerConfig ds_config;
-    ds_config.budget =
-        Duration(attributes.get_int_or(kDsBudgetAttr, 25000));
-    ds_config.period =
-        Duration(attributes.get_int_or(kDsPeriodAttr, 100000));
-    ds_config.hop_overhead =
-        Duration(attributes.get_int_or(kDsHopOverheadAttr, 0));
+  } else {
+    const sched::DsServerConfig& ds_config = ac.ds;
     if (ds_config.budget <= Duration::zero() ||
         ds_config.period < ds_config.budget ||
         ds_config.hop_overhead.is_negative()) {
-      return Status::error("DS server needs 0 < DS_Budget <= DS_Period and "
-                           "DS_HopOverhead >= 0");
+      return Status::error("DS server needs 0 < budget <= period and "
+                           "hop overhead >= 0");
     }
     if (live) {
       if (analysis_ != AperiodicAnalysis::kDeferrableServer) {
         return Status::error(
             "cannot switch a live AC from AUB to DS analysis");
       }
-      const sched::DsServerConfig& current = ds_->config();
-      if (current.budget != ds_config.budget ||
-          current.period != ds_config.period ||
-          current.hop_overhead != ds_config.hop_overhead) {
+      if (ds_->config() != ds_config) {
         return Status::error(
             "cannot retune a live AC's DS server parameters");
       }
@@ -91,9 +69,6 @@ Status AdmissionControl::on_configure(const ccm::AttributeMap& attributes) {
       analysis_ = AperiodicAnalysis::kDeferrableServer;
       ds_.emplace(ds_config);
     }
-  } else {
-    return Status::error("Analysis must be 'AUB' or 'DS', got '" + analysis +
-                         "'");
   }
   return Status::ok();
 }
@@ -260,8 +235,7 @@ void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
   ++counters_.admission_tests;
   const std::span<const Duration> bounds =
       ds_->stage_bounds(spec, placement);
-  const Duration round_trip = ds_->config().hop_overhead * 2;
-  const Duration bound = bounds.back() + round_trip;
+  const Duration bound = ds_->end_to_end_bound(bounds);
   const bool admitted = bound <= spec.deadline;
   context().trace.record_lazy(
       context().sim.now(), sim::TraceKind::kAdmissionTest,
@@ -281,7 +255,7 @@ void AdmissionControl::handle_ds_aperiodic(const sched::TaskSpec& spec,
   // sound while shedding finished work far before the deadline backstop.
   for (std::size_t j = 0; j < bounds.size(); ++j) {
     context().sim.schedule_at(
-        a.arrival_time + round_trip + bounds[j],
+        a.arrival_time + ds_->config().round_trip() + bounds[j],
         [this, job, j] { (void)ds_->release_stage(job, j); });
   }
   // Deadline backstop: drop whatever remains and forget the job.
@@ -338,7 +312,7 @@ void AdmissionControl::handle_task_arrive(const TaskArrivePayload& a) {
     return;
   }
 
-  // Per-job admission: aperiodic jobs always, periodic jobs under AC=PJ.
+  // Per-job admission: aperiodic jobs always, periodic jobs under AC per Job.
   events::Placement placement = placement_for(*spec);
   if (placement.empty()) {
     ++counters_.drain_unplaceable;

@@ -6,21 +6,21 @@
 // "Accept" / "Reject" events.  Placement is delegated to the Load Balancer
 // through the "Location" receptacle.
 //
-// Strategies (attributes):
-//   AC_Strategy = "PT": periodic tasks are tested once, at first arrival;
+// Strategies (AcConfig):
+//   AC per Task: periodic tasks are tested once, at first arrival;
 //     admitted tasks get a permanent synthetic-utilization reservation and
 //     their later jobs bypass (or trivially pass) admission.  A task that
 //     fails its first test never runs.
-//   AC_Strategy = "PJ": every job of a periodic task is tested; rejected
+//   AC per Job: every job of a periodic task is tested; rejected
 //     jobs are skipped (criterion C1).
 //   Aperiodic jobs are always tested per arrival — each job of an aperiodic
 //   task is an independent single-release task.
-//   LB_Strategy = "N" | "PT" | "PJ" selects no balancing, one placement per
+//   LB None | per Task | per Job selects no balancing, one placement per
 //     (periodic) task frozen at first arrival, or a fresh placement per job.
-//     Under AC=PT with LB=PJ the reservation is *moved* when a better
-//     placement passes the admission test ("the LB component may modify a
-//     previous allocation plan for a task when a new job of the task
-//     arrives", §5).
+//     Under AC per Task with LB per Job the reservation is *moved* when a
+//     better placement passes the admission test ("the LB component may
+//     modify a previous allocation plan for a task when a new job of the
+//     task arrives", §5).
 #pragma once
 
 #include <cstdint>
@@ -39,25 +39,8 @@
 
 namespace rtcm::core {
 
-/// Which aperiodic schedulability analysis the AC runs (paper §2: AUB or
-/// deferrable server; AUB is the paper's focus, DS the referenced
-/// alternative from the authors' prior work).
-enum class AperiodicAnalysis { kAub, kDeferrableServer };
-
 class AdmissionControl final : public ccm::Component {
  public:
-  static constexpr const char* kTypeName = "rtcm.AdmissionControl";
-  static constexpr const char* kAcStrategyAttr = "AC_Strategy";  // PT | PJ
-  static constexpr const char* kLbStrategyAttr = "LB_Strategy";  // N | PT | PJ
-  /// "AUB" (default) or "DS".
-  static constexpr const char* kAnalysisAttr = "Analysis";
-  /// DS server parameters (microseconds); used when Analysis = "DS".
-  static constexpr const char* kDsBudgetAttr = "DS_Budget";
-  static constexpr const char* kDsPeriodAttr = "DS_Period";
-  /// Per-message middleware/communication cost the DS bound budgets for
-  /// (the deployer measures it, e.g. with the Figure 8 harness).
-  static constexpr const char* kDsHopOverheadAttr = "DS_HopOverhead";
-
   /// `arena` backs the book of record's spilled rows (normally the owning
   /// SystemRuntime's cell arena); null lets the state own a private one.
   AdmissionControl(const sched::TaskSet& tasks, MetricsCollector* metrics,
@@ -86,12 +69,12 @@ class AdmissionControl final : public ccm::Component {
   }
 
   /// Receptacle "Location": the LocationService (Central-LB).
-  [[nodiscard]] Status connect(std::string_view receptacle,
+  [[nodiscard]] Status connect(ccm::Port port,
                                ccm::Component& provider) override;
 
   // --- Runtime reconfiguration (src/reconfig) ------------------------------
 
-  /// Strategy attributes may be swapped live; on_configure guards the
+  /// Strategies may be swapped live; on_configure guards the
   /// transitions that would be unsound (switching the analysis mid-run).
   [[nodiscard]] bool supports_runtime_reconfiguration() const override {
     return true;
@@ -129,7 +112,7 @@ class AdmissionControl final : public ccm::Component {
 
  protected:
   [[nodiscard]] Status on_configure(
-      const ccm::AttributeMap& attributes) override;
+      const ccm::ComponentConfig& config) override;
   [[nodiscard]] Status on_activate() override;
 
  private:

@@ -10,16 +10,10 @@ namespace rtcm::core {
 using events::EventType;
 using events::IdleResetPayload;
 
-IdleResetter::IdleResetter() : Component(kTypeName) {}
+IdleResetter::IdleResetter() : Component(ccm::ComponentKind::kIdleResetter) {}
 
-Status IdleResetter::on_configure(const ccm::AttributeMap& attributes) {
-  const auto strategy =
-      parse_ir_attr(attributes.get_string_or(kStrategyAttr, "N"));
-  if (!strategy.is_ok()) {
-    return Status::error(std::string(kStrategyAttr) + " " +
-                         strategy.message());
-  }
-  strategy_ = strategy.value();
+Status IdleResetter::on_configure(const ccm::ComponentConfig& config) {
+  strategy_ = std::get<ccm::IrConfig>(config).strategy;
   return Status::ok();
 }
 

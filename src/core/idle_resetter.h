@@ -7,10 +7,10 @@
 // not-yet-reported subjobs whose deadlines have not expired, so the AC can
 // remove their synthetic-utilization contributions (the AUB resetting rule).
 //
-// Strategies ("IR_Strategy" attribute):
-//   "N"  — resetting disabled; Complete calls are ignored.
-//   "PT" — only completed aperiodic subjobs are recorded and reported.
-//   "PJ" — completed aperiodic and periodic subjobs are reported.
+// Strategies (IrConfig):
+//   None     — resetting disabled; Complete calls are ignored.
+//   per Task — only completed aperiodic subjobs are recorded and reported.
+//   per Job  — completed aperiodic and periodic subjobs are reported.
 #pragma once
 
 #include <vector>
@@ -23,15 +23,9 @@ namespace rtcm::core {
 
 class IdleResetter final : public ccm::Component, public CompletionSink {
  public:
-  static constexpr const char* kTypeName = "rtcm.IdleResetter";
-  static constexpr const char* kStrategyAttr = "IR_Strategy";  // N | PT | PJ
-
   IdleResetter();
 
-  /// Facet "Complete": this component's CompletionSink.
-  [[nodiscard]] bool provides(std::string_view facet) const override {
-    return facet == kCompletePort;
-  }
+  // Facet "Complete": this component's CompletionSink.
 
   // CompletionSink
   void subjob_complete(const events::SubjobRef& ref, sched::TaskKind kind,
@@ -56,7 +50,7 @@ class IdleResetter final : public ccm::Component, public CompletionSink {
 
  protected:
   [[nodiscard]] Status on_configure(
-      const ccm::AttributeMap& attributes) override;
+      const ccm::ComponentConfig& config) override;
   [[nodiscard]] Status on_activate() override;
 
  private:

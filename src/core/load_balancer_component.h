@@ -5,9 +5,9 @@
 // propose the per-stage processor assignment that keeps utilization
 // balanced (lowest-synthetic-utilization replica, greedy per stage).
 //
-// The "Policy" attribute exists for the ablation bench: the paper's
-// heuristic ("lowest-util"), no balancing ("primary"), or uniform random
-// replica choice ("random", with a "Seed" attribute).
+// The placement policy (LbConfig) exists for the ablation bench: the
+// paper's heuristic, no balancing (primary only), or a uniform random
+// replica choice drawn from a seeded Rng.
 #pragma once
 
 #include <cstdint>
@@ -23,16 +23,9 @@ namespace rtcm::core {
 class LoadBalancerComponent final : public ccm::Component,
                                     public LocationService {
  public:
-  static constexpr const char* kTypeName = "rtcm.LoadBalancer";
-  static constexpr const char* kPolicyAttr = "Policy";
-  static constexpr const char* kSeedAttr = "Seed";
-
   LoadBalancerComponent();
 
-  /// Facet "Location": this component's LocationService.
-  [[nodiscard]] bool provides(std::string_view facet) const override {
-    return facet == kLocationPort;
-  }
+  // Facet "Location": this component's LocationService.
 
   // LocationService
   events::Placement propose_placement(
@@ -54,7 +47,7 @@ class LoadBalancerComponent final : public ccm::Component,
 
  protected:
   [[nodiscard]] Status on_configure(
-      const ccm::AttributeMap& attributes) override;
+      const ccm::ComponentConfig& config) override;
 
  private:
   sched::LoadBalancer balancer_;

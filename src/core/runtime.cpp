@@ -5,7 +5,6 @@
 #include <set>
 
 #include "config/plan_builder.h"
-#include "dance/engine.h"
 
 namespace rtcm::core {
 
@@ -27,8 +26,7 @@ Status validate_config(const SystemConfig& config) {
     return Status::error("loopback_latency must be non-negative, got " +
                          config.loopback_latency.to_string());
   }
-  if (config.lb_policy != "lowest-util" && config.lb_policy != "primary" &&
-      config.lb_policy != "random") {
+  if (!sched::parse_placement_policy(config.lb_policy).is_ok()) {
     return Status::error(
         "unknown lb_policy '" + config.lb_policy +
         "' (expected lowest-util | primary | random)");
@@ -66,37 +64,6 @@ SystemRuntime::SystemRuntime(SystemConfig config, sched::TaskSet tasks)
   }
   manager_ = config_.task_manager.value_or(ProcessorId(max_id + 1));
   if (config_.enable_trace) trace_.enable();
-  register_component_types();
-}
-
-void SystemRuntime::register_component_types() {
-  // Creators close over the runtime; per-instance configuration arrives via
-  // configProperties (attributes), matching the paper's deployment flow.
-  (void)factory_.register_type(
-      TaskEffector::kTypeName, [this](ProcessorId) {
-        return std::make_unique<TaskEffector>(tasks_, &metrics_);
-      });
-  (void)factory_.register_type(
-      AdmissionControl::kTypeName, [this](ProcessorId) {
-        return std::make_unique<AdmissionControl>(tasks_, &metrics_,
-                                                  &admission_arena_);
-      });
-  (void)factory_.register_type(
-      LoadBalancerComponent::kTypeName,
-      [](ProcessorId) { return std::make_unique<LoadBalancerComponent>(); });
-  (void)factory_.register_type(
-      IdleResetter::kTypeName,
-      [](ProcessorId) { return std::make_unique<IdleResetter>(); });
-  (void)factory_.register_type(
-      FirstIntermediateSubtask::kTypeName, [this](ProcessorId) {
-        return std::make_unique<FirstIntermediateSubtask>(tasks_);
-      });
-  (void)factory_.register_type(
-      LastSubtask::kTypeName, [this](ProcessorId) {
-        auto component = std::make_unique<LastSubtask>(tasks_);
-        component->set_completion_listener(&metrics_);
-        return component;
-      });
 }
 
 Status SystemRuntime::check_assemblable() const {
@@ -130,11 +97,9 @@ Status SystemRuntime::assemble(const dance::DeploymentPlan& plan) {
 
 Status SystemRuntime::deploy(dance::DeploymentPlan plan) {
   build_infrastructure();
-  const auto launched = dance::ExecutionManager().launch(
-      plan, [this](ProcessorId node) { return find_container(node); },
-      factory_);
+  const auto launched = dance::ExecutionManager::launch(plan, *this);
   if (!launched.is_ok()) return Status::error(launched.message());
-  if (Status s = bind_components(); !s.is_ok()) return s;
+  if (Status s = check_components(); !s.is_ok()) return s;
   if (Status s = adopt_drained_nodes(plan); !s.is_ok()) return s;
   if (Status s = activate_containers(); !s.is_ok()) return s;
   plan_ = std::move(plan);
@@ -178,23 +143,79 @@ void SystemRuntime::build_infrastructure() {
                sim_, *network_, *federation_, *cpus_.at(p), trace_, p,
                server}));
   }
-
-  priorities_ = sched::assign_edms_priorities(tasks_);
 }
 
-Status SystemRuntime::bind_components() {
-  for (ccm::Component* c : containers_.at(manager_)->components()) {
-    if (auto* ac = dynamic_cast<AdmissionControl*>(c)) ac_ = ac;
-    if (auto* lb = dynamic_cast<LoadBalancerComponent*>(c)) lb_ = lb;
+Result<ccm::Component*> SystemRuntime::install(
+    const dance::InstanceDeployment& instance) {
+  using R = Result<ccm::Component*>;
+  using Kind = ccm::ComponentKind;
+  const ccm::InstanceId& id = instance.id;
+  ccm::Container* container = find_container(id.node);
+  if (container == nullptr) {
+    return R::error("no container available for node " + id.node.to_string());
   }
-  if (ac_ == nullptr) {
+  // Each kind's component, with the shared state it closes over.
+  std::unique_ptr<ccm::Component> component;
+  switch (id.kind) {
+    case Kind::kLoadBalancer:
+      component = std::make_unique<LoadBalancerComponent>();
+      break;
+    case Kind::kAdmissionControl:
+      component = std::make_unique<AdmissionControl>(tasks_, &metrics_,
+                                                     &admission_arena_);
+      break;
+    case Kind::kTaskEffector:
+      component = std::make_unique<TaskEffector>(tasks_, &metrics_);
+      break;
+    case Kind::kIdleResetter:
+      component = std::make_unique<IdleResetter>();
+      break;
+    case Kind::kSubtaskFI:
+      component = std::make_unique<FirstIntermediateSubtask>(tasks_);
+      break;
+    case Kind::kSubtaskLast: {
+      auto last = std::make_unique<LastSubtask>(tasks_);
+      last->set_completion_listener(&metrics_);
+      component = std::move(last);
+      break;
+    }
+  }
+  ccm::Component* raw = component.get();
+  if (Status s = dance::install(*container, instance, std::move(component));
+      !s.is_ok()) {
+    return R::error(s.message());
+  }
+  // Keep the typed pointers the accessors hand out.
+  switch (id.kind) {
+    case Kind::kLoadBalancer:
+      lb_ = static_cast<LoadBalancerComponent*>(raw);
+      break;
+    case Kind::kAdmissionControl:
+      ac_ = static_cast<AdmissionControl*>(raw);
+      break;
+    case Kind::kTaskEffector:
+      te_[id.node] = static_cast<TaskEffector*>(raw);
+      break;
+    case Kind::kIdleResetter:
+      ir_[id.node] = static_cast<IdleResetter*>(raw);
+      break;
+    case Kind::kSubtaskFI:
+    case Kind::kSubtaskLast:
+      break;
+  }
+  return raw;
+}
+
+ccm::Component* SystemRuntime::find(const ccm::InstanceId& id) {
+  ccm::Container* container = find_container(id.node);
+  return container == nullptr ? nullptr : container->find(id);
+}
+
+Status SystemRuntime::check_components() const {
+  if (ac_ == nullptr || ac_->id().node != manager_) {
     return Status::error("no AdmissionControl component on the task manager");
   }
   for (const ProcessorId p : app_processors_) {
-    for (ccm::Component* c : containers_.at(p)->components()) {
-      if (auto* te = dynamic_cast<TaskEffector*>(c)) te_[p] = te;
-      if (auto* ir = dynamic_cast<IdleResetter*>(c)) ir_[p] = ir;
-    }
     if (te_.count(p) == 0) {
       return Status::error("no TaskEffector on " + p.to_string());
     }
@@ -209,10 +230,7 @@ Status SystemRuntime::adopt_drained_nodes(const dance::DeploymentPlan& plan) {
   std::set<ProcessorId> drained(app_processors_.begin(),
                                 app_processors_.end());
   for (const dance::InstanceDeployment& inst : plan.instances) {
-    if (inst.type == FirstIntermediateSubtask::kTypeName ||
-        inst.type == LastSubtask::kTypeName) {
-      drained.erase(inst.node);
-    }
+    if (ccm::is_subtask(inst.id.kind)) drained.erase(inst.id.node);
   }
   if (drained.empty()) return Status::ok();
   // Nothing is admitted yet, so the transition only records the set.
@@ -263,20 +281,16 @@ TaskEffector* SystemRuntime::arrival_effector(TaskId task) {
   return task_effector(spec->subtasks.front().primary);
 }
 
-Status SystemRuntime::reconfigure_instance(
-    ProcessorId node, const std::string& instance,
-    const ccm::AttributeMap& properties) {
-  ccm::Container* container = find_container(node);
-  if (container == nullptr) {
-    return Status::error("reconfigure: unknown node " + node.to_string());
-  }
-  ccm::Component* component = container->find(instance);
+Status SystemRuntime::reconfigure_instance(const ccm::InstanceId& id,
+                                           const ccm::ComponentConfig& config) {
+  ccm::Component* component = find(id);
   if (component == nullptr) {
-    return Status::error("reconfigure: no instance '" + instance + "' on " +
-                         node.to_string());
+    return Status::error("reconfigure: no instance '" + id.to_string() +
+                         "' on " + id.node.to_string());
   }
-  if (Status s = component->configure(properties); !s.is_ok()) {
-    return Status::error("reconfigure '" + instance + "': " + s.message());
+  if (Status s = component->configure(config); !s.is_ok()) {
+    return Status::error("reconfigure '" + id.to_string() + "': " +
+                         s.message());
   }
   return Status::ok();
 }

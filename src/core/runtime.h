@@ -8,20 +8,20 @@
 //
 // There is one deployment path, the DAnCE one (src/dance, paper §6): the
 // runtime builds the infrastructure its SystemConfig describes (processors,
-// containers, network, DS servers), then launches a deployment plan into it
-// through ExecutionManager.  assemble() launches the plan that
-// config::build_deployment_plan builds for the runtime's own configuration;
-// assemble(plan) launches a given one, e.g. parsed from XML.
+// containers, network, DS servers), then launches a typed deployment plan
+// into it through ExecutionManager, as that plan's DeploymentTarget: each
+// instance is created by a switch on its kind, configured and installed,
+// and the runtime keeps the typed pointers it creates.  assemble() launches
+// the plan that config::build_deployment_plan builds for the runtime's own
+// configuration; assemble(plan) launches a given one, e.g. parsed from XML.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ccm/container.h"
-#include "ccm/factory.h"
 #include "core/admission_control.h"
 #include "core/idle_resetter.h"
 #include "core/load_balancer_component.h"
@@ -29,8 +29,7 @@
 #include "core/strategies.h"
 #include "core/subtask_component.h"
 #include "core/task_effector.h"
-#include "dance/deployment_plan.h"
-#include "sched/edms.h"
+#include "dance/engine.h"
 #include "sched/task.h"
 #include "sim/deferrable_server.h"
 #include "sim/network.h"
@@ -75,7 +74,7 @@ struct Arrival {
   Time time;
 };
 
-class SystemRuntime {
+class SystemRuntime final : public dance::DeploymentTarget {
  public:
   /// The configuration must hold a valid strategy combination; assemble()
   /// rejects invalid ones (the configuration engine's job is to never
@@ -85,9 +84,10 @@ class SystemRuntime {
   // --- Assembly -------------------------------------------------------------
   //
   // Either form runs once per runtime: it builds the infrastructure, launches
-  // the plan (create -> set_configuration -> install -> wire ports), finds
-  // the AC, LB, TEs and IRs, and activates every container, the task
-  // manager's first.  A failed assembly leaves the runtime unusable.
+  // the plan (create -> set_configuration -> install -> wire ports), checks
+  // that the AC, LB, TEs and IRs it created are where they belong, and
+  // activates every container, the task manager's first.  A failed assembly
+  // leaves the runtime unusable.
 
   /// Deploy this runtime's own configuration: the plan
   /// config::build_deployment_plan builds for config() and tasks().
@@ -124,7 +124,6 @@ class SystemRuntime {
   [[nodiscard]] const SystemConfig& config() const { return config_; }
   [[nodiscard]] MetricsCollector& metrics() { return metrics_; }
   [[nodiscard]] const MetricsCollector& metrics() const { return metrics_; }
-  [[nodiscard]] ccm::ComponentFactory& factory() { return factory_; }
 
   [[nodiscard]] ProcessorId task_manager() const { return manager_; }
   [[nodiscard]] const std::vector<ProcessorId>& app_processors() const {
@@ -144,19 +143,21 @@ class SystemRuntime {
   [[nodiscard]] TaskEffector* arrival_effector(TaskId task);
   /// Null unless DS analysis is configured.
   [[nodiscard]] sim::DeferrableServer* deferrable_server(ProcessorId proc);
-  [[nodiscard]] const std::unordered_map<TaskId, Priority>& priorities()
-      const {
-    return priorities_;
-  }
 
-  // --- Reconfiguration hooks (src/reconfig) -------------------------------
+  // --- Deployment target (dance::ExecutionManager, src/reconfig) ----------
 
-  /// Apply new configProperties to one live (or quiesced) installed
-  /// instance — the incremental form of the deployment set_configuration
-  /// path.  Errors name the instance.
-  [[nodiscard]] Status reconfigure_instance(
-      ProcessorId node, const std::string& instance,
-      const ccm::AttributeMap& properties);
+  /// Create the instance's component by kind, configure it and install it
+  /// into its node's container: the one install path of assemble() and of
+  /// the reconfiguration manager's build-up.
+  [[nodiscard]] Result<ccm::Component*> install(
+      const dance::InstanceDeployment& instance) override;
+  [[nodiscard]] ccm::Component* find(const ccm::InstanceId& id) override;
+
+  /// Apply a new config to one live (or quiesced) installed instance — the
+  /// incremental form of the deployment set_configuration path.  Errors
+  /// name the instance.
+  [[nodiscard]] Status reconfigure_instance(const ccm::InstanceId& id,
+                                            const ccm::ComponentConfig& config);
 
   /// Record the strategy combination and LB placement policy now in force,
   /// so config() keeps describing the live system after a mode change
@@ -168,15 +169,15 @@ class SystemRuntime {
   }
 
  private:
-  void register_component_types();
   /// Refuse a second assembly, an invalid config or an empty task set.
   [[nodiscard]] Status check_assemblable() const;
   /// Build infrastructure, launch `plan`, bind, activate; keeps the plan.
   [[nodiscard]] Status deploy(dance::DeploymentPlan plan);
   /// Build network, federation, processors, DS servers and containers.
   void build_infrastructure();
-  /// Populate ac_/lb_/te_/ir_ pointers by scanning the containers.
-  [[nodiscard]] Status bind_components();
+  /// Check that the launch created the AC on the task manager and a TE and
+  /// an IR on every application processor.
+  [[nodiscard]] Status check_components() const;
   /// Tell the AC which application processors `plan` drains (hosts no
   /// Subtask instance on), so no placement uses them.
   [[nodiscard]] Status adopt_drained_nodes(const dance::DeploymentPlan& plan);
@@ -191,7 +192,6 @@ class SystemRuntime {
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<events::FederatedEventChannel> federation_;
   MetricsCollector metrics_;
-  ccm::ComponentFactory factory_;
   /// Cell-lifetime arena backing the AC book of record's spilled rows;
   /// declared before containers_ so the components it serves die first.
   util::MonotonicArena admission_arena_;
@@ -201,9 +201,9 @@ class SystemRuntime {
   std::map<ProcessorId, std::unique_ptr<sim::Processor>> cpus_;
   std::map<ProcessorId, std::unique_ptr<sim::DeferrableServer>> servers_;
   std::map<ProcessorId, std::unique_ptr<ccm::Container>> containers_;
-  std::unordered_map<TaskId, Priority> priorities_;
   dance::DeploymentPlan plan_;
 
+  // The typed components install() created.
   AdmissionControl* ac_ = nullptr;
   LoadBalancerComponent* lb_ = nullptr;
   std::map<ProcessorId, TaskEffector*> te_;

@@ -41,49 +41,6 @@ void SchedulingState::refresh_placement(
   }
 }
 
-void SchedulingState::link_job_procs(std::uint32_t row) {
-  const std::span<const ProcessorId> placement = job_placement_[row].span();
-  for (std::size_t j = 0; j < placement.size(); ++j) {
-    bool seen = false;
-    for (std::size_t i = 0; i < j; ++i) {
-      if (placement[i] == placement[j]) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    // The admit path just added this processor's contributions, so it has
-    // a dense ledger slot.
-    const std::uint32_t slot = ledger_.proc_slot(placement[j]);
-    assert(slot != sched::UtilizationLedger::kNoSlot);
-    if (slot >= proc_jobs_.size()) proc_jobs_.resize(slot + 1);
-    job_proc_refs_[row].push_back(
-        {slot, static_cast<std::uint32_t>(proc_jobs_[slot].size())}, *arena_);
-    proc_jobs_[slot].push_back(row);
-  }
-}
-
-void SchedulingState::unlink_job_procs(std::uint32_t row) {
-  for (const ProcRef& ref : job_proc_refs_[row]) {
-    std::vector<std::uint32_t>& members = proc_jobs_[ref.proc_slot];
-    assert(ref.member_slot < members.size() &&
-           members[ref.member_slot] == row);
-    const std::uint32_t moved = members.back();
-    members[ref.member_slot] = moved;
-    members.pop_back();
-    if (moved != row) {
-      // Fix the swapped-in job's back-pointer for this processor.
-      for (ProcRef& other : job_proc_refs_[moved]) {
-        if (other.proc_slot == ref.proc_slot) {
-          other.member_slot = ref.member_slot;
-          break;
-        }
-      }
-    }
-  }
-  job_proc_refs_[row].clear();
-}
-
 void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
                                 std::span<const ProcessorId> placement,
                                 Time absolute_deadline) {
@@ -97,7 +54,6 @@ void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
   if (row == job_placement_.size()) {
     job_placement_.emplace_back();
     job_units_.emplace_back();
-    job_proc_refs_.emplace_back();
   }
   job_placement_[row].assign(placement, *arena_);
   job_units_[row].clear();
@@ -108,7 +64,6 @@ void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
   refresh_placement(placement);
   job_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
   job_index_.insert(job.value(), row);
-  link_job_procs(row);
 }
 
 std::optional<SchedulingState::JobView> SchedulingState::job(
@@ -138,7 +93,6 @@ void SchedulingState::expire_job(JobId job) {
     ledger_.remove(job_placement_[row][j], job_units_[row][j]);  // 0 if reset
   }
   refresh_placement(job_placement_[row].span());
-  unlink_job_procs(row);
   job_index_.erase(job.value());
   const auto last = static_cast<std::uint32_t>(job_ids_.size() - 1);
   if (row != last) {
@@ -148,11 +102,7 @@ void SchedulingState::expire_job(JobId job) {
     job_footprint_[row] = job_footprint_[last];
     std::swap(job_placement_[row], job_placement_[last]);
     std::swap(job_units_[row], job_units_[last]);
-    std::swap(job_proc_refs_[row], job_proc_refs_[last]);
     job_index_.update(job_ids_[row].value(), row);
-    for (const ProcRef& ref : job_proc_refs_[row]) {
-      proc_jobs_[ref.proc_slot][ref.member_slot] = row;
-    }
   }
   job_ids_.pop_back();
   job_task_.pop_back();
@@ -163,16 +113,12 @@ void SchedulingState::expire_job(JobId job) {
 Time SchedulingState::latest_deadline_touching(
     const std::set<ProcessorId>& nodes) const {
   Time latest = Time::epoch();
-  for (const ProcessorId p : nodes) {
-    const std::uint32_t slot = ledger_.proc_slot(p);
-    if (slot == sched::UtilizationLedger::kNoSlot ||
-        slot >= proc_jobs_.size()) {
-      continue;
-    }
-    // max() is idempotent, so a job spanning several queried nodes may be
-    // visited once per node without changing the answer.
-    for (const std::uint32_t row : proc_jobs_[slot]) {
-      latest = std::max(latest, job_deadline_[row]);
+  for (std::uint32_t row = 0; row < job_ids_.size(); ++row) {
+    for (const ProcessorId p : job_placement_[row]) {
+      if (nodes.count(p) > 0) {
+        latest = std::max(latest, job_deadline_[row]);
+        break;
+      }
     }
   }
   return latest;
@@ -262,16 +208,11 @@ std::size_t SchedulingState::footprint_bytes() const {
       job_placement_.capacity() * sizeof(util::SmallVec<ProcessorId, 4>) +
       job_units_.capacity() *
           sizeof(util::SmallVec<sched::UtilizationLedger::Units, 4>) +
-      job_proc_refs_.capacity() * sizeof(util::SmallVec<ProcRef, 4>) +
-      proc_jobs_.capacity() * sizeof(std::vector<std::uint32_t>) +
       res_ids_.capacity() * sizeof(TaskId) +
       res_footprint_.capacity() * sizeof(sched::FootprintId) +
       res_placement_.capacity() * sizeof(util::SmallVec<ProcessorId, 4>) +
       res_units_.capacity() *
           sizeof(util::SmallVec<sched::UtilizationLedger::Units, 4>);
-  for (const std::vector<std::uint32_t>& m : proc_jobs_) {
-    bytes += m.capacity() * sizeof(std::uint32_t);
-  }
   return bytes;
 }
 

@@ -21,9 +21,10 @@
 // id -> row tables, placements and per-stage units sit inline in their
 // rows (<= 4 stages) spilling into the cell's MonotonicArena beyond that
 // (the list columns keep their high-water length, so a freed row's spill
-// buffer is reused by the next row, never abandoned in the arena),
-// and a per-processor job index (rows by dense ledger slot) makes
-// latest_deadline_touching O(jobs actually touching the queried nodes).
+// buffer is reused by the next row, never abandoned in the arena).
+// latest_deadline_touching scans the live job rows: its one caller runs
+// once per drain and scans the whole task set anyway, so no per-processor
+// index is kept up to date on every admit and expire for it.
 // Admit/expire/reset churn at fixed capacity allocates nothing once the
 // slabs are warm (tests/sim_alloc_test.cpp pins this with a counting
 // allocator).
@@ -133,8 +134,7 @@ class SchedulingState {
   /// placement touches any of `nodes`; Time::epoch() when none do.  The
   /// reconfiguration engine uses this to size quiesce windows: an admitted
   /// job is guaranteed complete by its deadline, so a drained host is
-  /// certainly silent after the last such deadline.  O(jobs touching
-  /// `nodes`) via the per-processor job index, not O(all in-flight jobs).
+  /// certainly silent after the last such deadline.  O(in-flight jobs).
   [[nodiscard]] Time latest_deadline_touching(
       const std::set<ProcessorId>& nodes) const;
 
@@ -189,22 +189,12 @@ class SchedulingState {
   [[nodiscard]] const util::MonotonicArena& arena() const { return *arena_; }
 
  private:
-  /// Where a job's row is registered in the per-processor job index.
-  struct ProcRef {
-    std::uint32_t proc_slot = 0;    // dense ledger slot of the processor
-    std::uint32_t member_slot = 0;  // position in proc_jobs_[proc_slot]
-  };
-
   [[nodiscard]] JobView job_view(std::uint32_t row) const;
   [[nodiscard]] ReservationView reservation_view(std::uint32_t row) const;
 
   /// Push the term deltas of every distinct processor in `placement` into
   /// the index after their ledger totals changed.
   void refresh_placement(std::span<const ProcessorId> placement);
-  /// Register `row` in proc_jobs_ for each distinct placement processor.
-  void link_job_procs(std::uint32_t row);
-  /// Remove `row`'s proc_jobs_ entries (fixing moved back-pointers).
-  void unlink_job_procs(std::uint32_t row);
 
   std::unique_ptr<util::MonotonicArena> own_arena_;
   util::MonotonicArena* arena_;
@@ -222,10 +212,6 @@ class SchedulingState {
   // free and keep their spill buffers for the next admissions.
   std::vector<util::SmallVec<ProcessorId, 4>> job_placement_;
   std::vector<util::SmallVec<sched::UtilizationLedger::Units, 4>> job_units_;
-  std::vector<util::SmallVec<ProcRef, 4>> job_proc_refs_;
-  /// Per-processor job index: rows of jobs whose placement touches the
-  /// processor at this dense ledger slot.
-  std::vector<std::vector<std::uint32_t>> proc_jobs_;
 
   // Reservation slab.
   util::IdSlotMap res_index_;

@@ -58,53 +58,10 @@ char label(LbStrategy s) {
   return '?';
 }
 
-namespace {
-
-// Indexed by IrStrategy / LbStrategy; AcStrategy skips "N".
-constexpr std::array<const char*, 3> kAttrSpelling = {"N", "PT", "PJ"};
-
-/// `first` skips the spellings the strategy lacks ("N" for AC).
-template <typename Strategy>
-Result<Strategy> parse_strategy_attr(std::string_view value,
-                                     std::size_t first) {
-  for (std::size_t i = first; i < kAttrSpelling.size(); ++i) {
-    if (value == kAttrSpelling[i]) return static_cast<Strategy>(i - first);
-  }
-  return Result<Strategy>::error(
-      std::string(first == 0 ? "must be 'N', 'PT' or " : "must be 'PT' or ") +
-      "'PJ', got '" + std::string(value) + "'");
-}
-
-}  // namespace
-
-const char* to_attr(AcStrategy s) {
-  return kAttrSpelling[static_cast<std::size_t>(s) + 1];
-}
-
-const char* to_attr(IrStrategy s) {
-  return kAttrSpelling[static_cast<std::size_t>(s)];
-}
-
-const char* to_attr(LbStrategy s) {
-  return kAttrSpelling[static_cast<std::size_t>(s)];
-}
-
-Result<AcStrategy> parse_ac_attr(std::string_view value) {
-  return parse_strategy_attr<AcStrategy>(value, 1);
-}
-
-Result<IrStrategy> parse_ir_attr(std::string_view value) {
-  return parse_strategy_attr<IrStrategy>(value, 0);
-}
-
-Result<LbStrategy> parse_lb_attr(std::string_view value) {
-  return parse_strategy_attr<LbStrategy>(value, 0);
-}
-
-const char* te_mode_attr(const StrategyCombination& s) {
+TeMode te_mode(const StrategyCombination& s) {
   const bool immediate =
       s.ac == AcStrategy::kPerTask && s.lb != LbStrategy::kPerJob;
-  return immediate ? "PT" : "PJ";
+  return immediate ? TeMode::kPerTask : TeMode::kPerJob;
 }
 
 bool StrategyCombination::valid() const {

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -35,17 +34,14 @@ enum class LbStrategy { kNone, kPerTask, kPerJob };
 [[nodiscard]] char label(IrStrategy s);
 [[nodiscard]] char label(LbStrategy s);
 
-/// Deployment-plan attribute spelling: "N" | "PT" | "PJ" (AC has no "N").
-/// The plan builder writes and the components and reconfiguration engine
-/// parse strategy attributes through these functions only.
-[[nodiscard]] const char* to_attr(AcStrategy s);
-[[nodiscard]] const char* to_attr(IrStrategy s);
-[[nodiscard]] const char* to_attr(LbStrategy s);
-/// Errors read "must be 'N', 'PT' or 'PJ', got 'x'"; callers prefix the
-/// attribute name.
-[[nodiscard]] Result<AcStrategy> parse_ac_attr(std::string_view value);
-[[nodiscard]] Result<IrStrategy> parse_ir_attr(std::string_view value);
-[[nodiscard]] Result<LbStrategy> parse_lb_attr(std::string_view value);
+/// Which aperiodic schedulability analysis the AC runs (paper §2: AUB or
+/// deferrable server; AUB is the paper's focus, DS the referenced
+/// alternative from the authors' prior work).
+enum class AperiodicAnalysis { kAub, kDeferrableServer };
+
+/// Whether a TE releases the jobs of an admitted periodic task at once
+/// (per Task) or holds every job until the AC answers (per Job).
+enum class TeMode { kPerTask, kPerJob };
 
 struct StrategyCombination {
   AcStrategy ac = AcStrategy::kPerTask;
@@ -69,9 +65,9 @@ struct StrategyCombination {
       const std::string& label);
 };
 
-/// TE_Mode attribute: "PT" exactly when admitted periodic tasks bypass the
-/// AC round-trip (AC per Task and LB not per Job), else "PJ".
-[[nodiscard]] const char* te_mode_attr(const StrategyCombination& s);
+/// Per Task exactly when admitted periodic tasks bypass the AC round trip
+/// (AC per Task and LB not per Job).
+[[nodiscard]] TeMode te_mode(const StrategyCombination& s);
 
 /// All 18 combinations, AC-major in the order of the paper's figures
 /// (T_N_N, T_N_T, T_N_J, T_T_N, ..., J_J_J).

@@ -11,62 +11,43 @@ namespace rtcm::core {
 using events::EventType;
 using events::TriggerPayload;
 
-SubtaskComponentBase::SubtaskComponentBase(std::string type_name,
+SubtaskComponentBase::SubtaskComponentBase(ccm::ComponentKind kind,
                                            const sched::TaskSet& tasks)
-    : Component(std::move(type_name)), tasks_(tasks) {}
+    : Component(kind), tasks_(tasks) {}
 
-Status SubtaskComponentBase::connect(std::string_view receptacle,
+Status SubtaskComponentBase::connect(ccm::Port port,
                                      ccm::Component& provider) {
-  if (receptacle == kCompletePort) {
-    return bind(completion_sink_, receptacle, provider);
+  if (port == ccm::Port::kComplete) {
+    return bind(completion_sink_, port, provider);
   }
-  return Component::connect(receptacle, provider);
+  return Component::connect(port, provider);
 }
 
-Status SubtaskComponentBase::on_configure(
-    const ccm::AttributeMap& attributes) {
-  auto task = attributes.get_int(kTaskAttr);
-  if (!task.is_ok()) return Status::error(task.message());
-  task_ = TaskId(static_cast<std::int32_t>(task.value()));
-
-  auto stage = attributes.get_int(kStageAttr);
-  if (!stage.is_ok()) return Status::error(stage.message());
-  // kAnyStage and beyond cannot be named by a subscription key.
-  if (stage.value() < 0 ||
-      stage.value() >= events::SubscriptionKey::kAnyStage) {
-    return Status::error("Stage must be >= 0 and < 2^32 - 1");
+Status SubtaskComponentBase::on_configure(const ccm::ComponentConfig& config) {
+  const auto& subtask = std::get<ccm::SubtaskConfig>(config);
+  if (subtask.execution <= Duration::zero()) {
+    return Status::error("execution time must be positive");
   }
-  stage_ = static_cast<std::size_t>(stage.value());
-
-  auto execution = attributes.get_duration(kExecutionAttr);
-  if (!execution.is_ok()) return Status::error(execution.message());
-  if (execution.value() <= Duration::zero()) {
-    return Status::error("ExecutionTime must be positive");
-  }
-  execution_ = execution.value();
-
-  auto priority = attributes.get_int(kPriorityAttr);
-  if (!priority.is_ok()) return Status::error(priority.message());
-  priority_ = Priority(static_cast<std::int32_t>(priority.value()));
-
-  const auto ir = parse_ir_attr(attributes.get_string_or(kIrModeAttr, "N"));
-  if (!ir.is_ok()) {
-    return Status::error(std::string(kIrModeAttr) + " " + ir.message());
-  }
-  ir_mode_ = ir.value();
+  execution_ = subtask.execution;
+  priority_ = subtask.priority;
+  ir_mode_ = subtask.ir_mode;
   return Status::ok();
 }
 
 Status SubtaskComponentBase::on_activate() {
-  if (!task_.valid()) {
+  if (execution_ <= Duration::zero()) {
     return Status::error("subtask component activated before configuration");
+  }
+  // The wildcard stage cannot be named by a subscription key.
+  if (id().stage >= events::SubscriptionKey::kAnyStage) {
+    return Status::error("Stage must be >= 0 and < 2^32 - 1");
   }
   // Triggers of this stage of this task, addressed to this processor by
   // the payload's placement[stage].
   context().local_channel().subscribe(
       events::SubscriptionKey(EventType::kTrigger)
-          .for_task(task_)
-          .for_stage(static_cast<std::uint32_t>(stage_))
+          .for_task(task())
+          .for_stage(id().stage)
           .to_this_processor(),
       [this](const events::Event& e) {
         handle_trigger(events::payload_as<TriggerPayload>(e));
@@ -85,7 +66,7 @@ void SubtaskComponentBase::handle_trigger(const TriggerPayload& payload) {
   }
   const std::uint64_t id =
       (static_cast<std::uint64_t>(payload.job.value()) << 8) |
-      static_cast<std::uint64_t>(stage_ & 0xff);
+      static_cast<std::uint64_t>(stage() & 0xff);
   // Non-const on purpose: a const by-copy capture would make the lambda's
   // member const, forcing delegate moves through the allocating copy
   // constructor and failing CompletionFn's inline-storage requirements.
@@ -93,7 +74,7 @@ void SubtaskComponentBase::handle_trigger(const TriggerPayload& payload) {
 
   // Under DS analysis, aperiodic subjobs execute through this processor's
   // deferrable server (budget-limited, above all EDMS priorities).
-  const sched::TaskSpec* spec = tasks_.find(task_);
+  const sched::TaskSpec* spec = tasks_.find(task());
   assert(spec);
   auto on_done = [this, captured](std::uint64_t) { finish(captured); };
   // The per-subjob completion delegate; growing events::TriggerPayload past
@@ -119,12 +100,12 @@ void SubtaskComponentBase::finish(const TriggerPayload& payload) {
   ++subjobs_executed_;
   const Time now = context().sim.now();
   context().trace.record_lazy(now, sim::TraceKind::kSubjobComplete,
-                              context().processor, task_, payload.job,
+                              context().processor, task(), payload.job,
                               [this] {
-                                return "stage " + std::to_string(stage_);
+                                return "stage " + std::to_string(stage());
                               });
 
-  const sched::TaskSpec* spec = tasks_.find(task_);
+  const sched::TaskSpec* spec = tasks_.find(task());
   assert(spec);
   const bool notify_ir =
       completion_sink_ != nullptr &&
@@ -133,7 +114,7 @@ void SubtaskComponentBase::finish(const TriggerPayload& payload) {
         spec->kind == sched::TaskKind::kAperiodic));
   if (notify_ir) {
     completion_sink_->subjob_complete(
-        events::SubjobRef{task_, payload.job, stage_}, spec->kind,
+        events::SubjobRef{task(), payload.job, stage()}, spec->kind,
         payload.absolute_deadline);
   }
 
@@ -141,7 +122,7 @@ void SubtaskComponentBase::finish(const TriggerPayload& payload) {
 }
 
 FirstIntermediateSubtask::FirstIntermediateSubtask(const sched::TaskSet& tasks)
-    : SubtaskComponentBase(kTypeName, tasks) {}
+    : SubtaskComponentBase(ccm::ComponentKind::kSubtaskFI, tasks) {}
 
 void FirstIntermediateSubtask::on_subjob_finished(
     const TriggerPayload& payload) {
@@ -153,7 +134,7 @@ void FirstIntermediateSubtask::on_subjob_finished(
 }
 
 LastSubtask::LastSubtask(const sched::TaskSet& tasks)
-    : SubtaskComponentBase(kTypeName, tasks) {}
+    : SubtaskComponentBase(ccm::ComponentKind::kSubtaskLast, tasks) {}
 
 void LastSubtask::on_subjob_finished(const TriggerPayload& payload) {
   const Time now = context().sim.now();

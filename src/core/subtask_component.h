@@ -9,10 +9,11 @@
 // the Trigger payload's placement decides which instance actually runs a
 // given job.
 //
-// Attributes: "TaskID", "Stage", "ExecutionTime" (microseconds), "Priority"
-// (EDMS level, smaller = more urgent), and "IR_Mode" ("N" | "PT" | "PJ") —
-// whether subjob completions are reported to the local Idle Resetter (under
-// "PT", periodic subjob completions are not reported; §5).
+// The task and stage come from the instance's identity; SubtaskConfig holds
+// the stage's execution time, the task's EDMS priority (smaller = more
+// urgent) and the IR mode — whether subjob completions are reported to the
+// local Idle Resetter (per Task, periodic subjob completions are not
+// reported; §5).
 #pragma once
 
 #include <cstdint>
@@ -27,14 +28,8 @@ namespace rtcm::core {
 
 class SubtaskComponentBase : public ccm::Component {
  public:
-  static constexpr const char* kTaskAttr = "TaskID";
-  static constexpr const char* kStageAttr = "Stage";
-  static constexpr const char* kExecutionAttr = "ExecutionTime";
-  static constexpr const char* kPriorityAttr = "Priority";
-  static constexpr const char* kIrModeAttr = "IR_Mode";
-
-  [[nodiscard]] TaskId task() const { return task_; }
-  [[nodiscard]] std::size_t stage() const { return stage_; }
+  [[nodiscard]] TaskId task() const { return id().task; }
+  [[nodiscard]] std::size_t stage() const { return id().stage; }
   [[nodiscard]] Priority priority() const { return priority_; }
   [[nodiscard]] std::uint64_t subjobs_executed() const {
     return subjobs_executed_;
@@ -46,7 +41,7 @@ class SubtaskComponentBase : public ccm::Component {
   }
 
   /// Receptacle "Complete": the local CompletionSink (the node's IR).
-  [[nodiscard]] Status connect(std::string_view receptacle,
+  [[nodiscard]] Status connect(ccm::Port port,
                                ccm::Component& provider) override;
 
   /// Mode changes may retune execution budgets / IR modes of live stages.
@@ -55,10 +50,10 @@ class SubtaskComponentBase : public ccm::Component {
   }
 
  protected:
-  SubtaskComponentBase(std::string type_name, const sched::TaskSet& tasks);
+  SubtaskComponentBase(ccm::ComponentKind kind, const sched::TaskSet& tasks);
 
   [[nodiscard]] Status on_configure(
-      const ccm::AttributeMap& attributes) override;
+      const ccm::ComponentConfig& config) override;
   [[nodiscard]] Status on_activate() override;
 
   /// Stage-specific follow-up after the subjob's execution completes.
@@ -70,8 +65,6 @@ class SubtaskComponentBase : public ccm::Component {
   void handle_trigger(const events::TriggerPayload& payload);
   void finish(const events::TriggerPayload& payload);
 
-  TaskId task_;
-  std::size_t stage_ = 0;
   Duration execution_ = Duration::zero();
   Priority priority_;
   IrStrategy ir_mode_ = IrStrategy::kNone;
@@ -83,7 +76,6 @@ class SubtaskComponentBase : public ccm::Component {
 /// Executes a non-final stage; publishes "Trigger" for the next stage.
 class FirstIntermediateSubtask final : public SubtaskComponentBase {
  public:
-  static constexpr const char* kTypeName = "rtcm.SubtaskFI";
   explicit FirstIntermediateSubtask(const sched::TaskSet& tasks);
 
  protected:
@@ -93,7 +85,6 @@ class FirstIntermediateSubtask final : public SubtaskComponentBase {
 /// Executes the final stage; reports end-to-end completion.
 class LastSubtask final : public SubtaskComponentBase {
  public:
-  static constexpr const char* kTypeName = "rtcm.SubtaskLast";
   explicit LastSubtask(const sched::TaskSet& tasks);
 
   void set_completion_listener(JobCompletionListener* listener) {

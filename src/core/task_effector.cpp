@@ -15,17 +15,12 @@ using events::TriggerPayload;
 
 TaskEffector::TaskEffector(const sched::TaskSet& tasks,
                            MetricsCollector* metrics)
-    : Component(kTypeName), tasks_(tasks), metrics_(metrics) {}
+    : Component(ccm::ComponentKind::kTaskEffector),
+      tasks_(tasks),
+      metrics_(metrics) {}
 
-Status TaskEffector::on_configure(const ccm::AttributeMap& attributes) {
-  const std::string mode = attributes.get_string_or(kModeAttr, "PJ");
-  if (mode == "PT") {
-    hold_every_job_ = false;
-  } else if (mode == "PJ") {
-    hold_every_job_ = true;
-  } else {
-    return Status::error("TE_Mode must be 'PT' or 'PJ', got '" + mode + "'");
-  }
+Status TaskEffector::on_configure(const ccm::ComponentConfig& config) {
+  hold_every_job_ = std::get<ccm::TeConfig>(config).mode == TeMode::kPerJob;
   return Status::ok();
 }
 

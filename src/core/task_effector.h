@@ -5,9 +5,9 @@
 // the central AC component; on "Accept" the held job is released (the first
 // subjob is triggered on its assigned processor), on "Reject" it is dropped.
 //
-// The Per-task/Per-job attribute ("TE_Mode" = "PT" | "PJ") controls whether
-// jobs of an already-admitted periodic task still go through the AC: under
-// PT, once a periodic task is admitted, the TE releases its subsequent jobs
+// The per-Task / per-Job mode (TeConfig) controls whether
+// jobs of an already-admitted periodic task still go through the AC: per
+// Task, once a periodic task is admitted, the TE releases its subsequent jobs
 // immediately using the placement cached from the Accept event.
 #pragma once
 
@@ -24,11 +24,6 @@ namespace rtcm::core {
 
 class TaskEffector final : public ccm::Component {
  public:
-  static constexpr const char* kTypeName = "rtcm.TaskEffector";
-  /// Attribute: "PT" (release admitted periodic tasks' jobs immediately) or
-  /// "PJ" (hold every job until the AC answers).
-  static constexpr const char* kModeAttr = "TE_Mode";
-
   TaskEffector(const sched::TaskSet& tasks, MetricsCollector* metrics);
 
   /// Entry point for the workload driver: a job of `task` arrives on this
@@ -54,7 +49,7 @@ class TaskEffector final : public ccm::Component {
 
  protected:
   [[nodiscard]] Status on_configure(
-      const ccm::AttributeMap& attributes) override;
+      const ccm::ComponentConfig& config) override;
   [[nodiscard]] Status on_activate() override;
 
  private:
@@ -67,7 +62,7 @@ class TaskEffector final : public ccm::Component {
 
   const sched::TaskSet& tasks_;
   MetricsCollector* metrics_;
-  bool hold_every_job_ = true;  // "PJ"
+  bool hold_every_job_ = true;  // per Job
   /// Jobs waiting for the AC's answer, as a set of job ids (the slot is
   /// unused): a flat table sized by the jobs in flight, no node per job.
   util::IdSlotMap held_;

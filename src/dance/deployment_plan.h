@@ -1,45 +1,46 @@
 // Deployment plan model (OMG Lightweight D&C, paper §6 / Figure 4).
 //
-// A plan describes how to build the system from available component
-// implementations: which component instances to create, on which node each
-// is instantiated, the configProperty values to apply through the
-// Configurator interface (set_configuration), and how instances' ports are
-// connected.
+// A plan describes how to build the system from the middleware's component
+// kinds: which instances to create (identity = kind, node and, for Subtask
+// instances, task and stage), the typed config each is set_configuration'd
+// with, and how instances' ports are connected.  The plan is resolved once,
+// as typed values; XML (plan_xml.h) is only its external form.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "ccm/attributes.h"
-#include "util/ids.h"
+#include "ccm/instance.h"
 #include "util/result.h"
 
 namespace rtcm::dance {
 
+using ccm::ComponentConfig;
+using ccm::ComponentKind;
+using ccm::InstanceId;
+using ccm::Port;
+
 /// One component instance to deploy.
 struct InstanceDeployment {
-  /// Unique instance id, e.g. "Central-AC".
-  std::string id;
-  /// Implementation/type name resolved via the component factory,
-  /// e.g. "rtcm.AdmissionControl".
-  std::string type;
-  /// Target node (processor).
-  ProcessorId node;
-  /// configProperty values applied at installation.
-  ccm::AttributeMap properties;
+  InstanceId id;
+  /// The struct of id.kind, applied at installation.
+  ComponentConfig config;
 
   [[nodiscard]] bool operator==(const InstanceDeployment&) const = default;
 };
 
-/// One receptacle-to-facet connection between deployed instances.
+/// Wires the receptacle of `port` on `source` to the facet of `port` on
+/// `target`.  A receptacle holds one connection, so (source, port) is the
+/// connection's identity.
 struct ConnectionDeployment {
-  std::string name;              // connection label (diagnostics)
-  std::string source_instance;   // instance owning the receptacle
-  std::string receptacle;        // receptacle port name
-  std::string target_instance;   // instance owning the facet
-  std::string facet;             // facet port name
+  InstanceId source;
+  Port port = Port::kLocation;
+  InstanceId target;
 
   [[nodiscard]] bool operator==(const ConnectionDeployment&) const = default;
+
+  /// Diagnostic label: "ac-location", "T3_S2@P4-complete".
+  [[nodiscard]] std::string name() const;
 };
 
 struct DeploymentPlan {
@@ -50,14 +51,12 @@ struct DeploymentPlan {
   [[nodiscard]] bool operator==(const DeploymentPlan&) const = default;
 
   [[nodiscard]] const InstanceDeployment* find_instance(
-      const std::string& id) const;
+      const InstanceId& id) const;
 
-  /// Structural validation: non-empty unique instance ids, valid nodes,
-  /// connections referencing existing instances.
+  /// Structural validation: at least one instance, valid nodes, each config
+  /// of its instance's kind, unique identities, and connections between
+  /// existing instances whose kinds have the connection's port.
   [[nodiscard]] Status validate() const;
-
-  /// Distinct nodes referenced by the plan, ascending.
-  [[nodiscard]] std::vector<ProcessorId> nodes() const;
 };
 
 }  // namespace rtcm::dance

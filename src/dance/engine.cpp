@@ -1,67 +1,30 @@
 #include "dance/engine.h"
 
-#include <algorithm>
-
 namespace rtcm::dance {
 
-Result<ccm::Component*> NodeApplication::install(
-    const InstanceDeployment& instance) {
-  using R = Result<ccm::Component*>;
-  auto created = factory_.create(instance.type, instance.node);
-  if (!created.is_ok()) {
-    return R::error("instance '" + instance.id + "': " + created.message());
+Status install(ccm::Container& container, const InstanceDeployment& instance,
+               std::unique_ptr<ccm::Component> component) {
+  // set_configuration: apply the plan's config before install so a failing
+  // config never leaves a half-deployed instance behind.
+  if (Status s = component->configure(instance.config); !s.is_ok()) {
+    return Status::error("instance '" + instance.id.to_string() +
+                         "' configuration failed: " + s.message());
   }
-  ccm::Component* raw = created.value().get();
-  // set_configuration: apply the plan's configProperties before install so
-  // a failing property never leaves a half-deployed instance behind.
-  if (Status s = raw->configure(instance.properties); !s.is_ok()) {
-    return R::error("instance '" + instance.id +
-                    "' configuration failed: " + s.message());
-  }
-  if (Status s = container_.install(instance.id, std::move(created).value());
-      !s.is_ok()) {
-    return R::error(s.message());
-  }
-  return raw;
+  return container.install(instance.id, std::move(component));
 }
 
 Result<ExecutionManager::LaunchReport> ExecutionManager::launch(
-    const DeploymentPlan& plan, const NodeResolver& resolver,
-    ccm::ComponentFactory& factory) const {
+    const DeploymentPlan& plan, DeploymentTarget& target) {
   using R = Result<LaunchReport>;
   if (Status s = plan.validate(); !s.is_ok()) return R::error(s.message());
-
-  // Installed components by instance id, sorted once for the wiring pass
-  // (ids are unique: validate() checked).
-  std::vector<std::pair<std::string_view, ccm::Component*>> installed;
-  installed.reserve(plan.instances.size());
   LaunchReport report;
   for (const InstanceDeployment& inst : plan.instances) {
-    ccm::Container* container = resolver(inst.node);
-    if (container == nullptr) {
-      return R::error("no container available for node " +
-                      inst.node.to_string());
-    }
-    auto component = NodeApplication(*container, factory).install(inst);
+    auto component = target.install(inst);
     if (!component.is_ok()) return R::error(component.message());
-    installed.emplace_back(inst.id, component.value());
     ++report.instances_installed;
   }
-  const auto by_id = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  std::sort(installed.begin(), installed.end(), by_id);
-  const auto find = [&](std::string_view id) {
-    return std::lower_bound(installed.begin(), installed.end(),
-                            std::pair<std::string_view, ccm::Component*>(
-                                id, nullptr),
-                            by_id)
-        ->second;
-  };
   for (const ConnectionDeployment& conn : plan.connections) {
-    if (Status s = wire_connection(conn, *find(conn.source_instance),
-                                   *find(conn.target_instance));
-        !s.is_ok()) {
+    if (Status s = wire_connection(conn, target); !s.is_ok()) {
       return R::error(s.message());
     }
     ++report.connections_wired;
@@ -70,15 +33,21 @@ Result<ExecutionManager::LaunchReport> ExecutionManager::launch(
 }
 
 Status ExecutionManager::wire_connection(const ConnectionDeployment& connection,
-                                         ccm::Component& source,
-                                         ccm::Component& target) {
-  if (!target.provides(connection.facet)) {
-    return Status::error("connection '" + connection.name + "': instance '" +
-                         connection.target_instance + "' has no facet '" +
-                         connection.facet + "'");
+                                         DeploymentTarget& target) {
+  ccm::Component* source = target.find(connection.source);
+  ccm::Component* sink = target.find(connection.target);
+  if (source == nullptr || sink == nullptr) {
+    return Status::error("connection '" + connection.name() +
+                         "' references an uninstalled instance");
   }
-  if (Status s = source.connect(connection.receptacle, target); !s.is_ok()) {
-    return Status::error("connection '" + connection.name + "': " +
+  if (!sink->provides(connection.port)) {
+    return Status::error("connection '" + connection.name() +
+                         "': instance '" + connection.target.to_string() +
+                         "' has no facet '" + ccm::to_string(connection.port) +
+                         "'");
+  }
+  if (Status s = source->connect(connection.port, *sink); !s.is_ok()) {
+    return Status::error("connection '" + connection.name() + "': " +
                          s.message());
   }
   return Status::ok();

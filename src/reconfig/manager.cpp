@@ -4,32 +4,11 @@
 #include <utility>
 
 #include "ccm/container.h"
-#include "core/admission_control.h"
-#include "core/idle_resetter.h"
-#include "core/load_balancer_component.h"
-#include "core/subtask_component.h"
-#include "core/task_effector.h"
 #include "dance/engine.h"
 #include "dance/plan_xml.h"
 #include "util/strings.h"
 
 namespace rtcm::reconfig {
-
-namespace {
-
-bool is_subtask_type(const std::string& type) {
-  return type == core::FirstIntermediateSubtask::kTypeName ||
-         type == core::LastSubtask::kTypeName;
-}
-
-/// A plan attribute's strategy, or `fallback` when it is absent or
-/// malformed (the live component refused such a value at configure time).
-template <typename Strategy>
-Strategy plan_strategy(Result<Strategy> parsed, Strategy fallback) {
-  return parsed.is_ok() ? parsed.value() : fallback;
-}
-
-}  // namespace
 
 ReconfigurationManager::ReconfigurationManager(core::SystemRuntime& runtime)
     : runtime_(runtime),
@@ -96,15 +75,13 @@ ReconfigReport ReconfigurationManager::rejected(ReconfigReport report,
 
 ReconfigReport ReconfigurationManager::apply_now(
     const config::ModeChange& change) {
+  ReconfigReport report;
+  report.at = runtime_.simulator().now();
+  report.quiesce_at = report.at;
+  report.label = change.label.empty() ? "mode-change" : change.label;
   config::PlanBuilderInput next = input_;
-  const std::string label =
-      change.label.empty() ? "mode-change" : change.label;
   if (change.strategies.has_value()) {
     if (!change.strategies->valid()) {
-      ReconfigReport report;
-      report.at = runtime_.simulator().now();
-      report.quiesce_at = report.at;
-      report.label = label;
       return rejected(std::move(report),
                       "invalid service configuration " +
                           change.strategies->label() + ": " +
@@ -119,14 +96,8 @@ ReconfigReport ReconfigurationManager::apply_now(
   next.drained.assign(desired.begin(), desired.end());
 
   auto target = config::build_deployment_plan(next);
-  if (!target.is_ok()) {
-    ReconfigReport report;
-    report.at = runtime_.simulator().now();
-    report.quiesce_at = report.at;
-    report.label = label;
-    return rejected(std::move(report), target.message());
-  }
-  return apply_plan_now(target.value(), label);
+  if (!target.is_ok()) return rejected(std::move(report), target.message());
+  return apply_plan_now(target.value(), report.label);
 }
 
 ReconfigReport ReconfigurationManager::apply_plan_now(
@@ -152,85 +123,50 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
   std::vector<const Change*> reconfigures;
   std::vector<const Change*> adds;
   std::vector<const Change*> connections;
-  std::map<ProcessorId, std::vector<std::string>> removals_by_node;
+  std::map<ProcessorId, std::vector<ccm::InstanceId>> removals_by_node;
   // Pre-pass: the canonical order lists connection removals before instance
   // removals, but validating the former needs the full removed-id set.
-  std::set<std::string> removed_ids;
+  std::set<ccm::InstanceId> removed_ids;
   for (const Change& change : changes.changes) {
     if (change.kind == ChangeKind::kRemoveInstance) {
       removed_ids.insert(change.instance.id);
     }
   }
   for (const Change& change : changes.changes) {
+    const ccm::InstanceId& id = change.instance.id;
     switch (change.kind) {
       case ChangeKind::kRemoveInstance:
-        if (!is_subtask_type(change.instance.type)) {
+        if (!ccm::is_subtask(id.kind)) {
           return rejected(std::move(report),
                           "unsupported: removing infrastructure instance '" +
-                              change.instance.id + "'");
+                              id.to_string() + "'");
         }
-        removals_by_node[change.instance.node].push_back(change.instance.id);
+        removals_by_node[id.node].push_back(id);
         break;
-      case ChangeKind::kMigrateInstance:
-        return rejected(std::move(report),
-                        "unsupported: migrating instance '" +
-                            change.instance.id +
-                            "' between nodes (express task migration as a "
-                            "drain; the AC re-places reservations)");
-      case ChangeKind::kReconfigureInstance: {
-        ccm::Container* container =
-            runtime_.find_container(change.instance.node);
-        if (container == nullptr ||
-            container->find(change.instance.id) == nullptr) {
+      case ChangeKind::kReconfigureInstance:
+        if (runtime_.find(id) == nullptr) {
           return rejected(std::move(report),
-                          "reconfigure target '" + change.instance.id +
-                              "' is not installed on " +
-                              change.instance.node.to_string());
-        }
-        // configure() merges attribute maps, so rollback (re-applying the
-        // old map) is exact only when no brand-new key appears.
-        const dance::InstanceDeployment* previous =
-            current_.find_instance(change.instance.id);
-        assert(previous != nullptr);  // the diff produced it from current_
-        for (const std::string& name : change.instance.properties.names()) {
-          if (!previous->properties.has(name)) {
-            return rejected(std::move(report),
-                            "unsupported: reconfigure of '" +
-                                change.instance.id +
-                                "' introduces attribute '" + name +
-                                "' (rollback would not be exact)");
-          }
+                          "reconfigure target '" + id.to_string() +
+                              "' is not installed on " + id.node.to_string());
         }
         reconfigures.push_back(&change);
         break;
-      }
-      case ChangeKind::kAddInstance: {
-        ccm::Container* container =
-            runtime_.find_container(change.instance.node);
-        if (container == nullptr) {
+      case ChangeKind::kAddInstance:
+        if (runtime_.find_container(id.node) == nullptr) {
           return rejected(std::move(report),
-                          "add target node " +
-                              change.instance.node.to_string() +
+                          "add target node " + id.node.to_string() +
                               " has no container");
-        }
-        const ccm::Component* existing = container->find(change.instance.id);
-        if (existing != nullptr &&
-            existing->type_name() != change.instance.type) {
-          return rejected(std::move(report),
-                          "instance '" + change.instance.id +
-                              "' exists with a different type");
         }
         adds.push_back(&change);
         break;
-      }
       case ChangeKind::kRemoveConnection:
         // No physical disconnect exists; a removed connection is legal only
         // when its source instance leaves with it (quiesced instances stop
         // calling their receptacles).
-        if (removed_ids.count(change.connection.source_instance) == 0) {
+        if (removed_ids.count(change.connection.source) == 0) {
           return rejected(std::move(report),
                           "unsupported: removing connection '" +
-                              change.connection.name +
+                              change.connection.name() +
                               "' while its source instance stays");
         }
         break;
@@ -245,10 +181,10 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
   // there, so placements can treat the node as uniformly dead.
   for (const auto& [node, ids] : removals_by_node) {
     for (const auto& inst : target.instances) {
-      if (inst.node == node && is_subtask_type(inst.type)) {
+      if (inst.id.node == node && ccm::is_subtask(inst.id.kind)) {
         return rejected(std::move(report),
                         "unsupported: partial drain of " + node.to_string() +
-                            " (instance '" + inst.id + "' stays)");
+                            " (instance '" + inst.id.to_string() + "' stays)");
       }
     }
   }
@@ -256,18 +192,18 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
   std::set<ProcessorId> desired = drained_;
   for (const auto& [node, ids] : removals_by_node) desired.insert(node);
   for (const Change* change : adds) {
-    if (is_subtask_type(change->instance.type)) {
-      desired.erase(change->instance.node);
+    if (ccm::is_subtask(change->instance.id.kind)) {
+      desired.erase(change->instance.id.node);
     }
   }
 
-  // --- Phase B: live attribute reconfigurations (undo-logged) -------------
-  std::vector<std::pair<const Change*, ccm::AttributeMap>> applied_attrs;
-  auto undo_attrs = [this, &applied_attrs] {
-    for (auto it = applied_attrs.rbegin(); it != applied_attrs.rend(); ++it) {
-      const Status s = runtime_.reconfigure_instance(
-          it->first->instance.node, it->first->instance.id, it->second);
-      assert(s.is_ok() && "restoring previously-valid attributes must work");
+  // --- Phase B: live reconfigurations (undo log: the previous configs) ----
+  std::vector<const dance::InstanceDeployment*> applied_configs;
+  auto undo_configs = [this, &applied_configs] {
+    for (auto it = applied_configs.rbegin(); it != applied_configs.rend();
+         ++it) {
+      const Status s = runtime_.reconfigure_instance((*it)->id, (*it)->config);
+      assert(s.is_ok() && "restoring a previously-valid config must work");
       (void)s;
     }
   };
@@ -275,14 +211,13 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
     const dance::InstanceDeployment* previous =
         current_.find_instance(change->instance.id);
     assert(previous != nullptr);  // diff produced it from current_
-    if (Status s = runtime_.reconfigure_instance(change->instance.node,
-                                                 change->instance.id,
-                                                 change->instance.properties);
+    if (Status s = runtime_.reconfigure_instance(change->instance.id,
+                                                 change->instance.config);
         !s.is_ok()) {
-      undo_attrs();
+      undo_configs();
       return rejected(std::move(report), s.message());
     }
-    applied_attrs.emplace_back(change, previous->properties);
+    applied_configs.push_back(previous);
     ++report.reconfigured;
   }
 
@@ -292,7 +227,7 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
   if (desired != drained_) {
     auto transition = ac->apply_drain(desired);
     if (!transition.is_ok()) {
-      undo_attrs();
+      undo_configs();
       return rejected(std::move(report), transition.message());
     }
     summary = std::move(transition).value();
@@ -307,12 +242,12 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
   // --- Phase D: build-up (pre-validated; cannot fail for engine plans) ----
   //
   // Should a hand-built target still fail here, restore the earlier phases
-  // best-effort: attributes exactly, and the drain transition by moving the
-  // AC back to the previous drained set (placements stay admissible, though
-  // a reservation migrated in Phase C may settle on a different live host
+  // best-effort: configs exactly, and the drain transition by moving the AC
+  // back to the previous drained set (placements stay admissible, though a
+  // reservation migrated in Phase C may settle on a different live host
   // than it started on).
   auto abort_build_up = [&](std::string reason) {
-    undo_attrs();
+    undo_configs();
     if (desired != drained_) {
       auto restore = ac->apply_drain(drained_);
       if (restore.is_ok()) {
@@ -327,19 +262,17 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
     return rejected(std::move(report), std::move(reason));
   };
   for (const Change* change : adds) {
-    ccm::Container* container = runtime_.find_container(change->instance.node);
-    ccm::Component* component = container->find(change->instance.id);
+    ccm::Component* component = runtime_.find(change->instance.id);
     Status s = Status::ok();
     if (component != nullptr) {
-      // Reactivation of a quiesced instance: refresh attributes, reactivate.
-      s = component->configure(change->instance.properties);
+      // Reactivation of a quiesced instance: refresh its config, reactivate.
+      s = component->configure(change->instance.config);
       if (s.is_ok() &&
           component->state() == ccm::LifecycleState::kPassivated) {
         s = component->activate();
       }
     } else {
-      auto installed = dance::NodeApplication(*container, runtime_.factory())
-                           .install(change->instance);
+      auto installed = runtime_.install(change->instance);
       s = installed.is_ok() ? installed.value()->activate()
                             : Status::error(installed.message());
     }
@@ -347,21 +280,8 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
     ++report.added;
   }
   for (const Change* change : connections) {
-    const dance::InstanceDeployment* source =
-        target.find_instance(change->connection.source_instance);
-    const dance::InstanceDeployment* sink =
-        target.find_instance(change->connection.target_instance);
-    assert(source != nullptr && sink != nullptr);  // target validated
-    ccm::Component* source_component =
-        runtime_.find_container(source->node)->find(source->id);
-    ccm::Component* sink_component =
-        runtime_.find_container(sink->node)->find(sink->id);
-    if (source_component == nullptr || sink_component == nullptr) {
-      return abort_build_up("connection '" + change->connection.name +
-                            "' references an uninstalled instance");
-    }
-    if (Status s = dance::ExecutionManager::wire_connection(
-            change->connection, *source_component, *sink_component);
+    if (Status s = dance::ExecutionManager::wire_connection(change->connection,
+                                                            runtime_);
         !s.is_ok()) {
       return abort_build_up(s.message());
     }
@@ -395,10 +315,10 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
   // An undrained node bumps its generation so any pending passivation for
   // an older drain is cancelled even if the node is later drained again.
   for (const Change* change : adds) {
-    if (is_subtask_type(change->instance.type) &&
-        drained_.count(change->instance.node) > 0 &&
-        desired.count(change->instance.node) == 0) {
-      ++node_generation_[change->instance.node];
+    const ccm::InstanceId& id = change->instance.id;
+    if (ccm::is_subtask(id.kind) && drained_.count(id.node) > 0 &&
+        desired.count(id.node) == 0) {
+      ++node_generation_[id.node];
     }
   }
 
@@ -420,11 +340,11 @@ ReconfigReport ReconfigurationManager::apply_plan_now(
 }
 
 void ReconfigurationManager::quiesce_node(
-    ProcessorId node, const std::vector<std::string>& ids) {
+    ProcessorId node, const std::vector<ccm::InstanceId>& ids) {
   ccm::Container* container = runtime_.find_container(node);
   assert(container != nullptr);
   std::size_t passivated = 0;
-  for (const std::string& id : ids) {
+  for (const ccm::InstanceId& id : ids) {
     ccm::Component* component = container->find(id);
     if (component != nullptr &&
         component->state() == ccm::LifecycleState::kActive) {
@@ -441,33 +361,21 @@ void ReconfigurationManager::quiesce_node(
 }
 
 void ReconfigurationManager::sync_from(const dance::DeploymentPlan& target) {
-  const dance::InstanceDeployment* ac = target.find_instance("Central-AC");
   core::StrategyCombination strategies = input_.strategies;
-  if (ac != nullptr) {
-    strategies.ac = plan_strategy(
-        core::parse_ac_attr(ac->properties.get_string_or(
-            core::AdmissionControl::kAcStrategyAttr, "PT")),
-        core::AcStrategy::kPerTask);
-    strategies.lb = plan_strategy(
-        core::parse_lb_attr(ac->properties.get_string_or(
-            core::AdmissionControl::kLbStrategyAttr, "N")),
-        core::LbStrategy::kNone);
-  }
-  for (const auto& inst : target.instances) {
-    if (inst.type == core::IdleResetter::kTypeName) {
-      strategies.ir = plan_strategy(
-          core::parse_ir_attr(inst.properties.get_string_or(
-              core::IdleResetter::kStrategyAttr, "N")),
-          core::IrStrategy::kNone);
-      break;
+  bool ir_seen = false;
+  for (const dance::InstanceDeployment& inst : target.instances) {
+    if (const auto* ac = std::get_if<ccm::AcConfig>(&inst.config)) {
+      strategies.ac = ac->ac;
+      strategies.lb = ac->lb;
+    } else if (const auto* ir = std::get_if<ccm::IrConfig>(&inst.config);
+               ir != nullptr && !ir_seen) {
+      strategies.ir = ir->strategy;
+      ir_seen = true;
+    } else if (const auto* lb = std::get_if<ccm::LbConfig>(&inst.config)) {
+      input_.lb_policy = sched::to_string(lb->policy);
     }
   }
   input_.strategies = strategies;
-  const dance::InstanceDeployment* lb = target.find_instance("Central-LB");
-  if (lb != nullptr) {
-    input_.lb_policy = lb->properties.get_string_or(
-        core::LoadBalancerComponent::kPolicyAttr, input_.lb_policy);
-  }
   runtime_.note_active_strategies(strategies, input_.lb_policy);
   input_.drained.assign(drained_.begin(), drained_.end());
 }

@@ -9,13 +9,14 @@
 //   2. Validate: only whole-node drains of Subtask instances are supported
 //      (infrastructure components never move), and every touched container
 //      must exist.
-//   3. Apply attribute reconfigurations (strategy / policy swaps) to live
-//      components, keeping an undo log.
+//   3. Apply config reconfigurations (strategy / policy swaps) to live
+//      components, keeping the previous configs as an undo log: rollback
+//      re-applies them whole, so it is exact.
 //   4. Ask the AdmissionControl to transition to the new drained set: every
 //      standing reservation touching a drained processor is re-placed and
 //      re-admitted under Equation (1).  The AC rolls itself back atomically
 //      if any admitted task would lose its guarantee, in which case the
-//      attribute changes from step 3 are also undone and the whole
+//      config changes from step 3 are also undone and the whole
 //      reconfiguration is rejected.
 //   5. Rebind task-effector placement caches for migrated reservations,
 //      install/reactivate added instances, and wire added connections.
@@ -62,8 +63,7 @@ class ReconfigurationManager {
  public:
   /// The runtime must be assembled.  The baseline is the plan the runtime
   /// launched; mode changes rebuild targets from config::plan_input of the
-  /// runtime's configuration, synced to that plan's strategy and policy
-  /// attributes.
+  /// runtime's configuration, synced to that plan's strategies and policy.
   explicit ReconfigurationManager(core::SystemRuntime& runtime);
 
   [[nodiscard]] const dance::DeploymentPlan& current_plan() const {
@@ -104,8 +104,8 @@ class ReconfigurationManager {
 
  private:
   ReconfigReport rejected(ReconfigReport report, std::string reason);
-  void quiesce_node(ProcessorId node, const std::vector<std::string>& ids);
-  /// Mirror the target plan's strategy/policy attributes into the runtime
+  void quiesce_node(ProcessorId node, const std::vector<ccm::InstanceId>& ids);
+  /// Mirror the target plan's strategies and LB policy into the runtime
   /// config and the internal PlanBuilderInput.
   void sync_from(const dance::DeploymentPlan& target);
 

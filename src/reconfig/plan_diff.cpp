@@ -8,16 +8,18 @@ namespace rtcm::reconfig {
 
 namespace {
 
-using ConnectionKey = std::pair<std::string, std::string>;
+using ConnectionKey = std::pair<dance::InstanceId, dance::Port>;
 
 ConnectionKey key_of(const dance::ConnectionDeployment& c) {
-  return {c.source_instance, c.receptacle};
+  return {c.source, c.port};
 }
 
-/// Same endpoint?  The `name` field is diagnostic only and ignored.
-bool same_endpoint(const dance::ConnectionDeployment& a,
-                   const dance::ConnectionDeployment& b) {
-  return a.target_instance == b.target_instance && a.facet == b.facet;
+std::string render_connection(const dance::InstanceId& source,
+                              dance::Port port,
+                              const dance::InstanceId& target) {
+  const char* name = ccm::to_string(port);
+  return source.to_string() + '.' + name + "->" + target.to_string() + '.' +
+         name;
 }
 
 }  // namespace
@@ -28,8 +30,6 @@ const char* to_string(ChangeKind kind) {
       return "remove-connection";
     case ChangeKind::kRemoveInstance:
       return "remove-instance";
-    case ChangeKind::kMigrateInstance:
-      return "migrate-instance";
     case ChangeKind::kReconfigureInstance:
       return "reconfigure-instance";
     case ChangeKind::kAddInstance:
@@ -58,24 +58,21 @@ std::string Changeset::render() const {
       case ChangeKind::kRemoveInstance:
       case ChangeKind::kReconfigureInstance:
       case ChangeKind::kAddInstance:
-        out += ' ' + c.instance.id + '@' + c.instance.node.to_string();
-        break;
-      case ChangeKind::kMigrateInstance:
-        out += ' ' + c.instance.id + ' ' + c.from_node.to_string() + "->" +
-               c.instance.node.to_string();
+        out += ' ' + c.instance.id.to_string() + '@' +
+               c.instance.id.node.to_string();
         break;
       case ChangeKind::kRemoveConnection:
       case ChangeKind::kAddConnection:
-        out += ' ' + c.connection.source_instance + '.' +
-               c.connection.receptacle + "->" + c.connection.target_instance +
-               '.' + c.connection.facet;
+        out += ' ' + render_connection(c.connection.source, c.connection.port,
+                                       c.connection.target);
         break;
       case ChangeKind::kRewireConnection:
-        out += ' ' + c.connection.source_instance + '.' +
-               c.connection.receptacle + ": " +
-               c.old_connection.target_instance + '.' +
-               c.old_connection.facet + "->" + c.connection.target_instance +
-               '.' + c.connection.facet;
+        out += ' ' + c.connection.source.to_string() + '.' +
+               ccm::to_string(c.connection.port) + ": " +
+               c.old_connection.target.to_string() + '.' +
+               ccm::to_string(c.old_connection.port) + "->" +
+               c.connection.target.to_string() + '.' +
+               ccm::to_string(c.connection.port);
         break;
     }
     out += '\n';
@@ -97,8 +94,8 @@ Result<Changeset> PlanDiffer::diff(const dance::DeploymentPlan& from,
   out.from_label = from.label;
   out.to_label = to.label;
 
-  std::map<std::string, const dance::InstanceDeployment*> from_instances;
-  std::map<std::string, const dance::InstanceDeployment*> to_instances;
+  std::map<dance::InstanceId, const dance::InstanceDeployment*> from_instances;
+  std::map<dance::InstanceId, const dance::InstanceDeployment*> to_instances;
   for (const auto& inst : from.instances) from_instances[inst.id] = &inst;
   for (const auto& inst : to.instances) to_instances[inst.id] = &inst;
 
@@ -109,84 +106,53 @@ Result<Changeset> PlanDiffer::diff(const dance::DeploymentPlan& from,
   }
   for (const auto& conn : to.connections) to_connections[key_of(conn)] = &conn;
 
-  // A type change under the same id is remove + add; record the ids so both
-  // passes treat the instance as absent from the other plan.
-  auto retyped = [&](const std::string& id) {
-    const auto f = from_instances.find(id);
-    const auto t = to_instances.find(id);
-    return f != from_instances.end() && t != to_instances.end() &&
-           f->second->type != t->second->type;
+  const auto push = [&out](ChangeKind kind, auto&& fill) {
+    Change c;
+    c.kind = kind;
+    fill(c);
+    out.changes.push_back(std::move(c));
   };
 
   // 1. removed connections (from-plan order).
   for (const auto& conn : from.connections) {
-    const auto it = to_connections.find(key_of(conn));
-    if (it == to_connections.end()) {
-      Change c;
-      c.kind = ChangeKind::kRemoveConnection;
-      c.connection = conn;
-      out.changes.push_back(std::move(c));
+    if (to_connections.count(key_of(conn)) == 0) {
+      push(ChangeKind::kRemoveConnection,
+           [&](Change& c) { c.connection = conn; });
     }
   }
-  // 2. removed instances (from-plan order).
+  // 2. removed instances, 3. reconfigurations (from-plan order).
   for (const auto& inst : from.instances) {
-    if (to_instances.count(inst.id) == 0 || retyped(inst.id)) {
-      Change c;
-      c.kind = ChangeKind::kRemoveInstance;
-      c.instance = inst;
-      out.changes.push_back(std::move(c));
-    }
-  }
-  // 3. migrations, 4. reconfigurations (from-plan order).
-  for (const auto& inst : from.instances) {
-    const auto it = to_instances.find(inst.id);
-    if (it == to_instances.end() || retyped(inst.id)) continue;
-    const dance::InstanceDeployment& target = *it->second;
-    if (target.node != inst.node) {
-      Change c;
-      c.kind = ChangeKind::kMigrateInstance;
-      c.instance = target;
-      c.from_node = inst.node;
-      out.changes.push_back(std::move(c));
+    if (to_instances.count(inst.id) == 0) {
+      push(ChangeKind::kRemoveInstance, [&](Change& c) { c.instance = inst; });
     }
   }
   for (const auto& inst : from.instances) {
     const auto it = to_instances.find(inst.id);
-    if (it == to_instances.end() || retyped(inst.id)) continue;
-    const dance::InstanceDeployment& target = *it->second;
-    if (target.node == inst.node && !(target.properties == inst.properties)) {
-      Change c;
-      c.kind = ChangeKind::kReconfigureInstance;
-      c.instance = target;
-      out.changes.push_back(std::move(c));
+    if (it != to_instances.end() && it->second->config != inst.config) {
+      push(ChangeKind::kReconfigureInstance,
+           [&](Change& c) { c.instance = *it->second; });
     }
   }
-  // 5. added instances (to-plan order, preserving install-order deps).
+  // 4. added instances (to-plan order, preserving install-order deps).
   for (const auto& inst : to.instances) {
-    if (from_instances.count(inst.id) == 0 || retyped(inst.id)) {
-      Change c;
-      c.kind = ChangeKind::kAddInstance;
-      c.instance = inst;
-      out.changes.push_back(std::move(c));
+    if (from_instances.count(inst.id) == 0) {
+      push(ChangeKind::kAddInstance, [&](Change& c) { c.instance = inst; });
     }
   }
-  // 6. rewires, 7. added connections (to-plan order).
+  // 5. rewires, 6. added connections (to-plan order).
   for (const auto& conn : to.connections) {
     const auto it = from_connections.find(key_of(conn));
-    if (it != from_connections.end() && !same_endpoint(*it->second, conn)) {
-      Change c;
-      c.kind = ChangeKind::kRewireConnection;
-      c.connection = conn;
-      c.old_connection = *it->second;
-      out.changes.push_back(std::move(c));
+    if (it != from_connections.end() && it->second->target != conn.target) {
+      push(ChangeKind::kRewireConnection, [&](Change& c) {
+        c.connection = conn;
+        c.old_connection = *it->second;
+      });
     }
   }
   for (const auto& conn : to.connections) {
     if (from_connections.count(key_of(conn)) == 0) {
-      Change c;
-      c.kind = ChangeKind::kAddConnection;
-      c.connection = conn;
-      out.changes.push_back(std::move(c));
+      push(ChangeKind::kAddConnection,
+           [&](Change& c) { c.connection = conn; });
     }
   }
   return out;
@@ -198,7 +164,7 @@ Result<dance::DeploymentPlan> apply_changeset(
   dance::DeploymentPlan out = plan;
   out.label = changes.to_label.empty() ? plan.label : changes.to_label;
 
-  auto find_instance = [&out](const std::string& id) {
+  auto find_instance = [&out](const dance::InstanceId& id) {
     return std::find_if(
         out.instances.begin(), out.instances.end(),
         [&id](const dance::InstanceDeployment& inst) { return inst.id == id; });
@@ -209,61 +175,52 @@ Result<dance::DeploymentPlan> apply_changeset(
                           return key_of(c) == key_of(conn);
                         });
   };
+  const auto on = [](const dance::ConnectionDeployment& c) {
+    return c.source.to_string() + "." + ccm::to_string(c.port);
+  };
 
   for (const Change& change : changes.changes) {
+    const std::string what = to_string(change.kind);
     switch (change.kind) {
-      case ChangeKind::kRemoveConnection: {
+      case ChangeKind::kRemoveConnection:
+      case ChangeKind::kRewireConnection: {
         const auto it = find_connection(change.connection);
         if (it == out.connections.end()) {
-          return R::error("remove-connection: no connection on " +
-                          change.connection.source_instance + "." +
-                          change.connection.receptacle);
+          return R::error(what + ": no connection on " + on(change.connection));
         }
-        out.connections.erase(it);
+        if (change.kind == ChangeKind::kRemoveConnection) {
+          out.connections.erase(it);
+        } else {
+          *it = change.connection;
+        }
         break;
       }
-      case ChangeKind::kRemoveInstance: {
-        const auto it = find_instance(change.instance.id);
-        if (it == out.instances.end()) {
-          return R::error("remove-instance: no instance '" +
-                          change.instance.id + "'");
-        }
-        out.instances.erase(it);
-        break;
-      }
-      case ChangeKind::kMigrateInstance:
+      case ChangeKind::kRemoveInstance:
       case ChangeKind::kReconfigureInstance: {
         const auto it = find_instance(change.instance.id);
         if (it == out.instances.end()) {
-          return R::error(std::string(to_string(change.kind)) +
-                          ": no instance '" + change.instance.id + "'");
+          return R::error(what + ": no instance '" +
+                          change.instance.id.to_string() + "'");
         }
-        *it = change.instance;
+        if (change.kind == ChangeKind::kRemoveInstance) {
+          out.instances.erase(it);
+        } else {
+          *it = change.instance;
+        }
         break;
       }
       case ChangeKind::kAddInstance: {
         if (find_instance(change.instance.id) != out.instances.end()) {
-          return R::error("add-instance: duplicate instance '" +
-                          change.instance.id + "'");
+          return R::error(what + ": duplicate instance '" +
+                          change.instance.id.to_string() + "'");
         }
         out.instances.push_back(change.instance);
         break;
       }
-      case ChangeKind::kRewireConnection: {
-        const auto it = find_connection(change.connection);
-        if (it == out.connections.end()) {
-          return R::error("rewire-connection: no connection on " +
-                          change.connection.source_instance + "." +
-                          change.connection.receptacle);
-        }
-        *it = change.connection;
-        break;
-      }
       case ChangeKind::kAddConnection: {
         if (find_connection(change.connection) != out.connections.end()) {
-          return R::error("add-connection: duplicate connection on " +
-                          change.connection.source_instance + "." +
-                          change.connection.receptacle);
+          return R::error(what + ": duplicate connection on " +
+                          on(change.connection));
         }
         out.connections.push_back(change.connection);
         break;

@@ -1,18 +1,19 @@
 // Deployment-plan differencing (the paper's "reconfigurable" promise).
 //
-// The PlanDiffer compares two OMG D&C deployment plans and produces an
-// ordered changeset of primitive operations — remove / add / reconfigure /
-// rewire / migrate — that transforms the first plan into the second.  The
-// ordering is canonical (tear-down before build-up) so the runtime
-// ReconfigurationManager can apply it deterministically:
+// The PlanDiffer compares two typed OMG D&C deployment plans and produces
+// an ordered changeset of primitive operations — remove / add / reconfigure
+// / rewire — that transforms the first plan into the second.  An instance's
+// identity includes its kind and node, so a different implementation or a
+// different node is a different instance (remove + add); configs compare
+// with operator==.  The ordering is canonical (tear-down before build-up)
+// so the runtime ReconfigurationManager can apply it deterministically:
 //
 //   1. remove connections        (in from-plan order)
 //   2. remove instances          (in from-plan order)
-//   3. migrate instances         (in from-plan order)
-//   4. reconfigure instances     (in from-plan order)
-//   5. add instances             (in to-plan order)
-//   6. rewire connections        (in to-plan order)
-//   7. add connections           (in to-plan order)
+//   3. reconfigure instances     (in from-plan order)
+//   4. add instances             (in to-plan order)
+//   5. rewire connections        (in to-plan order)
+//   6. add connections           (in to-plan order)
 //
 // apply_changeset() is the pure algebra: applying diff(p, q) to p yields a
 // plan equivalent to q (same instances and connections; ordering follows the
@@ -31,10 +32,9 @@ namespace rtcm::reconfig {
 enum class ChangeKind {
   kRemoveConnection,
   kRemoveInstance,
-  kMigrateInstance,      // same instance id, different node
-  kReconfigureInstance,  // same id/type/node, different configProperties
+  kReconfigureInstance,  // same identity, different config
   kAddInstance,
-  kRewireConnection,     // same (source, receptacle), different target/facet
+  kRewireConnection,     // same (source, port), different target
   kAddConnection,
 };
 
@@ -42,11 +42,9 @@ enum class ChangeKind {
 
 struct Change {
   ChangeKind kind;
-  /// Desired state for add/migrate/reconfigure; the removed instance for
+  /// Desired state for add/reconfigure; the removed instance for
   /// kRemoveInstance.  Unused for connection operations.
   dance::InstanceDeployment instance;
-  /// Previous node of a migrated instance.
-  ProcessorId from_node;
   /// Desired connection for add/rewire; the removed one for remove.
   dance::ConnectionDeployment connection;
   /// Previous endpoint of a rewired connection.
@@ -66,11 +64,9 @@ struct Changeset {
 
 class PlanDiffer {
  public:
-  /// Both plans must validate; instance identity is the instance id,
-  /// connection identity is (source instance, receptacle) — a receptacle
-  /// holds exactly one connection.  Type changes under the same id are
-  /// modelled as remove + add (a different implementation is a different
-  /// component, not a reconfiguration).
+  /// Both plans must validate; instance identity is the InstanceId,
+  /// connection identity is (source instance, port) — a receptacle holds
+  /// exactly one connection.
   [[nodiscard]] static Result<Changeset> diff(const dance::DeploymentPlan& from,
                                               const dance::DeploymentPlan& to);
 };

@@ -24,16 +24,6 @@ std::span<const Duration> DsAdmission::stage_bounds(
   return bounds_;
 }
 
-Duration DsAdmission::delay_bound(
-    const TaskSpec& task, const events::Placement& placement) const {
-  return stage_bounds(task, placement).back() + config_.hop_overhead * 2;
-}
-
-bool DsAdmission::admissible(
-    const TaskSpec& task, const events::Placement& placement) const {
-  return delay_bound(task, placement) <= task.deadline;
-}
-
 void DsAdmission::admit(JobId job, const TaskSpec& task,
                         const events::Placement& placement) {
   assert(placement.size() == task.subtasks.size());

@@ -46,6 +46,8 @@ struct DsServerConfig {
   /// deployer measures it, e.g. with the Figure 8 harness).
   Duration hop_overhead = Duration::zero();
 
+  [[nodiscard]] bool operator==(const DsServerConfig&) const = default;
+
   [[nodiscard]] double utilization() const { return budget.ratio(period); }
   /// Interference reserved against periodic tasks (back-to-back effect).
   [[nodiscard]] double periodic_interference() const {
@@ -53,6 +55,9 @@ struct DsServerConfig {
   }
   /// Worst-case service startup gap for the server's own queue.
   [[nodiscard]] Duration max_latency() const { return period - budget; }
+  /// The admission round trip (Task Arrive, then Accept) the bound budgets
+  /// before the first stage is released.
+  [[nodiscard]] Duration round_trip() const { return hop_overhead * 2; }
 };
 
 /// Backlog bookkeeping plus the delay-bound admission test.
@@ -71,15 +76,13 @@ class DsAdmission {
   [[nodiscard]] std::span<const Duration> stage_bounds(
       const TaskSpec& task, const events::Placement& placement) const;
 
-  /// End-to-end delay bound for executing `task` on `placement` given the
-  /// current backlogs: last stage bound plus the admission round trip
-  /// (2 * hop_overhead).
-  [[nodiscard]] Duration delay_bound(
-      const TaskSpec& task, const events::Placement& placement) const;
-
-  /// True iff the delay bound fits the task's end-to-end deadline.
-  [[nodiscard]] bool admissible(
-      const TaskSpec& task, const events::Placement& placement) const;
+  /// End-to-end delay bound from the stage bounds stage_bounds() returned:
+  /// the last stage's bound plus the admission round trip.  A job is
+  /// admissible iff this fits its end-to-end deadline.
+  [[nodiscard]] Duration end_to_end_bound(
+      std::span<const Duration> stage_bounds) const {
+    return stage_bounds.back() + config_.round_trip();
+  }
 
   /// Register an admitted job's backlog, stage by stage.
   void admit(JobId job, const TaskSpec& task,

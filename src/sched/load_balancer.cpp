@@ -1,9 +1,39 @@
 #include "sched/load_balancer.h"
 
+#include <array>
 #include <cassert>
 #include <limits>
 
 namespace rtcm::sched {
+
+namespace {
+
+constexpr std::array<PlacementPolicy, 3> kPolicies = {
+    PlacementPolicy::kLowestUtilization, PlacementPolicy::kPrimaryOnly,
+    PlacementPolicy::kRandomReplica};
+
+}  // namespace
+
+const char* to_string(PlacementPolicy policy) {
+  switch (policy) {
+    case PlacementPolicy::kLowestUtilization:
+      return "lowest-util";
+    case PlacementPolicy::kPrimaryOnly:
+      return "primary";
+    case PlacementPolicy::kRandomReplica:
+      return "random";
+  }
+  return "?";
+}
+
+Result<PlacementPolicy> parse_placement_policy(std::string_view name) {
+  for (const PlacementPolicy policy : kPolicies) {
+    if (name == to_string(policy)) return policy;
+  }
+  return Result<PlacementPolicy>::error(
+      "must be 'lowest-util', 'primary' or 'random', got '" +
+      std::string(name) + "'");
+}
 
 events::Placement LoadBalancer::place(const TaskSpec& task,
                                       const UtilizationLedger& ledger) const {

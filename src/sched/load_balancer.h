@@ -10,11 +10,13 @@
 #pragma once
 
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "events/placement.h"
 #include "sched/task.h"
 #include "sched/utilization_ledger.h"
+#include "util/result.h"
 
 namespace rtcm::sched {
 
@@ -25,6 +27,12 @@ enum class PlacementPolicy {
   kPrimaryOnly,        // no balancing: always the primary processor
   kRandomReplica,      // uniform choice among candidates (ablation baseline)
 };
+
+/// "lowest-util" | "primary" | "random": the spelling SystemConfig,
+/// mode changes and deployment plans use.
+[[nodiscard]] const char* to_string(PlacementPolicy policy);
+[[nodiscard]] Result<PlacementPolicy> parse_placement_policy(
+    std::string_view name);
 
 /// Produces one processor per stage of `task`.  For kRandomReplica the
 /// caller provides a pick function (index in [0, n)) so determinism stays

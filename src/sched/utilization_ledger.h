@@ -18,8 +18,7 @@
 //
 // Processors are interned into dense slots (an id -> slot remap plus a
 // flat totals array, never recycled), so nothing here allocates once every
-// processor has been seen.  proc_slot() is public so the scheduling state
-// can key its per-processor job index off the same remap.
+// processor has been seen.
 #pragma once
 
 #include <cassert>
@@ -73,11 +72,6 @@ class UtilizationLedger {
   /// these into traces and reports, so the order is part of the
   /// determinism contract — pinned by LedgerTest.ProcessorsOrderIsSorted).
   [[nodiscard]] std::vector<ProcessorId> processors() const;
-
-  /// Dense slot of `proc`, or kNoSlot if it never carried a contribution.
-  [[nodiscard]] std::uint32_t proc_slot(ProcessorId proc) const {
-    return proc_index_.lookup(proc.value());
-  }
 
   /// Heap bytes held by the ledger's arrays (the bytes-per-resident-task
   /// accounting in bench/admission_scale.cpp).

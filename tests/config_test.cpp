@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "config/engine.h"
 #include "config/plan_builder.h"
 #include "config/questionnaire.h"
@@ -168,15 +170,26 @@ TEST(PlanBuilderTest, BuildsFullTopology) {
   // hazard-alert: stage0 on P1+P0+P2 -> 3
   // archiver: stage0 on P2 -> 1
   EXPECT_EQ(plan.value().instances.size(), 2u + 6u + 7u);
-  EXPECT_NE(plan.value().find_instance("Central-AC"), nullptr);
-  EXPECT_NE(plan.value().find_instance("TE@P1"), nullptr);
-  EXPECT_NE(plan.value().find_instance("IR@P2"), nullptr);
-  EXPECT_NE(plan.value().find_instance("T0_S0@P2"), nullptr);
+  using ccm::ComponentKind;
+  EXPECT_NE(plan.value().find_instance(
+                {ComponentKind::kAdmissionControl, ProcessorId(3)}),
+            nullptr);
+  EXPECT_NE(plan.value().find_instance(
+                {ComponentKind::kTaskEffector, ProcessorId(1)}),
+            nullptr);
+  EXPECT_NE(plan.value().find_instance(
+                {ComponentKind::kIdleResetter, ProcessorId(2)}),
+            nullptr);
+  EXPECT_NE(plan.value().find_instance(
+                {ComponentKind::kSubtaskFI, ProcessorId(2), TaskId(0), 0}),
+            nullptr);
 
   // EDMS: hazard-alert (250 ms) is the most urgent.
-  const auto* alert_stage = plan.value().find_instance("T1_S0@P1");
+  const auto* alert_stage = plan.value().find_instance(
+      {ComponentKind::kSubtaskLast, ProcessorId(1), TaskId(1), 0});
   ASSERT_NE(alert_stage, nullptr);
-  EXPECT_EQ(alert_stage->properties.get_int("Priority").value(), 0);
+  EXPECT_EQ(std::get<ccm::SubtaskConfig>(alert_stage->config).priority,
+            Priority(0));
 
   // One Complete connection per subtask instance plus ac-location.
   EXPECT_EQ(plan.value().connections.size(), 1u + 7u);
@@ -223,7 +236,14 @@ TEST(EngineTest, ConfigureMapsFigure4Example) {
   EXPECT_NE(out.value().xml.find("LB_Strategy"), std::string::npos);
   EXPECT_NE(out.value().xml.find("<string>PT</string>"), std::string::npos);
   EXPECT_EQ(out.value().task_manager, ProcessorId(3));
-  EXPECT_EQ(out.value().priorities.size(), 3u);
+  // EDMS priorities travel in the Subtask configs: one level per task.
+  std::set<Priority> levels;
+  for (const auto& inst : out.value().plan.instances) {
+    if (const auto* st = std::get_if<ccm::SubtaskConfig>(&inst.config)) {
+      levels.insert(st->priority);
+    }
+  }
+  EXPECT_EQ(levels.size(), 3u);
 }
 
 TEST(EngineTest, ExplicitInvalidCombinationRefused) {

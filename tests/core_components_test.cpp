@@ -49,10 +49,11 @@ TEST(RuntimeAssemblyTest, BuildsExpectedTopology) {
   // P0: TE + IR + stage-0 F/I subtask; P1: TE + IR + stage-1 Last subtask.
   EXPECT_EQ(rt->container(ProcessorId(0)).size(), 3u);
   EXPECT_EQ(rt->container(ProcessorId(1)).size(), 3u);
-  EXPECT_NE(rt->container(ProcessorId(0))
-                .find_as<FirstIntermediateSubtask>("T0_S0@P0"),
+  EXPECT_NE(testing::find_named<FirstIntermediateSubtask>(
+                rt->container(ProcessorId(0)), "T0_S0@P0"),
             nullptr);
-  EXPECT_NE(rt->container(ProcessorId(1)).find_as<LastSubtask>("T0_S1@P1"),
+  EXPECT_NE(testing::find_named<LastSubtask>(rt->container(ProcessorId(1)),
+                                             "T0_S1@P1"),
             nullptr);
 }
 
@@ -62,9 +63,11 @@ TEST(RuntimeAssemblyTest, ReplicasGetDuplicateComponents) {
                                     {{0, 10000, {1}}}))
                   .is_ok());
   auto rt = make_runtime("T_T_T", std::move(set));
-  EXPECT_NE(rt->container(ProcessorId(0)).find_as<LastSubtask>("T0_S0@P0"),
+  EXPECT_NE(testing::find_named<LastSubtask>(rt->container(ProcessorId(0)),
+                                             "T0_S0@P0"),
             nullptr);
-  EXPECT_NE(rt->container(ProcessorId(1)).find_as<LastSubtask>("T0_S0@P1"),
+  EXPECT_NE(testing::find_named<LastSubtask>(rt->container(ProcessorId(1)),
+                                             "T0_S0@P1"),
             nullptr);
 }
 
@@ -104,8 +107,12 @@ TEST(RuntimeAssemblyTest, EdmsPrioritiesExposed) {
   ASSERT_TRUE(
       set.add(make_periodic(1, Duration::seconds(1), {{0, 1000}})).is_ok());
   auto rt = make_runtime("T_T_T", std::move(set));
-  EXPECT_EQ(rt->priorities().at(TaskId(1)), Priority(0));
-  EXPECT_EQ(rt->priorities().at(TaskId(0)), Priority(1));
+  const auto priority = [&rt](const char* instance) {
+    return testing::config_of<ccm::SubtaskConfig>(rt->plan(), instance)
+        .priority;
+  };
+  EXPECT_EQ(priority("T1_S0@P0"), Priority(0));
+  EXPECT_EQ(priority("T0_S0@P0"), Priority(1));
 }
 
 // --- End-to-end single job ---------------------------------------------------
@@ -478,9 +485,7 @@ TEST(RuntimeReconfigurationTest, TaskEffectorModeChangesAtRuntime) {
   // release immediately.
   auto rt = make_runtime("T_N_N", one_periodic_two_stage());
   TaskEffector* te = rt->task_effector(ProcessorId(0));
-  ccm::AttributeMap to_pj;
-  to_pj.set_string(TaskEffector::kModeAttr, "PJ");
-  ASSERT_TRUE(te->configure(to_pj).is_ok());
+  ASSERT_TRUE(te->configure(ccm::TeConfig{TeMode::kPerJob}).is_ok());
 
   RTCM_EXPECT_OK(rt->inject_arrival(TaskId(0), Time(0)));
   RTCM_EXPECT_OK(rt->inject_arrival(
@@ -488,9 +493,7 @@ TEST(RuntimeReconfigurationTest, TaskEffectorModeChangesAtRuntime) {
   rt->run_until(Time(Duration::milliseconds(150).usec()));
   EXPECT_EQ(te->immediate_releases(), 0u);  // PJ: both did the round trip
 
-  ccm::AttributeMap to_pt;
-  to_pt.set_string(TaskEffector::kModeAttr, "PT");
-  ASSERT_TRUE(te->configure(to_pt).is_ok());
+  ASSERT_TRUE(te->configure(ccm::TeConfig{TeMode::kPerTask}).is_ok());
   EXPECT_EQ(te->state(), ccm::LifecycleState::kActive);
 
   // The first post-switch arrival still does the round trip (the TE only
@@ -509,14 +512,13 @@ TEST(RuntimeReconfigurationTest, AcSwapsStrategiesButRefusesAnalysisSwitch) {
   // The reconfiguration engine swaps AC/LB strategy attributes on a live AC;
   // the analysis (AUB vs DS) carries admission state and stays frozen.
   auto rt = make_runtime("T_N_N", one_periodic_two_stage());
-  ccm::AttributeMap attrs;
-  attrs.set_string(AdmissionControl::kAcStrategyAttr, "PJ");
-  ASSERT_TRUE(rt->admission_control()->configure(attrs).is_ok());
+  ccm::AcConfig config;
+  config.ac = AcStrategy::kPerJob;
+  ASSERT_TRUE(rt->admission_control()->configure(config).is_ok());
   EXPECT_EQ(rt->admission_control()->ac_strategy(), AcStrategy::kPerJob);
 
-  ccm::AttributeMap analysis;
-  analysis.set_string(AdmissionControl::kAnalysisAttr, "DS");
-  const Status s = rt->admission_control()->configure(analysis);
+  config.analysis = AperiodicAnalysis::kDeferrableServer;
+  const Status s = rt->admission_control()->configure(config);
   EXPECT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("live"), std::string::npos);
 }

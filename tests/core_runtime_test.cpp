@@ -194,7 +194,7 @@ TEST(RuntimeLifecycleTest, FailedPlanAssemblyIsNotRetried) {
   dance::DeploymentPlan plan = source.plan();
   plan.connections.erase(plan.connections.begin());
   plan.instances.erase(plan.instances.begin() + 1);
-  ASSERT_EQ(source.plan().instances[1].id, "Central-AC");
+  ASSERT_EQ(source.plan().instances[1].id.to_string(), "Central-AC");
 
   SystemRuntime runtime(config, testing::make_imbalanced_workload(1));
   const Status s = runtime.assemble(plan);

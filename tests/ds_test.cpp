@@ -159,21 +159,28 @@ TEST(DsAdmissionTest, ConfigDerivedQuantities) {
   EXPECT_EQ(config.max_latency(), Duration::milliseconds(75));
 }
 
+/// The AC's admission test: the end-to-end bound from one stage_bounds pass.
+Duration bound_of(const sched::DsAdmission& admission,
+                  const sched::TaskSpec& task,
+                  const events::Placement& placement) {
+  return admission.end_to_end_bound(admission.stage_bounds(task, placement));
+}
+
 TEST(DsAdmissionTest, DelayBoundOnEmptyServer) {
   sched::DsAdmission admission(test_config());
   // One 10 ms stage: (P-B) + C*P/B = 75ms + 40ms = 115 ms.
   const auto task = make_aperiodic(0, Duration::milliseconds(500),
                                    {{0, 10000}});
-  EXPECT_EQ(admission.delay_bound(task, {ProcessorId(0)}),
+  EXPECT_EQ(bound_of(admission, task, {ProcessorId(0)}),
             Duration::milliseconds(115));
-  EXPECT_TRUE(admission.admissible(task, {ProcessorId(0)}));
+  EXPECT_LE(bound_of(admission, task, {ProcessorId(0)}), task.deadline);
 }
 
 TEST(DsAdmissionTest, TightDeadlineRejected) {
   sched::DsAdmission admission(test_config());
   const auto task = make_aperiodic(0, Duration::milliseconds(114),
                                    {{0, 10000}});
-  EXPECT_FALSE(admission.admissible(task, {ProcessorId(0)}));
+  EXPECT_GT(bound_of(admission, task, {ProcessorId(0)}), task.deadline);
 }
 
 TEST(DsAdmissionTest, BacklogRaisesTheBound) {
@@ -186,7 +193,7 @@ TEST(DsAdmissionTest, BacklogRaisesTheBound) {
   const auto second = make_aperiodic(1, Duration::milliseconds(500),
                                      {{0, 10000}});
   // 75ms + (10ms + 10ms) * 4 = 155 ms.
-  EXPECT_EQ(admission.delay_bound(second, {ProcessorId(0)}),
+  EXPECT_EQ(bound_of(admission, second, {ProcessorId(0)}),
             Duration::milliseconds(155));
 
   // Releasing the stage restores the empty-server bound.
@@ -195,7 +202,7 @@ TEST(DsAdmissionTest, BacklogRaisesTheBound) {
   EXPECT_FALSE(admission.release_stage(JobId(7), 1));  // no such stage
   EXPECT_FALSE(admission.release_stage(JobId(8), 0));  // unknown job
   EXPECT_EQ(admission.backlog(ProcessorId(0)), Duration::zero());
-  EXPECT_EQ(admission.delay_bound(second, {ProcessorId(0)}),
+  EXPECT_EQ(bound_of(admission, second, {ProcessorId(0)}),
             Duration::milliseconds(115));
 }
 
@@ -225,7 +232,7 @@ TEST(DsAdmissionTest, MultiHopSumsPerStage) {
   const auto task = make_aperiodic(0, Duration::seconds(2),
                                    {{0, 10000}, {1, 5000}});
   // (75 + 40) + (75 + 20) = 210 ms.
-  EXPECT_EQ(admission.delay_bound(task, {ProcessorId(0), ProcessorId(1)}),
+  EXPECT_EQ(bound_of(admission, task, {ProcessorId(0), ProcessorId(1)}),
             Duration::milliseconds(210));
 }
 

@@ -132,11 +132,11 @@ TEST(DanceEquivalenceTest, DsModePlanMatchesDirectAssembly) {
   // hop_overhead stays zero: the plan budgets comm_latency per hop.
   core::SystemRuntime probe(config, tasks);
   ASSERT_TRUE(probe.assemble().is_ok());
-  const auto* ac = probe.plan().find_instance("Central-AC");
+  const auto* ac = testing::find_named(probe.plan(), "Central-AC");
   ASSERT_NE(ac, nullptr);
-  EXPECT_EQ(ac->properties.get_string("Analysis").value(), "DS");
-  EXPECT_EQ(ac->properties.get_int("DS_HopOverhead").value(),
-            config.comm_latency.usec());
+  const auto& ac_config = std::get<ccm::AcConfig>(ac->config);
+  EXPECT_EQ(ac_config.analysis, core::AperiodicAnalysis::kDeferrableServer);
+  EXPECT_EQ(ac_config.ds.hop_overhead, config.comm_latency);
   expect_round_trip_equivalent(config, tasks, nullptr, 31, horizon, "DS");
 }
 
@@ -161,8 +161,8 @@ TEST(DanceEquivalenceTest, DrainedPlanMatchesOnRoundTrip) {
   const auto plan = config::build_deployment_plan(input);
   ASSERT_TRUE(plan.is_ok()) << plan.message();
   for (const auto& inst : plan.value().instances) {
-    if (inst.node == ProcessorId(2)) {
-      EXPECT_TRUE(inst.id == "TE@P2" || inst.id == "IR@P2") << inst.id;
+    if (inst.id.node == ProcessorId(2)) {
+      EXPECT_FALSE(ccm::is_subtask(inst.id.kind)) << inst.id.to_string();
     }
   }
   {

@@ -73,8 +73,7 @@ bool same_plan(dance::DeploymentPlan a, dance::DeploymentPlan b) {
                   const dance::InstanceDeployment& y) { return x.id < y.id; };
   auto by_key = [](const dance::ConnectionDeployment& x,
                    const dance::ConnectionDeployment& y) {
-    return std::tie(x.source_instance, x.receptacle) <
-           std::tie(y.source_instance, y.receptacle);
+    return std::tie(x.source, x.port) < std::tie(y.source, y.port);
   };
   std::sort(a.instances.begin(), a.instances.end(), by_id);
   std::sort(b.instances.begin(), b.instances.end(), by_id);
@@ -108,8 +107,7 @@ TEST(ReconfigPlanDiffTest, StrategySwapYieldsOnlyReconfigureOps) {
   EXPECT_GT(cs.count(K::kReconfigureInstance), 0u);
   EXPECT_EQ(cs.count(K::kAddInstance), 0u);
   EXPECT_EQ(cs.count(K::kRemoveInstance), 0u);
-  EXPECT_EQ(cs.count(K::kMigrateInstance), 0u);
-  // AC strategy attrs, TE mode, IR strategy and subtask IR_Mode all change.
+  // AC strategies, TE mode, IR strategy and subtask IR mode all change.
   EXPECT_GE(cs.count(K::kReconfigureInstance), 4u);
 
   const auto applied = reconfig::apply_changeset(from.value(), cs);
@@ -135,7 +133,7 @@ TEST(ReconfigPlanDiffTest, DrainRemovesAndUndrainRestoresInstances) {
   ASSERT_GE(down.value().changes.size(), 2u);
   EXPECT_EQ(down.value().changes[0].kind, K::kRemoveConnection);
   EXPECT_EQ(down.value().changes[1].kind, K::kRemoveInstance);
-  EXPECT_EQ(down.value().changes[1].instance.id, "T0_S0@P0");
+  EXPECT_EQ(down.value().changes[1].instance.id.to_string(), "T0_S0@P0");
 
   const auto up = reconfig::PlanDiffer::diff(drained.value(), full.value());
   ASSERT_TRUE(up.is_ok());
@@ -151,25 +149,37 @@ TEST(ReconfigPlanDiffTest, DrainRemovesAndUndrainRestoresInstances) {
   EXPECT_TRUE(same_plan(back.value(), full.value()));
 }
 
-TEST(ReconfigPlanDiffTest, SameIdOnDifferentNodeIsAMigration) {
-  dance::DeploymentPlan from;
-  from.label = "a";
-  dance::InstanceDeployment inst;
-  inst.id = "X";
-  inst.type = "rtcm.TaskEffector";
-  inst.node = ProcessorId(0);
-  from.instances.push_back(inst);
-  dance::DeploymentPlan to = from;
-  to.label = "b";
-  to.instances[0].node = ProcessorId(1);
+/// A plan of one Subtask instance per (kind, node) of task 0, stage 0.
+dance::DeploymentPlan subtask_plan(
+    std::initializer_list<std::pair<ccm::ComponentKind, int>> instances) {
+  dance::DeploymentPlan plan;
+  for (const auto& [kind, node] : instances) {
+    plan.instances.push_back(
+        {{kind, ProcessorId(node), TaskId(0), 0},
+         ccm::SubtaskConfig{Duration::milliseconds(1), Priority(0),
+                            core::IrStrategy::kNone}});
+  }
+  return plan;
+}
+
+TEST(ReconfigPlanDiffTest, OtherNodeIsRemovePlusAdd) {
+  // The node is part of an instance's identity, so moving a stage to
+  // another node is a different instance: remove + add, never a migration.
+  const dance::DeploymentPlan from =
+      subtask_plan({{ccm::ComponentKind::kSubtaskLast, 0}});
+  const dance::DeploymentPlan to =
+      subtask_plan({{ccm::ComponentKind::kSubtaskLast, 1}});
 
   const auto diff = reconfig::PlanDiffer::diff(from, to);
   ASSERT_TRUE(diff.is_ok());
-  ASSERT_EQ(diff.value().changes.size(), 1u);
-  const reconfig::Change& c = diff.value().changes[0];
-  EXPECT_EQ(c.kind, reconfig::ChangeKind::kMigrateInstance);
-  EXPECT_EQ(c.from_node, ProcessorId(0));
-  EXPECT_EQ(c.instance.node, ProcessorId(1));
+  using K = reconfig::ChangeKind;
+  ASSERT_EQ(diff.value().changes.size(), 2u);
+  EXPECT_EQ(diff.value().changes[0].kind, K::kRemoveInstance);
+  EXPECT_EQ(diff.value().changes[0].instance.id.node, ProcessorId(0));
+  EXPECT_EQ(diff.value().changes[1].kind, K::kAddInstance);
+  EXPECT_EQ(diff.value().changes[1].instance.id.node, ProcessorId(1));
+  EXPECT_EQ(diff.value().render(),
+            "remove-instance T0_S0@P0@P0\nadd-instance T0_S0@P1@P1\n");
 
   const auto applied = reconfig::apply_changeset(from, diff.value());
   ASSERT_TRUE(applied.is_ok());
@@ -177,14 +187,10 @@ TEST(ReconfigPlanDiffTest, SameIdOnDifferentNodeIsAMigration) {
 }
 
 TEST(ReconfigPlanDiffTest, TypeChangeIsRemovePlusAdd) {
-  dance::DeploymentPlan from;
-  dance::InstanceDeployment inst;
-  inst.id = "X";
-  inst.type = "rtcm.TaskEffector";
-  inst.node = ProcessorId(0);
-  from.instances.push_back(inst);
-  dance::DeploymentPlan to = from;
-  to.instances[0].type = "rtcm.IdleResetter";
+  const dance::DeploymentPlan from =
+      subtask_plan({{ccm::ComponentKind::kSubtaskFI, 0}});
+  const dance::DeploymentPlan to =
+      subtask_plan({{ccm::ComponentKind::kSubtaskLast, 0}});
 
   const auto diff = reconfig::PlanDiffer::diff(from, to);
   ASSERT_TRUE(diff.is_ok());
@@ -198,25 +204,30 @@ TEST(ReconfigPlanDiffTest, TypeChangeIsRemovePlusAdd) {
 }
 
 TEST(ReconfigPlanDiffTest, ChangedEndpointIsARewire) {
-  dance::DeploymentPlan from;
-  for (const char* id : {"A", "B", "C"}) {
-    dance::InstanceDeployment inst;
-    inst.id = id;
-    inst.type = "rtcm.TaskEffector";
-    inst.node = ProcessorId(0);
-    from.instances.push_back(inst);
+  dance::DeploymentPlan from =
+      subtask_plan({{ccm::ComponentKind::kSubtaskLast, 0}});
+  for (const int node : {0, 1}) {
+    from.instances.push_back(
+        {{ccm::ComponentKind::kIdleResetter, ProcessorId(node)},
+         ccm::IrConfig{}});
   }
-  from.connections.push_back({"a-to-b", "A", "Out", "B", "In"});
+  const dance::InstanceId stage = from.instances[0].id;
+  const dance::InstanceId ir0 = from.instances[1].id;
+  const dance::InstanceId ir1 = from.instances[2].id;
+  from.connections.push_back({stage, dance::Port::kComplete, ir0});
   dance::DeploymentPlan to = from;
-  to.connections[0].target_instance = "C";
+  to.connections[0].target = ir1;
 
   const auto diff = reconfig::PlanDiffer::diff(from, to);
-  ASSERT_TRUE(diff.is_ok());
+  ASSERT_TRUE(diff.is_ok()) << diff.message();
   ASSERT_EQ(diff.value().changes.size(), 1u);
   const reconfig::Change& c = diff.value().changes[0];
   EXPECT_EQ(c.kind, reconfig::ChangeKind::kRewireConnection);
-  EXPECT_EQ(c.old_connection.target_instance, "B");
-  EXPECT_EQ(c.connection.target_instance, "C");
+  EXPECT_EQ(c.old_connection.target, ir0);
+  EXPECT_EQ(c.connection.target, ir1);
+  EXPECT_EQ(diff.value().render(),
+            "rewire-connection T0_S0@P0.Complete: IR@P0.Complete->"
+            "IR@P1.Complete\n");
   const auto applied = reconfig::apply_changeset(from, diff.value());
   ASSERT_TRUE(applied.is_ok());
   EXPECT_TRUE(same_plan(applied.value(), to));
@@ -231,7 +242,8 @@ TEST(ReconfigPlanDiffTest, ApplyChangesetRejectsInconsistencies) {
   reconfig::Changeset cs;
   reconfig::Change remove_missing;
   remove_missing.kind = reconfig::ChangeKind::kRemoveInstance;
-  remove_missing.instance.id = "no-such-instance";
+  remove_missing.instance.id = {ccm::ComponentKind::kSubtaskFI,
+                                ProcessorId(42), TaskId(9), 0};
   cs.changes.push_back(remove_missing);
   EXPECT_FALSE(reconfig::apply_changeset(plan.value(), cs).is_ok());
 
@@ -325,8 +337,8 @@ TEST(ReconfigManagerTest, DrainMigratesReservationAndQuiescesLater) {
   // (now + D = 5 ms + 100 ms), so the in-flight subjob finishes in place.
   EXPECT_EQ(report.quiesce_at, Time(Duration::milliseconds(105).usec()));
   auto* old_instance =
-      runtime->container(ProcessorId(0)).find_as<core::LastSubtask>(
-          "T0_S0@P0");
+      rtcm::testing::find_named<core::LastSubtask>(
+          runtime->container(ProcessorId(0)), "T0_S0@P0");
   ASSERT_NE(old_instance, nullptr);
   EXPECT_EQ(old_instance->state(), ccm::LifecycleState::kActive);
 
@@ -337,8 +349,8 @@ TEST(ReconfigManagerTest, DrainMigratesReservationAndQuiescesLater) {
   EXPECT_EQ(old_instance->state(), ccm::LifecycleState::kPassivated);
   EXPECT_EQ(old_instance->subjobs_executed(), 1u);  // only the pre-drain job
   auto* new_instance =
-      runtime->container(ProcessorId(1)).find_as<core::LastSubtask>(
-          "T0_S0@P1");
+      rtcm::testing::find_named<core::LastSubtask>(
+          runtime->container(ProcessorId(1)), "T0_S0@P1");
   ASSERT_NE(new_instance, nullptr);
   EXPECT_EQ(new_instance->subjobs_executed(), 1u);
   EXPECT_EQ(old_instance->triggers_dropped(), 0u);
@@ -452,19 +464,23 @@ TEST(ReconfigManagerTest, RejectedDrainLeavesEveryLedgerTotalUnchanged) {
                                  std::vector<ProcessorId>{ProcessorId(0)}));
 }
 
-TEST(ReconfigManagerTest, NewAttributeKeyInReconfigureIsRejected) {
-  // configure() merges maps, so a brand-new key could survive a rollback;
-  // the manager refuses such reconfigurations up front.
+TEST(ReconfigManagerTest, ConfigOfAnotherKindIsRejected) {
+  // Every instance takes its own kind's config struct; a target carrying
+  // another kind's is refused before anything is touched.
   auto runtime = make_runtime("T_N_N", replicated_task());
   reconfig::ReconfigurationManager manager(*runtime);
   dance::DeploymentPlan target = manager.current_plan();
   for (auto& inst : target.instances) {
-    if (inst.id == "Central-LB") inst.properties.set_string("Brand-New", "x");
+    if (inst.id.kind == ccm::ComponentKind::kLoadBalancer) {
+      inst.config = ccm::TeConfig{};
+    }
   }
-  const auto report = manager.apply_plan_now(target, "new-key");
+  const auto report = manager.apply_plan_now(target, "wrong-kind");
   EXPECT_FALSE(report.applied);
-  EXPECT_NE(report.error.find("introduces attribute"), std::string::npos)
+  EXPECT_NE(report.error.find("config of another kind"), std::string::npos)
       << report.error;
+  EXPECT_EQ(runtime->load_balancer()->policy(),
+            sched::PlacementPolicy::kLowestUtilization);
 }
 
 TEST(ReconfigManagerTest, RejectionRollsBackAttributeSwapsToo) {
@@ -513,8 +529,8 @@ TEST(ReconfigManagerTest, UndrainCancelsPendingQuiesce) {
   // The pending passivation (due at 20 ms + 100 ms) was cancelled by the
   // undrain: the instance is live again and no node was quiesced.
   auto* instance =
-      runtime->container(ProcessorId(0)).find_as<core::LastSubtask>(
-          "T0_S0@P0");
+      rtcm::testing::find_named<core::LastSubtask>(
+          runtime->container(ProcessorId(0)), "T0_S0@P0");
   ASSERT_NE(instance, nullptr);
   EXPECT_EQ(instance->state(), ccm::LifecycleState::kActive);
   EXPECT_EQ(runtime->trace().count(sim::TraceKind::kNodeQuiesced), 0u);
@@ -658,10 +674,10 @@ TEST(ReconfigManagerTest, PartialDrainIsRejectedAsUnsupported) {
   // Hand-craft a target that removes T0's instance on P0 but keeps T1's.
   dance::DeploymentPlan target = manager.current_plan();
   std::erase_if(target.instances, [](const dance::InstanceDeployment& inst) {
-    return inst.id == "T0_S0@P0";
+    return inst.id.to_string() == "T0_S0@P0";
   });
   std::erase_if(target.connections, [](const dance::ConnectionDeployment& c) {
-    return c.source_instance == "T0_S0@P0";
+    return c.source.to_string() == "T0_S0@P0";
   });
   const auto report = manager.apply_plan_now(target, "partial");
   EXPECT_FALSE(report.applied);
@@ -674,7 +690,7 @@ TEST(ReconfigManagerTest, InfrastructureRemovalIsRejectedAsUnsupported) {
   reconfig::ReconfigurationManager manager(*runtime);
   dance::DeploymentPlan target = manager.current_plan();
   std::erase_if(target.instances, [](const dance::InstanceDeployment& inst) {
-    return inst.id == "TE@P0";
+    return inst.id.to_string() == "TE@P0";
   });
   const auto report = manager.apply_plan_now(target, "drop-te");
   EXPECT_FALSE(report.applied);
@@ -715,21 +731,21 @@ TEST(ReconfigEngineTest, EmitsPlanSequenceForModeChangeSchedule) {
   const config::TimedPlan& first = output.value().schedule[0];
   EXPECT_EQ(first.at, swap.at);
   EXPECT_EQ(first.label, "switch-lb");
-  const auto* ac = first.plan.find_instance("Central-AC");
-  ASSERT_NE(ac, nullptr);
-  EXPECT_EQ(ac->properties.get_string("AC_Strategy").value(), "PJ");
-  EXPECT_EQ(ac->properties.get_string("LB_Strategy").value(), "PJ");
-  EXPECT_NE(first.plan.find_instance("T2_S0@P2"), nullptr);
+  using rtcm::testing::config_of;
+  using rtcm::testing::find_named;
+  const auto& ac = config_of<ccm::AcConfig>(first.plan, "Central-AC");
+  EXPECT_EQ(ac.ac, core::AcStrategy::kPerJob);
+  EXPECT_EQ(ac.lb, core::LbStrategy::kPerJob);
+  EXPECT_NE(find_named(first.plan, "T2_S0@P2"), nullptr);
 
   // Step 2 keeps the swapped strategies and drops every Subtask on P2.
   const config::TimedPlan& second = output.value().schedule[1];
-  EXPECT_EQ(second.plan.find_instance("T2_S0@P2"), nullptr);
-  EXPECT_EQ(second.plan.find_instance("T0_S0@P2"), nullptr);
-  EXPECT_NE(second.plan.find_instance("T2_S0@P0"), nullptr);
-  EXPECT_NE(second.plan.find_instance("TE@P2"), nullptr);  // TE/IR stay
-  const auto* ac2 = second.plan.find_instance("Central-AC");
-  ASSERT_NE(ac2, nullptr);
-  EXPECT_EQ(ac2->properties.get_string("AC_Strategy").value(), "PJ");
+  EXPECT_EQ(find_named(second.plan, "T2_S0@P2"), nullptr);
+  EXPECT_EQ(find_named(second.plan, "T0_S0@P2"), nullptr);
+  EXPECT_NE(find_named(second.plan, "T2_S0@P0"), nullptr);
+  EXPECT_NE(find_named(second.plan, "TE@P2"), nullptr);  // TE/IR stay
+  EXPECT_EQ(config_of<ccm::AcConfig>(second.plan, "Central-AC").ac,
+            core::AcStrategy::kPerJob);
   EXPECT_FALSE(second.xml.empty());
 }
 

@@ -186,34 +186,26 @@ struct ShadowedRun {
   std::uint64_t reconfig_applied = 0;
 };
 
-/// Mid-run, install a copy of the first Subtask instance under a new id on
-/// a node that is not among its stage's candidates: a fresh component
+/// Mid-run, install a copy of the first Subtask instance on a node that is
+/// not among its stage's candidates: a fresh component
 /// subscribes while events flow, and no placement ever addresses it.
 void install_extra_subtask(reconfig::ReconfigurationManager& manager,
                            const core::SystemRuntime& runtime) {
   dance::DeploymentPlan target = manager.current_plan();
   for (const dance::InstanceDeployment& inst : target.instances) {
-    if (inst.type != core::FirstIntermediateSubtask::kTypeName &&
-        inst.type != core::LastSubtask::kTypeName) {
-      continue;
-    }
-    const sched::TaskSpec* task = runtime.tasks().find(TaskId(
-        static_cast<std::int32_t>(inst.properties.get_int_or(
-            core::SubtaskComponentBase::kTaskAttr, -1))));
+    if (!ccm::is_subtask(inst.id.kind)) continue;
+    const sched::TaskSpec* task = runtime.tasks().find(inst.id.task);
     ASSERT_NE(task, nullptr);
     const std::vector<ProcessorId> candidates =
-        task->subtasks[static_cast<std::size_t>(inst.properties.get_int_or(
-                           core::SubtaskComponentBase::kStageAttr, 0))]
-            .candidates();
+        task->subtasks[inst.id.stage].candidates();
     dance::InstanceDeployment extra = inst;
-    extra.id += "-extra";
     for (const ProcessorId p : runtime.app_processors()) {
       if (std::find(candidates.begin(), candidates.end(), p) ==
           candidates.end()) {
-        extra.node = p;
+        extra.id.node = p;
       }
     }
-    ASSERT_NE(extra.node, inst.node);
+    ASSERT_NE(extra.id.node, inst.id.node);
     target.instances.push_back(std::move(extra));
     break;
   }

@@ -584,5 +584,24 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name();
     });
 
+// --- Set-up: assembling a Figure 5 cell -------------------------------------
+//
+// assemble() builds the cell's typed deployment plan and launches it: one
+// allocation per component, container map node and subscription, and no
+// string ids, attribute maps or string-keyed registries between the plan
+// and the components.  The count is pinned for one fixed cell; it was 635
+// when plans carried string ids and string-keyed attribute maps.
+TEST(SetupAllocTest, AssembleOfOneFigure5CellAllocatesAFixedCount) {
+  Rng rng(1);
+  sched::TaskSet tasks =
+      workload::generate_workload(workload::random_workload_shape(), rng);
+  SystemConfig config;
+  config.strategies = StrategyCombination::parse("J_J_T").value();
+  SystemRuntime runtime(config, std::move(tasks));
+  const std::uint64_t before = allocation_count();
+  ASSERT_TRUE(runtime.assemble().is_ok());
+  EXPECT_EQ(allocation_count() - before, 240u);
+}
+
 }  // namespace
 }  // namespace rtcm::core

@@ -192,20 +192,21 @@ TEST(DsPlanTest, DsAttributesSurviveXmlRoundTripAndLaunch) {
   input.tasks = &tasks;
   input.strategies = core::StrategyCombination::parse("J_T_N").value();
   input.task_manager = ProcessorId(9);
-  input.analysis = "DS";
-  input.ds_budget = Duration::milliseconds(15);
-  input.ds_period = Duration::milliseconds(120);
+  input.analysis = core::AperiodicAnalysis::kDeferrableServer;
+  input.ds.budget = Duration::milliseconds(15);
+  input.ds.period = Duration::milliseconds(120);
   const auto plan = config::build_deployment_plan(input);
   ASSERT_TRUE(plan.is_ok()) << plan.message();
 
   const std::string xml = dance::plan_to_xml(plan.value());
   const auto reparsed = dance::plan_from_xml(xml);
   ASSERT_TRUE(reparsed.is_ok()) << reparsed.message();
-  const auto* ac = reparsed.value().find_instance("Central-AC");
-  ASSERT_NE(ac, nullptr);
-  EXPECT_EQ(ac->properties.get_string("Analysis").value(), "DS");
-  EXPECT_EQ(ac->properties.get_int("DS_Budget").value(), 15000);
-  EXPECT_EQ(ac->properties.get_int("DS_Period").value(), 120000);
+  EXPECT_EQ(reparsed.value(), plan.value());
+  const auto& ac =
+      rtcm::testing::config_of<ccm::AcConfig>(reparsed.value(), "Central-AC");
+  EXPECT_EQ(ac.analysis, core::AperiodicAnalysis::kDeferrableServer);
+  EXPECT_EQ(ac.ds.budget, Duration::milliseconds(15));
+  EXPECT_EQ(ac.ds.period, Duration::milliseconds(120));
 
   // Launch via the DAnCE pipeline; the runtime must still deploy servers
   // (its own config drives server creation).
@@ -214,8 +215,8 @@ TEST(DsPlanTest, DsAttributesSurviveXmlRoundTripAndLaunch) {
   config.task_manager = ProcessorId(9);
   config.comm_latency = Duration::zero();
   config.analysis = core::AperiodicAnalysis::kDeferrableServer;
-  config.ds_server.budget = input.ds_budget;
-  config.ds_server.period = input.ds_period;
+  config.ds_server.budget = input.ds.budget;
+  config.ds_server.period = input.ds.period;
   core::SystemRuntime runtime(config, tasks);
   ASSERT_TRUE(runtime.assemble(reparsed.value()).is_ok());
   EXPECT_EQ(runtime.admission_control()->analysis(),
@@ -344,8 +345,9 @@ TEST(DsBudgetBoundTest, EmptyServerResponseWithinAnalyticBound) {
   ASSERT_NE(ds, nullptr);
   const sched::TaskSpec* spec = runtime.tasks().find(TaskId(0));
   ASSERT_NE(spec, nullptr);
-  const Duration bound = ds->delay_bound(*spec, {ProcessorId(0)});
-  ASSERT_TRUE(ds->admissible(*spec, {ProcessorId(0)}));
+  const Duration bound =
+      ds->end_to_end_bound(ds->stage_bounds(*spec, {ProcessorId(0)}));
+  ASSERT_LE(bound, spec->deadline);
 RTCM_EXPECT_OK(runtime.inject_arrival(TaskId(0), Time(0)));
   runtime.run_until(Time(Duration::seconds(2).usec()));
   const auto& total = runtime.metrics().total();

@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "config/plan_builder.h"
 #include "core/runtime.h"
 #include "core/strategies.h"
+#include "dance/deployment_plan.h"
 #include "sched/task.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -173,6 +175,33 @@ inline std::vector<config::ModeChange> make_random_reconfig_script(
     }
   }
   return builder.build();
+}
+
+/// The plan instance whose rendered id is `name` ("Central-AC",
+/// "T0_S0@P2"), or null.
+inline const dance::InstanceDeployment* find_named(
+    const dance::DeploymentPlan& plan, std::string_view name) {
+  for (const dance::InstanceDeployment& inst : plan.instances) {
+    if (inst.id.to_string() == name) return &inst;
+  }
+  return nullptr;
+}
+
+/// The component installed in `container` whose rendered id is `name`, as
+/// a T; null if missing or of another type.
+template <typename T = ccm::Component>
+T* find_named(const ccm::Container& container, std::string_view name) {
+  for (ccm::Component* c : container.components()) {
+    if (c->id().to_string() == name) return dynamic_cast<T*>(c);
+  }
+  return nullptr;
+}
+
+/// The config of the plan instance `name`, as its kind's struct.
+template <typename Config>
+const Config& config_of(const dance::DeploymentPlan& plan,
+                        std::string_view name) {
+  return std::get<Config>(find_named(plan, name)->config);
 }
 
 }  // namespace rtcm::testing
