@@ -23,8 +23,8 @@
 //                     rewrites the resident set.
 //
 // Each operation row also reports bytes_per_resident_task: the book's slab,
-// ledger and index heap bytes plus its arena's reserved blocks, divided by
-// the resident population — the memory-per-task figure the struct-of-arrays
+// ledger and index heap bytes (spilled lists included), divided by the
+// resident population — the memory-per-task figure the struct-of-arrays
 // layout is accountable for.
 //
 // Each path runs --repeats times and reports the minimum, the median and
@@ -214,8 +214,7 @@ int main(int argc, char** argv) {
     core::SchedulingState state;
     populate(state, point);
     const double bytes_per_task =
-        static_cast<double>(state.footprint_bytes() +
-                            state.arena().reserved_bytes()) /
+        static_cast<double>(state.footprint_bytes()) /
         static_cast<double>(resident);
 
     auto incremental = time_arrivals(

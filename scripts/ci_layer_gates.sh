@@ -56,7 +56,8 @@ echo "::endgroup::"
 
 echo "::group::Admission layer (exact ledger, incremental index, book, oracles)"
 # The admission label: ledger and Equation (1) unit tests, the incremental
-# AdmissionIndex, the book of record and the oracle differential binary.
+# AdmissionIndex, the book of record, its slab storage (SoaEquivalence:
+# slot maps and the shadow-book churn) and the oracle differential binary.
 "${CTEST[@]}" -L admission
 "${CTEST[@]}" -R IncrementalAub
 # Test-only differential harnesses: every library grid stepped with the
@@ -69,10 +70,6 @@ echo "::group::Event routing layer (keyed router vs predicate reference)"
 # Shadows every push of the Figure-5 grid, the huge topology and a
 # reconfiguration storm with the pre-key predicate router.
 "${CTEST[@]}" -R RoutingEquivalence
-echo "::endgroup::"
-
-echo "::group::SoA storage layer (slab/arena/small-vec + shadow-book churn)"
-"${CTEST[@]}" -R SoaEquivalence
 echo "::endgroup::"
 
 echo "::group::Scenario spec exemplars (scenarios/*.json smoke)"

@@ -27,7 +27,7 @@ a flaky nightly diff.  Rules:
   sim-path-alloc        std::function or raw `new` in event-path code: the
                         simulation kernel and the event channels (any file
                         under a sim/ or events/ directory).  Event paths
-                        must use InlineFunction and slab/arena storage:
+                        must use InlineFunction, slabs and inline lists:
                         zero per-event heap allocations is an enforced
                         contract (tests/sim_alloc_test.cpp).
   env-switch            getenv anywhere in the linted tree.  Each mechanism
@@ -361,7 +361,7 @@ def lint_text(
         for m in RAW_NEW_RE.finditer(code):
             lineno = line_of(m.start())
             line = code_lines[lineno - 1] if lineno <= len(code_lines) else ""
-            # Placement new into pre-owned storage is the slab/arena idiom
+            # Placement new into pre-owned storage is the slab idiom
             # itself; only flag allocating `new`.
             if re.search(r"new\s*\(", line):
                 continue
@@ -370,7 +370,8 @@ def lint_text(
                     path,
                     lineno,
                     "sim-path-alloc",
-                    "raw new on an event path: use slab/arena storage",
+                    "raw new on an event path: use slab or inline-list "
+                    "storage (util/slab.h, util/inline_list.h)",
                 )
             )
 

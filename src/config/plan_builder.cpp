@@ -85,9 +85,11 @@ Result<dance::DeploymentPlan> build_deployment_plan(
     return std::find(input.drained.begin(), input.drained.end(), host) !=
            input.drained.end();
   };
-  const auto priorities = sched::assign_edms_priorities(tasks);
-  for (const sched::TaskSpec& task : tasks.tasks()) {
-    const Priority priority = priorities.at(task.id);
+  const std::vector<Priority> priorities =
+      sched::assign_edms_priorities(tasks);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const sched::TaskSpec& task = tasks.tasks()[i];
+    const Priority priority = priorities[i];
     for (std::size_t j = 0; j < task.subtasks.size(); ++j) {
       const sched::SubtaskSpec& st = task.subtasks[j];
       const bool last = (j + 1 == task.subtasks.size());

@@ -18,12 +18,10 @@ using events::RejectPayload;
 using events::TaskArrivePayload;
 
 AdmissionControl::AdmissionControl(const sched::TaskSet& tasks,
-                                   MetricsCollector* metrics,
-                                   util::MonotonicArena* arena)
+                                   MetricsCollector* metrics)
     : Component(ccm::ComponentKind::kAdmissionControl),
       tasks_(tasks),
-      metrics_(metrics),
-      state_(arena) {}
+      metrics_(metrics) {}
 
 Status AdmissionControl::connect(ccm::Port port, ccm::Component& provider) {
   if (port == ccm::Port::kLocation) return bind(location_, port, provider);

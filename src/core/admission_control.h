@@ -41,10 +41,7 @@ namespace rtcm::core {
 
 class AdmissionControl final : public ccm::Component {
  public:
-  /// `arena` backs the book of record's spilled rows (normally the owning
-  /// SystemRuntime's cell arena); null lets the state own a private one.
-  AdmissionControl(const sched::TaskSet& tasks, MetricsCollector* metrics,
-                   util::MonotonicArena* arena = nullptr);
+  AdmissionControl(const sched::TaskSet& tasks, MetricsCollector* metrics);
 
   struct Counters {
     std::uint64_t admission_tests = 0;

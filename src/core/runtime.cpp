@@ -161,8 +161,7 @@ Result<ccm::Component*> SystemRuntime::install(
       component = std::make_unique<LoadBalancerComponent>();
       break;
     case Kind::kAdmissionControl:
-      component = std::make_unique<AdmissionControl>(tasks_, &metrics_,
-                                                     &admission_arena_);
+      component = std::make_unique<AdmissionControl>(tasks_, &metrics_);
       break;
     case Kind::kTaskEffector:
       component = std::make_unique<TaskEffector>(tasks_, &metrics_);
@@ -227,12 +226,22 @@ Status SystemRuntime::check_components() const {
 }
 
 Status SystemRuntime::adopt_drained_nodes(const dance::DeploymentPlan& plan) {
-  std::set<ProcessorId> drained(app_processors_.begin(),
-                                app_processors_.end());
-  for (const dance::InstanceDeployment& inst : plan.instances) {
-    if (ccm::is_subtask(inst.id.kind)) drained.erase(inst.id.node);
+  const auto hosts_subtask = [&plan](ProcessorId proc) {
+    return std::any_of(plan.instances.begin(), plan.instances.end(),
+                       [proc](const dance::InstanceDeployment& inst) {
+                         return ccm::is_subtask(inst.id.kind) &&
+                                inst.id.node == proc;
+                       });
+  };
+  // The common, undrained plan builds no set.
+  if (std::all_of(app_processors_.begin(), app_processors_.end(),
+                  hosts_subtask)) {
+    return Status::ok();
   }
-  if (drained.empty()) return Status::ok();
+  std::set<ProcessorId> drained;
+  for (const ProcessorId p : app_processors_) {
+    if (!hosts_subtask(p)) drained.insert(p);
+  }
   // Nothing is admitted yet, so the transition only records the set.
   const auto transition = ac_->apply_drain(drained);
   if (!transition.is_ok()) return Status::error(transition.message());

@@ -192,9 +192,6 @@ class SystemRuntime final : public dance::DeploymentTarget {
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<events::FederatedEventChannel> federation_;
   MetricsCollector metrics_;
-  /// Cell-lifetime arena backing the AC book of record's spilled rows;
-  /// declared before containers_ so the components it serves die first.
-  util::MonotonicArena admission_arena_;
 
   ProcessorId manager_;
   std::vector<ProcessorId> app_processors_;

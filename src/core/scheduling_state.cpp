@@ -6,10 +6,16 @@
 
 namespace rtcm::core {
 
-SchedulingState::SchedulingState(util::MonotonicArena* arena)
-    : own_arena_(arena == nullptr ? new util::MonotonicArena() : nullptr),
-      arena_(arena == nullptr ? own_arena_.get() : arena),
-      index_(arena_) {}
+namespace {
+
+/// Swap-with-last removal of one slab row from a column.
+template <typename Column>
+void erase_row(Column& column, std::uint32_t row) {
+  if (row + 1 != column.size()) column[row] = std::move(column.back());
+  column.pop_back();
+}
+
+}  // namespace
 
 std::vector<sched::TaskFootprint> SchedulingState::current_footprints() const {
   std::vector<sched::TaskFootprint> out;
@@ -41,29 +47,28 @@ void SchedulingState::refresh_placement(
   }
 }
 
+SchedulingState::StageUnits SchedulingState::add_stages(
+    const sched::TaskSpec& spec, std::span<const ProcessorId> placement) {
+  assert(placement.size() == spec.stage_count());
+  StageUnits units(placement.size());
+  for (std::size_t j = 0; j < placement.size(); ++j) {
+    units[j] = ledger_.add(placement[j], spec.subtask_utilization(j));
+  }
+  refresh_placement(placement);
+  return units;
+}
+
 void SchedulingState::admit_job(const sched::TaskSpec& spec, JobId job,
                                 std::span<const ProcessorId> placement,
                                 Time absolute_deadline) {
-  assert(placement.size() == spec.stage_count());
   assert(!has_job(job) && "job admitted twice");
-  const auto row = static_cast<std::uint32_t>(job_ids_.size());
+  job_index_.insert(job.value(), static_cast<std::uint32_t>(job_ids_.size()));
   job_ids_.push_back(job);
   job_task_.push_back(spec.id);
   job_deadline_.push_back(absolute_deadline);
-  job_footprint_.emplace_back();
-  if (row == job_placement_.size()) {
-    job_placement_.emplace_back();
-    job_units_.emplace_back();
-  }
-  job_placement_[row].assign(placement, *arena_);
-  job_units_[row].clear();
-  for (std::size_t j = 0; j < placement.size(); ++j) {
-    job_units_[row].push_back(
-        ledger_.add(placement[j], spec.subtask_utilization(j)), *arena_);
-  }
-  refresh_placement(placement);
-  job_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
-  job_index_.insert(job.value(), row);
+  job_units_.push_back(add_stages(spec, placement));
+  job_footprint_.push_back(index_.add_footprint(spec.id, placement, ledger_));
+  job_placement_.emplace_back(placement);
 }
 
 std::optional<SchedulingState::JobView> SchedulingState::job(
@@ -94,20 +99,15 @@ void SchedulingState::expire_job(JobId job) {
   }
   refresh_placement(job_placement_[row].span());
   job_index_.erase(job.value());
-  const auto last = static_cast<std::uint32_t>(job_ids_.size() - 1);
-  if (row != last) {
-    job_ids_[row] = job_ids_[last];
-    job_task_[row] = job_task_[last];
-    job_deadline_[row] = job_deadline_[last];
-    job_footprint_[row] = job_footprint_[last];
-    std::swap(job_placement_[row], job_placement_[last]);
-    std::swap(job_units_[row], job_units_[last]);
-    job_index_.update(job_ids_[row].value(), row);
+  if (row + 1 != job_ids_.size()) {
+    job_index_.update(job_ids_.back().value(), row);
   }
-  job_ids_.pop_back();
-  job_task_.pop_back();
-  job_deadline_.pop_back();
-  job_footprint_.pop_back();
+  erase_row(job_ids_, row);
+  erase_row(job_task_, row);
+  erase_row(job_deadline_, row);
+  erase_row(job_footprint_, row);
+  erase_row(job_placement_, row);
+  erase_row(job_units_, row);
 }
 
 Time SchedulingState::latest_deadline_touching(
@@ -127,7 +127,7 @@ Time SchedulingState::latest_deadline_touching(
 bool SchedulingState::reset_subjob(JobId job, std::size_t stage) {
   const std::uint32_t row = job_index_.lookup(job.value());
   if (row == util::IdSlotMap::kNoSlot) return false;
-  util::SmallVec<sched::UtilizationLedger::Units, 4>& units = job_units_[row];
+  StageUnits& units = job_units_[row];
   if (stage >= units.size() || units[stage] == 0) return false;
   const ProcessorId proc = job_placement_[row][stage];
   ledger_.remove(proc, std::exchange(units[stage], 0));
@@ -145,24 +145,13 @@ void SchedulingState::add_background(ProcessorId proc, double utilization) {
 
 void SchedulingState::reserve_task(const sched::TaskSpec& spec,
                                    std::span<const ProcessorId> placement) {
-  assert(placement.size() == spec.stage_count());
   assert(!is_reserved(spec.id) && "task reserved twice");
-  const auto row = static_cast<std::uint32_t>(res_ids_.size());
+  res_index_.insert(spec.id.value(),
+                    static_cast<std::uint32_t>(res_ids_.size()));
   res_ids_.push_back(spec.id);
-  res_footprint_.emplace_back();
-  if (row == res_placement_.size()) {
-    res_placement_.emplace_back();
-    res_units_.emplace_back();
-  }
-  res_placement_[row].assign(placement, *arena_);
-  res_units_[row].clear();
-  for (std::size_t j = 0; j < placement.size(); ++j) {
-    res_units_[row].push_back(
-        ledger_.add(placement[j], spec.subtask_utilization(j)), *arena_);
-  }
-  refresh_placement(placement);
-  res_footprint_[row] = index_.add_footprint(spec.id, placement, ledger_);
-  res_index_.insert(spec.id.value(), row);
+  res_units_.push_back(add_stages(spec, placement));
+  res_footprint_.push_back(index_.add_footprint(spec.id, placement, ledger_));
+  res_placement_.emplace_back(placement);
 }
 
 std::optional<SchedulingState::ReservationView> SchedulingState::reservation(
@@ -181,19 +170,16 @@ events::Placement SchedulingState::release_reservation(
   for (std::size_t j = 0; j < res_units_[row].size(); ++j) {
     ledger_.remove(res_placement_[row][j], res_units_[row][j]);
   }
-  events::Placement placement(res_placement_[row].span());
+  events::Placement placement = std::move(res_placement_[row]);
   refresh_placement(placement);
   res_index_.erase(spec.id.value());
-  const auto last = static_cast<std::uint32_t>(res_ids_.size() - 1);
-  if (row != last) {
-    res_ids_[row] = res_ids_[last];
-    res_footprint_[row] = res_footprint_[last];
-    std::swap(res_placement_[row], res_placement_[last]);
-    std::swap(res_units_[row], res_units_[last]);
-    res_index_.update(res_ids_[row].value(), row);
+  if (row + 1 != res_ids_.size()) {
+    res_index_.update(res_ids_.back().value(), row);
   }
-  res_ids_.pop_back();
-  res_footprint_.pop_back();
+  erase_row(res_ids_, row);
+  erase_row(res_footprint_, row);
+  erase_row(res_placement_, row);
+  erase_row(res_units_, row);
   return placement;
 }
 
@@ -205,14 +191,18 @@ std::size_t SchedulingState::footprint_bytes() const {
       job_task_.capacity() * sizeof(TaskId) +
       job_deadline_.capacity() * sizeof(Time) +
       job_footprint_.capacity() * sizeof(sched::FootprintId) +
-      job_placement_.capacity() * sizeof(util::SmallVec<ProcessorId, 4>) +
-      job_units_.capacity() *
-          sizeof(util::SmallVec<sched::UtilizationLedger::Units, 4>) +
+      job_placement_.capacity() * sizeof(events::Placement) +
+      job_units_.capacity() * sizeof(StageUnits) +
       res_ids_.capacity() * sizeof(TaskId) +
       res_footprint_.capacity() * sizeof(sched::FootprintId) +
-      res_placement_.capacity() * sizeof(util::SmallVec<ProcessorId, 4>) +
-      res_units_.capacity() *
-          sizeof(util::SmallVec<sched::UtilizationLedger::Units, 4>);
+      res_placement_.capacity() * sizeof(events::Placement) +
+      res_units_.capacity() * sizeof(StageUnits);
+  for (std::uint32_t row = 0; row < job_ids_.size(); ++row) {
+    bytes += job_placement_[row].heap_bytes() + job_units_[row].heap_bytes();
+  }
+  for (std::uint32_t row = 0; row < res_ids_.size(); ++row) {
+    bytes += res_placement_[row].heap_bytes() + res_units_[row].heap_bytes();
+  }
   return bytes;
 }
 

@@ -8,8 +8,8 @@
 //   - the footprints of everything currently admitted, mirrored into an
 //     incremental AdmissionIndex so an arrival only re-tests the footprints
 //     its placement intersects (sched/admission_index.h).  The full
-//     footprint list stays available for the reconfiguration engine and for
-//     the full-rescan differential test.
+//     footprint list is built only on request, for the full-rescan
+//     differential tests and bench/admission_scale.cpp.
 //
 // The book owns every contribution: each row keeps the ledger units its
 // stages added (0 once reset), and expiry, reset and release hand exactly
@@ -18,16 +18,19 @@
 //
 // Storage is struct-of-arrays: jobs and reservations live in dense slabs
 // (parallel columns, swap-with-last removal) keyed by open-addressing
-// id -> row tables, placements and per-stage units sit inline in their
-// rows (<= 4 stages) spilling into the cell's MonotonicArena beyond that
-// (the list columns keep their high-water length, so a freed row's spill
-// buffer is reused by the next row, never abandoned in the arena).
+// id -> row tables.  A row's placement and per-stage units are
+// util::InlineLists of 5, the same list the Accept and Trigger events
+// carry as events::Placement.
 // latest_deadline_touching scans the live job rows: its one caller runs
 // once per drain and scans the whole task set anyway, so no per-processor
 // index is kept up to date on every admit and expire for it.
-// Admit/expire/reset churn at fixed capacity allocates nothing once the
-// slabs are warm (tests/sim_alloc_test.cpp pins this with a counting
-// allocator).
+//
+// Allocation contract: every shipped shape has at most 5 stages, so every
+// shipped row sits inline and admit/expire/reset churn at fixed capacity
+// allocates nothing once the slabs are warm (tests/sim_alloc_test.cpp pins
+// this with a counting allocator).  A row with more than 5 stages
+// allocates its blocks on each admission and frees them when the row
+// goes, just as that job's Accept and Trigger Placements already do.
 //
 // A std::map-backed book lives on as a test-only shadow
 // (tests/shadow_book.h): it mirrors every mutator and compares totals
@@ -36,7 +39,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -47,10 +49,9 @@
 #include "sched/aub.h"
 #include "sched/task.h"
 #include "sched/utilization_ledger.h"
-#include "util/arena.h"
 #include "util/ids.h"
+#include "util/inline_list.h"
 #include "util/slab.h"
-#include "util/small_vec.h"
 #include "util/time.h"
 
 namespace rtcm::core {
@@ -76,10 +77,7 @@ class SchedulingState {
     std::span<const sched::UtilizationLedger::Units> units;
   };
 
-  /// Spill storage beyond the inline row capacity comes from `arena` (the
-  /// owning SystemRuntime's cell arena); when null, the state owns a
-  /// private arena.
-  explicit SchedulingState(util::MonotonicArena* arena = nullptr);
+  SchedulingState() = default;
   SchedulingState(const SchedulingState&) = delete;
   SchedulingState& operator=(const SchedulingState&) = delete;
 
@@ -96,8 +94,8 @@ class SchedulingState {
 
   /// Footprints of every admitted-and-unexpired job plus every reservation,
   /// as Equation (1) must keep holding for all of them.  The incremental
-  /// path never materializes this list; it feeds the reconfiguration
-  /// engine's scans and the full-rescan differential test.
+  /// path never materializes this list; the full-rescan differential tests
+  /// and bench/admission_scale.cpp do.
   [[nodiscard]] std::vector<sched::TaskFootprint> current_footprints() const;
 
   // --- Per-job admissions --------------------------------------------------
@@ -182,13 +180,13 @@ class SchedulingState {
 
   // --- Memory accounting ---------------------------------------------------
 
-  /// Heap bytes held by the book's slabs, ledger and index (excludes the
-  /// arena — see arena()).
+  /// Heap bytes held by the book's slabs, ledger and index, spilled rows
+  /// included.
   [[nodiscard]] std::size_t footprint_bytes() const;
-  /// The arena backing this book's spilled rows (owned or injected).
-  [[nodiscard]] const util::MonotonicArena& arena() const { return *arena_; }
 
  private:
+  using StageUnits = util::InlineList<sched::UtilizationLedger::Units, 5>;
+
   [[nodiscard]] JobView job_view(std::uint32_t row) const;
   [[nodiscard]] ReservationView reservation_view(std::uint32_t row) const;
 
@@ -196,8 +194,10 @@ class SchedulingState {
   /// the index after their ledger totals changed.
   void refresh_placement(std::span<const ProcessorId> placement);
 
-  std::unique_ptr<util::MonotonicArena> own_arena_;
-  util::MonotonicArena* arena_;
+  /// Add each stage's contribution to the ledger and refresh the index's
+  /// terms; returns the units each stage added.
+  StageUnits add_stages(const sched::TaskSpec& spec,
+                        std::span<const ProcessorId> placement);
 
   sched::UtilizationLedger ledger_;
   sched::AdmissionIndex index_;
@@ -208,18 +208,15 @@ class SchedulingState {
   std::vector<TaskId> job_task_;
   std::vector<Time> job_deadline_;
   std::vector<sched::FootprintId> job_footprint_;
-  // The list columns below are never shrunk: rows past job_ids_.size() are
-  // free and keep their spill buffers for the next admissions.
-  std::vector<util::SmallVec<ProcessorId, 4>> job_placement_;
-  std::vector<util::SmallVec<sched::UtilizationLedger::Units, 4>> job_units_;
+  std::vector<events::Placement> job_placement_;
+  std::vector<StageUnits> job_units_;
 
   // Reservation slab.
   util::IdSlotMap res_index_;
   std::vector<TaskId> res_ids_;
   std::vector<sched::FootprintId> res_footprint_;
-  // Never shrunk, like the job list columns.
-  std::vector<util::SmallVec<ProcessorId, 4>> res_placement_;
-  std::vector<util::SmallVec<sched::UtilizationLedger::Units, 4>> res_units_;
+  std::vector<events::Placement> res_placement_;
+  std::vector<StageUnits> res_units_;
 };
 
 }  // namespace rtcm::core

@@ -17,10 +17,6 @@ double term_of(double total) {
 
 }  // namespace
 
-AdmissionIndex::AdmissionIndex(util::MonotonicArena* arena)
-    : own_arena_(arena == nullptr ? new util::MonotonicArena() : nullptr),
-      arena_(arena == nullptr ? own_arena_.get() : arena) {}
-
 std::uint32_t AdmissionIndex::intern(ProcessorId proc) {
   const std::uint32_t found = proc_index_.lookup(proc.value());
   if (found != kNoEntry) return found;
@@ -36,31 +32,39 @@ std::uint32_t AdmissionIndex::intern(ProcessorId proc) {
 FootprintId AdmissionIndex::add_footprint(
     TaskId task, std::span<const ProcessorId> processors,
     const UtilizationLedger& ledger) {
+  // Count the distinct processors, then build the visit list at that size.
+  std::size_t distinct = 0;
+  for (auto it = processors.begin(); it != processors.end(); ++it) {
+    if (std::find(processors.begin(), it, *it) == it) ++distinct;
+  }
+  VisitList visits(distinct);
+  std::size_t filled = 0;
+  for (const ProcessorId proc : processors) {
+    assert(proc.valid());
+    const std::uint32_t entry = intern(proc);
+    Visit* const end = visits.begin() + filled;
+    Visit* const v = std::find_if(visits.begin(), end, [entry](const Visit& w) {
+      return w.entry == entry;
+    });
+    if (v == end) {
+      *v = {entry, 0, 0};
+      ++filled;
+    }
+    ++v->count;
+  }
+  assert(filled == distinct);
+
   const auto [slot, fresh] = slots_.acquire();
   if (fresh) {
     task_.push_back(task);
     round_.push_back(0);
-    visits_.emplace_back();
+    visits_.push_back(std::move(visits));
   } else {
     task_[slot] = task;
     round_[slot] = 0;
-    visits_[slot].clear();  // keeps any spill buffer for reuse
+    visits_[slot] = std::move(visits);
   }
-  util::SmallVec<Visit, 4>& visits = visits_[slot];
-  for (const ProcessorId proc : processors) {
-    assert(proc.valid());
-    const std::uint32_t entry = intern(proc);
-    bool merged = false;
-    for (Visit& v : visits) {
-      if (v.entry == entry) {
-        ++v.count;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) visits.push_back({entry, 1, 0}, *arena_);
-  }
-  for (Visit& v : visits) {
+  for (Visit& v : visits_[slot]) {
     std::vector<std::uint32_t>& members = members_[v.entry];
     if (members.empty()) {
       // First member (again): sync the entry's term from the ledger.  A
@@ -96,6 +100,7 @@ void AdmissionIndex::remove_footprint(FootprintId id) {
     // The proc entry stays (members vector capacity and all); its term is
     // re-synced from the ledger when the next footprint joins it.
   }
+  visits_[slot] = VisitList();  // frees a spilled list's block
   slots_.release(slot);
 }
 
@@ -130,11 +135,12 @@ std::size_t AdmissionIndex::footprint_bytes() const {
   std::size_t bytes =
       slots_.footprint_bytes() + task_.capacity() * sizeof(TaskId) +
       round_.capacity() * sizeof(std::uint64_t) +
-      visits_.capacity() * sizeof(util::SmallVec<Visit, 4>) +
+      visits_.capacity() * sizeof(VisitList) +
       proc_index_.footprint_bytes() +
       proc_ids_.capacity() * sizeof(ProcessorId) +
       term_.capacity() * sizeof(double) + proc_saturated_.capacity() +
       members_.capacity() * sizeof(std::vector<std::uint32_t>);
+  for (const VisitList& v : visits_) bytes += v.heap_bytes();
   for (const std::vector<std::uint32_t>& m : members_) {
     bytes += m.capacity() * sizeof(std::uint32_t);
   }

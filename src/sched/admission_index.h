@@ -38,24 +38,23 @@
 // Storage is struct-of-arrays: footprints live in a generation-counted
 // slab (parallel task / lhs / saturation / visit columns; FootprintId is
 // the packed slab handle), processors in dense entries addressed by an
-// id -> slot table, and each footprint's visit list sits inline in its row
-// (<= 4 distinct processors) spilling into the owning cell's
-// MonotonicArena beyond that.  Admit/expire churn at fixed capacity is
-// allocation-free once the slab is warm.
+// id -> slot table, and each footprint's visit list is a util::InlineList
+// of 5 in its row.  Admit/expire churn at fixed capacity is allocation-free
+// once the slab is warm for footprints of up to 5 distinct processors
+// (every shipped shape); a longer visit list allocates one block per
+// registration and frees it on removal.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "sched/aub.h"
 #include "sched/utilization_ledger.h"
-#include "util/arena.h"
 #include "util/ids.h"
+#include "util/inline_list.h"
 #include "util/slab.h"
-#include "util/small_vec.h"
 
 namespace rtcm::sched {
 
@@ -75,11 +74,6 @@ class FootprintId {
 
 class AdmissionIndex {
  public:
-  /// Spill storage for visit lists longer than the inline capacity comes
-  /// from `arena` (a cell-lifetime bump allocator); when null, the index
-  /// owns a private arena — convenient for standalone unit-test use.
-  explicit AdmissionIndex(util::MonotonicArena* arena = nullptr);
-
   /// Register an admitted footprint (the ledger contributions for it must
   /// already be in place and refresh()ed, so its processors' cached terms
   /// are current).  Repeated processors are allowed and weigh the per-visit
@@ -126,9 +120,8 @@ class AdmissionIndex {
   /// candidate stage there would have to re-test).
   [[nodiscard]] std::size_t fanout(ProcessorId proc) const;
 
-  /// Heap bytes held by the index's slab columns and proc entries (the
-  /// bench's bytes-per-resident-task accounting; arena spill is counted by
-  /// the arena's owner).
+  /// Heap bytes held by the index's slab columns, spilled visit lists and
+  /// proc entries (the bench's bytes-per-resident-task accounting).
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
@@ -147,6 +140,7 @@ class AdmissionIndex {
     std::uint32_t count = 0;        // visits of this footprint to the proc
     std::uint32_t member_slot = 0;  // position in members_[entry]
   };
+  using VisitList = util::InlineList<Visit, 5>;
   static constexpr std::uint32_t kNoEntry = util::IdSlotMap::kNoSlot;
 
   /// Dense proc entry of `proc`, created (term unset) on first sight.
@@ -159,8 +153,8 @@ class AdmissionIndex {
   /// admission_test() round markers, so a footprint spanning several of
   /// the candidate's processors is tested once per arrival.
   mutable std::vector<std::uint64_t> round_;
-  /// One Visit per distinct processor, inline up to 4, arena spill beyond.
-  std::vector<util::SmallVec<Visit, 4>> visits_;
+  /// One Visit per distinct processor (empty once the slot is released).
+  std::vector<VisitList> visits_;
 
   // Dense proc entries (persistent: a processor keeps its entry — and its
   // members vector's grown capacity — after its last member leaves, so
@@ -176,8 +170,6 @@ class AdmissionIndex {
   mutable std::uint64_t round_counter_ = 0;
   /// admission_test() scratch: the candidate's processors, deduplicated.
   mutable std::vector<OverlayEntry> overlay_;
-  std::unique_ptr<util::MonotonicArena> own_arena_;
-  util::MonotonicArena* arena_;
 };
 
 }  // namespace rtcm::sched

@@ -27,11 +27,10 @@ std::span<const Duration> DsAdmission::stage_bounds(
 void DsAdmission::admit(JobId job, const TaskSpec& task,
                         const events::Placement& placement) {
   assert(placement.size() == task.subtasks.size());
-  const auto row = static_cast<std::uint32_t>(job_ids_.size());
+  job_index_.insert(job.value(), static_cast<std::uint32_t>(job_ids_.size()));
   job_ids_.push_back(job);
-  if (row == stages_.size()) stages_.emplace_back();
-  std::vector<StageRecord>& stages = stages_[row];
-  stages.clear();
+  util::InlineList<StageRecord, 5>& stages =
+      stages_.emplace_back(placement.size());
   for (std::size_t j = 0; j < placement.size(); ++j) {
     std::uint32_t slot = proc_index_.lookup(placement[j].value());
     if (slot == util::IdSlotMap::kNoSlot) {
@@ -41,9 +40,8 @@ void DsAdmission::admit(JobId job, const TaskSpec& task,
     }
     const std::int64_t usec = task.subtasks[j].execution.usec();
     backlog_[slot] += usec;
-    stages.push_back({slot, usec});
+    stages[j] = {slot, usec};
   }
-  job_index_.insert(job.value(), row);
 }
 
 bool DsAdmission::release_stage(JobId job, std::size_t stage) {
@@ -65,13 +63,13 @@ void DsAdmission::expire(JobId job) {
     backlog_[record.proc_slot] -= record.usec;
   }
   job_index_.erase(job.value());
-  const auto last = static_cast<std::uint32_t>(job_ids_.size() - 1);
-  if (row != last) {
-    job_ids_[row] = job_ids_[last];
-    std::swap(stages_[row], stages_[last]);
+  if (row + 1 != job_ids_.size()) {
+    job_ids_[row] = job_ids_.back();
+    stages_[row] = std::move(stages_.back());
     job_index_.update(job_ids_[row].value(), row);
   }
   job_ids_.pop_back();
+  stages_.pop_back();
 }
 
 }  // namespace rtcm::sched

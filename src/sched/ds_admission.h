@@ -19,7 +19,9 @@
 // or at the job's deadline as a backstop — the same lifecycle as AUB
 // synthetic utilization, which is what lets the AC component host both
 // analyses behind one configuration attribute.  Backlogs are integer
-// microseconds, and each job's per-stage records live here.
+// microseconds, and each job's per-stage records live here in a
+// util::InlineList of 5: allocation-free for every shipped shape (at most
+// 5 stages), one block per admission for a longer job.
 //
 // Periodic tasks under DS mode are still admitted with the AUB test; the
 // servers appear there as a permanent background utilization of 2B/P per
@@ -34,6 +36,7 @@
 #include "events/placement.h"
 #include "sched/task.h"
 #include "util/ids.h"
+#include "util/inline_list.h"
 #include "util/slab.h"
 #include "util/time.h"
 
@@ -113,11 +116,10 @@ class DsAdmission {
   // Per-processor backlog (microseconds), by dense slot.
   util::IdSlotMap proc_index_;
   std::vector<std::int64_t> backlog_;
-  // Per-job stage records in dense rows (swap-with-last removal); stages_
-  // never shrinks, so freed rows keep their buffers for reuse.
+  // Per-job stage records in dense rows (swap-with-last removal).
   util::IdSlotMap job_index_;
   std::vector<JobId> job_ids_;
-  std::vector<std::vector<StageRecord>> stages_;
+  std::vector<util::InlineList<StageRecord, 5>> stages_;
 
   /// stage_bounds() scratch.
   mutable std::vector<Duration> bounds_;

@@ -1,23 +1,25 @@
 #include "sched/edms.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 
 namespace rtcm::sched {
 
-std::unordered_map<TaskId, Priority> assign_edms_priorities(
+std::vector<Priority> assign_edms_priorities(
     const std::vector<TaskSpec>& tasks) {
-  std::vector<const TaskSpec*> order;
-  order.reserve(tasks.size());
-  for (const auto& t : tasks) order.push_back(&t);
+  std::vector<std::uint32_t> order(tasks.size());
+  std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
-            [](const TaskSpec* a, const TaskSpec* b) {
-              if (a->deadline != b->deadline) return a->deadline < b->deadline;
-              return a->id < b->id;
+            [&tasks](std::uint32_t a, std::uint32_t b) {
+              if (tasks[a].deadline != tasks[b].deadline) {
+                return tasks[a].deadline < tasks[b].deadline;
+              }
+              return tasks[a].id < tasks[b].id;
             });
-  std::unordered_map<TaskId, Priority> out;
-  out.reserve(order.size());
+  std::vector<Priority> out(tasks.size());
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    out.emplace(order[rank]->id, Priority(static_cast<std::int32_t>(rank)));
+    out[order[rank]] = Priority(static_cast<std::int32_t>(rank));
   }
   return out;
 }

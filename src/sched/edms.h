@@ -8,7 +8,6 @@
 // components.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "sched/task.h"
@@ -16,15 +15,15 @@
 
 namespace rtcm::sched {
 
-/// Priority per task: rank of the end-to-end deadline (0 = shortest).
-/// Deadline ties are broken by ascending task id so the assignment is total
-/// and deterministic.
-[[nodiscard]] std::unordered_map<TaskId, Priority> assign_edms_priorities(
+/// Priority per task, parallel to `tasks`: rank of the end-to-end deadline
+/// (0 = shortest).  Deadline ties are broken by ascending task id so the
+/// assignment is total and deterministic.
+[[nodiscard]] std::vector<Priority> assign_edms_priorities(
     const std::vector<TaskSpec>& tasks);
 
-/// Convenience overload.
-[[nodiscard]] inline std::unordered_map<TaskId, Priority>
-assign_edms_priorities(const TaskSet& set) {
+/// Convenience overload, parallel to set.tasks().
+[[nodiscard]] inline std::vector<Priority> assign_edms_priorities(
+    const TaskSet& set) {
   return assign_edms_priorities(set.tasks());
 }
 

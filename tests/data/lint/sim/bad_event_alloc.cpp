@@ -1,7 +1,7 @@
 // Fixture: sim event paths (any file under a sim/ directory) must not use
 // std::function or raw new — zero per-event heap allocations is an
-// enforced contract (tests/sim_alloc_test.cpp); InlineFunction and
-// slab/arena storage are the sanctioned tools.
+// enforced contract (tests/sim_alloc_test.cpp); InlineFunction, slabs and
+// inline lists are the sanctioned tools.
 // lint-expect: sim-path-alloc
 #include <functional>
 

@@ -22,20 +22,22 @@ TEST(EdmsTest, ShorterDeadlineGetsMoreUrgentPriority) {
   tasks.push_back(make_periodic(0, Duration::seconds(10), {{0, 1000}}));
   tasks.push_back(make_periodic(1, Duration::milliseconds(250), {{0, 1000}}));
   tasks.push_back(make_periodic(2, Duration::seconds(1), {{0, 1000}}));
-  const auto priorities = assign_edms_priorities(tasks);
-  EXPECT_EQ(priorities.at(TaskId(1)), Priority(0));
-  EXPECT_EQ(priorities.at(TaskId(2)), Priority(1));
-  EXPECT_EQ(priorities.at(TaskId(0)), Priority(2));
-  EXPECT_TRUE(priorities.at(TaskId(1)).preempts(priorities.at(TaskId(0))));
+  // Parallel to `tasks`: priorities[i] belongs to tasks[i].
+  const std::vector<Priority> priorities = assign_edms_priorities(tasks);
+  ASSERT_EQ(priorities.size(), tasks.size());
+  EXPECT_EQ(priorities[1], Priority(0));
+  EXPECT_EQ(priorities[2], Priority(1));
+  EXPECT_EQ(priorities[0], Priority(2));
+  EXPECT_TRUE(priorities[1].preempts(priorities[0]));
 }
 
 TEST(EdmsTest, TiesBrokenByTaskId) {
   std::vector<TaskSpec> tasks;
   tasks.push_back(make_periodic(5, Duration::seconds(1), {{0, 1000}}));
   tasks.push_back(make_periodic(2, Duration::seconds(1), {{0, 1000}}));
-  const auto priorities = assign_edms_priorities(tasks);
-  EXPECT_EQ(priorities.at(TaskId(2)), Priority(0));
-  EXPECT_EQ(priorities.at(TaskId(5)), Priority(1));
+  const std::vector<Priority> priorities = assign_edms_priorities(tasks);
+  EXPECT_EQ(priorities[1], Priority(0));  // task 2
+  EXPECT_EQ(priorities[0], Priority(1));  // task 5
 }
 
 TEST(EdmsTest, AperiodicAndPeriodicShareOnePolicy) {
@@ -43,9 +45,9 @@ TEST(EdmsTest, AperiodicAndPeriodicShareOnePolicy) {
   std::vector<TaskSpec> tasks;
   tasks.push_back(make_periodic(0, Duration::seconds(2), {{0, 1000}}));
   tasks.push_back(make_aperiodic(1, Duration::seconds(1), {{0, 1000}}));
-  const auto priorities = assign_edms_priorities(tasks);
-  EXPECT_EQ(priorities.at(TaskId(1)), Priority(0));
-  EXPECT_EQ(priorities.at(TaskId(0)), Priority(1));
+  const std::vector<Priority> priorities = assign_edms_priorities(tasks);
+  EXPECT_EQ(priorities[1], Priority(0));
+  EXPECT_EQ(priorities[0], Priority(1));
 }
 
 TEST(EdmsTest, DensePriorityLevels) {
@@ -54,9 +56,9 @@ TEST(EdmsTest, DensePriorityLevels) {
     tasks.push_back(
         make_periodic(i, Duration::milliseconds(100 + 10 * i), {{0, 1000}}));
   }
-  const auto priorities = assign_edms_priorities(tasks);
+  const std::vector<Priority> priorities = assign_edms_priorities(tasks);
   std::set<std::int32_t> levels;
-  for (const auto& [task, prio] : priorities) levels.insert(prio.level());
+  for (const Priority prio : priorities) levels.insert(prio.level());
   EXPECT_EQ(levels.size(), 8u);
   EXPECT_EQ(*levels.begin(), 0);
   EXPECT_EQ(*levels.rbegin(), 7);
@@ -206,23 +208,22 @@ TEST_P(GeneratedWorkloadTest, EdmsPrioritiesDenseAndDeadlineMonotone) {
   shape.replicas = 3;
   shape.utilization = 0.8;
   const auto tasks = rtcm::testing::make_imbalanced_workload(GetParam(), shape);
-  const auto priorities = assign_edms_priorities(tasks);
+  const std::vector<Priority> priorities = assign_edms_priorities(tasks);
   ASSERT_EQ(priorities.size(), tasks.size());
 
   // Dense levels 0..n-1, one per task.
   std::set<std::int32_t> levels;
-  for (const auto& [task, priority] : priorities) {
-    levels.insert(priority.level());
-  }
+  for (const Priority priority : priorities) levels.insert(priority.level());
   EXPECT_EQ(levels.size(), tasks.size());
   EXPECT_EQ(*levels.begin(), 0);
   EXPECT_EQ(*levels.rbegin(), static_cast<std::int32_t>(tasks.size()) - 1);
 
   // Deadline-monotone: a more urgent level never has a longer deadline.
-  for (const TaskSpec& a : tasks.tasks()) {
-    for (const TaskSpec& b : tasks.tasks()) {
-      if (priorities.at(a.id).preempts(priorities.at(b.id))) {
-        EXPECT_LE(a.deadline.usec(), b.deadline.usec());
+  for (std::size_t a = 0; a < tasks.size(); ++a) {
+    for (std::size_t b = 0; b < tasks.size(); ++b) {
+      if (priorities[a].preempts(priorities[b])) {
+        EXPECT_LE(tasks.tasks()[a].deadline.usec(),
+                  tasks.tasks()[b].deadline.usec());
       }
     }
   }

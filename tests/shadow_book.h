@@ -33,10 +33,10 @@
 #include <vector>
 
 #include "core/scheduling_state.h"
+#include "events/placement.h"
 #include "sched/admission_index.h"
 #include "sched/aub.h"
 #include "sched/task.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -45,9 +45,6 @@ namespace rtcm::testing {
 
 class ShadowedBook {
  public:
-  explicit ShadowedBook(util::MonotonicArena* arena = nullptr)
-      : book_(arena) {}
-
   [[nodiscard]] const core::SchedulingState& book() const { return book_; }
   [[nodiscard]] std::uint64_t checks() const { return checks_; }
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
@@ -246,7 +243,8 @@ class ShadowedBook {
 /// What a churn run exercised, so tests can require coverage.
 struct ChurnCoverage {
   std::size_t admits = 0;
-  /// Admitted placements of 5+ stages: rows that spill into the arena.
+  /// Admitted placements past the inline list capacity (more than 5
+  /// stages): rows whose lists live in heap blocks.
   std::size_t spilled_admits = 0;
   std::size_t expiries = 0;
   std::size_t resets = 0;
@@ -291,7 +289,9 @@ inline ChurnCoverage run_book_churn(ShadowedBook& book,
                      Time(step * 1000 + 100000));
       live.push_back({job, &spec});
       ++coverage.admits;
-      if (spec.stage_count() >= 5) ++coverage.spilled_admits;
+      if (spec.stage_count() > events::Placement::kInline) {
+        ++coverage.spilled_admits;
+      }
     } else if (roll < 12) {  // expire (random row -> swap-with-last move)
       if (live.empty()) continue;
       const std::size_t i = rng.index(live.size());
