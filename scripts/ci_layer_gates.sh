@@ -72,6 +72,14 @@ echo "::group::Event routing layer (keyed router vs predicate reference)"
 "${CTEST[@]}" -R RoutingEquivalence
 echo "::endgroup::"
 
+echo "::group::Arrival timeline (injected arrivals vs one closure each)"
+# Byte-identical rendered traces with the arrivals on the simulator's
+# arrival timeline and with each scheduled as its own closure: the Figure-5
+# grid, the huge topology, a burst overload under a reconfiguration storm
+# and a deferrable-server cell.
+"${CTEST[@]}" -R ArrivalTimelineEquivalence
+echo "::endgroup::"
+
 echo "::group::Scenario spec exemplars (scenarios/*.json smoke)"
 "${CTEST[@]}" -R SpecSmoke
 echo "::endgroup::"

@@ -54,6 +54,23 @@ Status validate_config(const SystemConfig& config) {
   return Status::ok();
 }
 
+namespace {
+
+// An injected arrival's timeline payload: the task id in the high half,
+// the job id in the low half.  Its target is the arrival TE.
+std::uint64_t pack_arrival(TaskId task, JobId job) {
+  return std::uint64_t{static_cast<std::uint32_t>(task.value())} << 32 |
+         static_cast<std::uint32_t>(job.value());
+}
+
+void deliver_arrival(void* te, std::uint64_t payload) {
+  static_cast<TaskEffector*>(te)->job_arrived(
+      TaskId(static_cast<std::int32_t>(payload >> 32)),
+      JobId(static_cast<std::int32_t>(payload & 0xffffffffu)));
+}
+
+}  // namespace
+
 SystemRuntime::SystemRuntime(SystemConfig config, sched::TaskSet tasks)
     : config_(std::move(config)),
       tasks_(std::move(tasks)),
@@ -64,6 +81,7 @@ SystemRuntime::SystemRuntime(SystemConfig config, sched::TaskSet tasks)
   }
   manager_ = config_.task_manager.value_or(ProcessorId(max_id + 1));
   if (config_.enable_trace) trace_.enable();
+  sim_.set_arrival_handler(&deliver_arrival);
 }
 
 Status SystemRuntime::check_assemblable() const {
@@ -310,26 +328,35 @@ sim::DeferrableServer* SystemRuntime::deferrable_server(ProcessorId proc) {
 }
 
 Status SystemRuntime::inject_arrival(TaskId task, Time at) {
+  const Arrival arrival{task, at};
+  return inject(std::span(&arrival, 1));
+}
+
+Status SystemRuntime::inject_arrivals(const std::vector<Arrival>& arrivals) {
+  return inject(arrivals);
+}
+
+Status SystemRuntime::inject(std::span<const Arrival> arrivals) {
   if (!assembled_) {
     return Status::error(
         "inject_arrival: runtime is not assembled (call assemble() first)");
   }
-  const sched::TaskSpec* spec = tasks_.find(task);
-  if (spec == nullptr) {
-    return Status::error("inject_arrival: unknown task " + task.to_string());
-  }
-  const ProcessorId arrival_proc = spec->subtasks.front().primary;
-  TaskEffector* te = te_.at(arrival_proc);
-  const JobId job(next_job_++);
-  sim_.schedule_at(at, [te, task, job] { te->job_arrived(task, job); });
-  return Status::ok();
-}
-
-Status SystemRuntime::inject_arrivals(const std::vector<Arrival>& arrivals) {
-  sim_.reserve(arrivals.size());
   for (const Arrival& a : arrivals) {
-    if (Status s = inject_arrival(a.task, a.time); !s.is_ok()) return s;
+    if (tasks_.find(a.task) == nullptr) {
+      return Status::error("inject_arrival: unknown task " +
+                           a.task.to_string());
+    }
+    if (a.time < sim_.now()) {
+      return Status::error("inject_arrival: " + a.task.to_string() + " at " +
+                           a.time.to_string() + " is before now (" +
+                           sim_.now().to_string() + ")");
+    }
   }
+  sim_.inject_arrivals(arrivals.size(), [&](std::size_t i) {
+    const Arrival& a = arrivals[i];
+    return sim::Simulator::Arrival{a.time, arrival_effector(a.task),
+                                   pack_arrival(a.task, JobId(next_job_++))};
+  });
   return Status::ok();
 }
 

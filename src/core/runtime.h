@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ccm/container.h"
@@ -104,10 +105,16 @@ class SystemRuntime final : public dance::DeploymentTarget {
 
   // --- Driving -------------------------------------------------------------
 
-  /// Schedule a job arrival; ids are assigned in injection order.  Errors
-  /// (runtime not assembled, unknown task) are reported instead of UB.
+  /// Inject a job arrival onto the simulator's arrival timeline (no event
+  /// slot, callback or heap entry): its job reaches the task's arrival TE
+  /// at `at`, ordered exactly as an event scheduled now for that instant.
+  /// Job ids are assigned in injection order.  Errors (runtime not
+  /// assembled, unknown task, `at` before now) are reported instead of UB.
   [[nodiscard]] Status inject_arrival(TaskId task, Time at);
-  /// Inject a whole trace; stops at the first rejected arrival.
+  /// Inject a whole trace, in any order: arrivals at one instant keep the
+  /// trace's order, and job ids follow it.  Atomic: the whole trace is
+  /// checked first, and a refused trace injects nothing and assigns no job
+  /// id.
   [[nodiscard]] Status inject_arrivals(const std::vector<Arrival>& arrivals);
   void run_until(Time horizon) { sim_.run_until(horizon); }
   void run_for(Duration d) { sim_.run_until(sim_.now() + d); }
@@ -182,6 +189,8 @@ class SystemRuntime final : public dance::DeploymentTarget {
   /// Subtask instance on), so no placement uses them.
   [[nodiscard]] Status adopt_drained_nodes(const dance::DeploymentPlan& plan);
   [[nodiscard]] Status activate_containers();
+  /// inject_arrival(s): check every arrival, then inject them all.
+  [[nodiscard]] Status inject(std::span<const Arrival> arrivals);
 
   SystemConfig config_;
   sched::TaskSet tasks_;

@@ -106,6 +106,61 @@ void Simulator::dispatch_front() {
   fn();
 }
 
+bool Simulator::arrival_next() {
+  settle_front();
+  if (head_ == timeline_.size()) return false;
+  return heap_.empty() || before(timeline_[head_], heap_.front());
+}
+
+void Simulator::dispatch_arrival() {
+  // Copied out and popped before the handler runs: the handler may inject
+  // arrivals, which can move the timeline's storage.
+  const TimelineEntry top = timeline_[head_];
+  if (++head_ == timeline_.size()) {
+    timeline_.clear();
+    head_ = 0;
+  }
+  now_ = Time(top.time_usec);
+  ++executed_;
+  on_arrival_(top.target, top.payload);
+}
+
+std::size_t Simulator::make_timeline_room(std::size_t count) {
+  assert((count == 0 || on_arrival_ != nullptr) &&
+         "inject with no arrival handler set");
+  if (timeline_.size() + count > timeline_.capacity() && head_ > 0) {
+    timeline_.erase(timeline_.begin(),
+                    timeline_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  if (timeline_.size() + count > timeline_.capacity()) {
+    timeline_.reserve(
+        std::max(timeline_.size() + count, 2 * timeline_.capacity()));
+  }
+  return timeline_.size();
+}
+
+void Simulator::order_timeline(std::size_t first) {
+  if (first == timeline_.size()) return;
+  const auto by_key = [](const TimelineEntry& a, const TimelineEntry& b) {
+    return before(a, b);
+  };
+  const auto begin = timeline_.begin();
+  const auto mid = begin + static_cast<std::ptrdiff_t>(first);
+  // Seqs rise in injection order, so sorting by (time, seq) is a stable
+  // sort by time: ties keep the order they were injected in.
+  if (!std::is_sorted(mid, timeline_.end(), by_key)) {
+    std::sort(mid, timeline_.end(), by_key);
+  }
+  // The new entries' seqs exceed every older one's, so each goes after
+  // every older entry of the same instant: only the older entries later
+  // than the first new one take part in the merge.
+  const auto from =
+      std::upper_bound(begin + static_cast<std::ptrdiff_t>(head_), mid, *mid,
+                       by_key);
+  std::inplace_merge(from, mid, timeline_.end(), by_key);
+}
+
 void Simulator::maybe_compact() {
   // Every live event owns exactly one live heap entry, so the dead count is
   // size - live.  Rebuilding when dead exceeds live keeps queue memory
@@ -158,9 +213,13 @@ bool Simulator::reschedule(EventHandle& handle, Time at) {
 }
 
 bool Simulator::step() {
-  settle_front();
-  if (heap_.empty()) return false;
-  dispatch_front();
+  if (arrival_next()) {
+    dispatch_arrival();
+  } else if (!heap_.empty()) {
+    dispatch_front();
+  } else {
+    return false;
+  }
   return true;
 }
 
@@ -168,9 +227,13 @@ void Simulator::run_until(Time deadline) {
   // Settle once per dispatch: dispatch_front() assumes a settled front, so
   // the dead-entry scan runs exactly once per event.
   for (;;) {
-    settle_front();
-    if (heap_.empty() || Time(heap_.front().time_usec) > deadline) break;
-    dispatch_front();
+    if (arrival_next()) {
+      if (Time(timeline_[head_].time_usec) > deadline) break;
+      dispatch_arrival();
+    } else {
+      if (heap_.empty() || Time(heap_.front().time_usec) > deadline) break;
+      dispatch_front();
+    }
   }
   if (now_ < deadline) now_ = deadline;
 }

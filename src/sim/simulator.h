@@ -4,10 +4,10 @@
 // absolute instants; the engine runs them in (time, insertion order) so a
 // given program is fully deterministic.
 //
-// The queue is built for throughput — every paper figure and sweep cell is
-// produced through it, so event dispatch is the hottest path in the
-// codebase:
-//   - pending events are ordered by a 4-ary min-heap of plain (time, seq)
+// The queue is two structures behind one order, built for throughput —
+// every paper figure and sweep cell is produced through it, so event
+// dispatch is the hottest path in the codebase:
+//   - scheduled events are ordered by a 4-ary min-heap of plain (time, seq)
 //     keys with hole-based sifts: one O(log n) sift per schedule, no tree
 //     nodes,
 //   - callbacks live in a slab of generation-counted slots recycled through
@@ -23,16 +23,26 @@
 //   - cancel/reschedule storms cannot grow queue memory without bound:
 //     when dead entries outnumber live ones the heap is rebuilt in place
 //     from its live entries, keeping stored entries O(live) at O(1)
-//     amortized cost.
+//     amortized cost,
+//   - injected arrivals (a workload's whole trace, known before the run)
+//     skip the heap and the slab: they sit on the arrival timeline, one
+//     sorted array of 32-byte (time, seq, target, payload) entries that are
+//     never cancelled or rescheduled, dispatched from its head to the one
+//     arrival handler.  A trace that arrives sorted is appended; anything
+//     else is sorted and merged with the entries not yet dispatched.
 //
-// Dispatch order is exactly the (time, seq) contract: seq is consumed once
-// per schedule/reschedule, so a program's trace is a function of its inputs.
-// tests/sim_kernel_test.cpp replays randomized churn against a
-// std::multimap reference kept in the test and requires the identical
-// dispatch sequence and now() trajectory.
+// Dispatch order is exactly the (time, seq) contract across both
+// structures: seq is consumed once per schedule/reschedule and once per
+// injected arrival, from one counter, and each dispatch takes whichever of
+// the heap front and the timeline head has the smaller (time, seq) key.  So
+// a program's trace is a function of its inputs, and injecting an arrival
+// orders it exactly as scheduling a closure in its place would.
+// tests/sim_kernel_test.cpp replays randomized churn, timeline injections
+// included, against a std::multimap reference kept in the test and
+// requires the identical dispatch sequence and now() trajectory.
 #pragma once
 
-#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -97,16 +107,33 @@ class Simulator {
   /// to schedule_at.
   bool reschedule(EventHandle& handle, Time at);
 
-  /// Make room for `events` more pending events, so scheduling them grows
-  /// the slab and the heap at most once, straight to the power-of-two
-  /// capacity their doubling would reach, instead of relocating every
-  /// pending callback at each doubling on the way.
-  void reserve(std::size_t events) {
-    if (events == 0) return;
-    const std::size_t fresh =
-        events > free_slots_.size() ? events - free_slots_.size() : 0;
-    slots_.reserve(std::bit_ceil(slots_.size() + fresh));
-    heap_.reserve(std::bit_ceil(heap_.size() + events));
+  /// One arrival to inject: the handler receives `target` and `payload`
+  /// at `at`.
+  struct Arrival {
+    Time at;
+    void* target = nullptr;
+    std::uint64_t payload = 0;
+  };
+  /// Receives every arrival the timeline dispatches.
+  using ArrivalHandler = void (*)(void* target, std::uint64_t payload);
+
+  /// Set the handler injected arrivals are dispatched to; one per
+  /// simulator, set before the first injection.
+  void set_arrival_handler(ArrivalHandler handler) { on_arrival_ = handler; }
+
+  /// Inject `count` arrivals, the i-th being `make(i)` (each at >= now):
+  /// each consumes a seq in injection order, exactly as `count` calls of
+  /// schedule_at would, and takes no slot, callback or heap entry.  Grows
+  /// the timeline by at most one block.
+  template <typename Make>
+  void inject_arrivals(std::size_t count, Make&& make) {
+    const std::size_t first = make_timeline_room(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Arrival a = make(i);
+      assert(a.at >= now_ && "cannot inject an arrival in the past");
+      timeline_.push_back({a.at.usec(), next_seq_++, a.target, a.payload});
+    }
+    order_timeline(first);
   }
 
   /// Run a single event; returns false if the queue is empty.
@@ -120,10 +147,13 @@ class Simulator {
   /// Run until the event queue drains completely.
   void run_all();
 
-  /// Number of pending (scheduled and not cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return live_; }
+  /// Number of pending events: scheduled and not cancelled, plus injected
+  /// arrivals not yet dispatched.
+  [[nodiscard]] std::size_t pending() const {
+    return live_ + timeline_.size() - head_;
+  }
 
-  /// Total events executed since construction.
+  /// Total events executed since construction, arrivals included.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Entries currently stored in the heap (live + lazily dead).  Exposed
@@ -147,7 +177,19 @@ class Simulator {
     std::uint32_t gen = 0;
   };
 
-  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+  /// One timeline entry: the ordering key, then what the handler receives.
+  struct TimelineEntry {
+    std::int64_t time_usec;
+    std::uint64_t seq;
+    void* target;
+    std::uint64_t payload;
+  };
+  static_assert(sizeof(TimelineEntry) <= 32,
+                "an injected arrival holds no callable");
+
+  /// The (time, seq) order, within and across the heap and the timeline.
+  template <typename A, typename B>
+  [[nodiscard]] static bool before(const A& a, const B& b) {
     return a.time_usec != b.time_usec ? a.time_usec < b.time_usec
                                       : a.seq < b.seq;
   }
@@ -166,6 +208,18 @@ class Simulator {
   void settle_front();
   /// Pop and run the (settled, live) front event.
   void dispatch_front();
+  /// Settle the heap front; true when the timeline head precedes it (or
+  /// the heap is empty) and so runs next.
+  [[nodiscard]] bool arrival_next();
+  /// Pop the timeline head and hand it to the arrival handler.
+  void dispatch_arrival();
+
+  /// Drop dispatched entries and grow the timeline (geometrically) so
+  /// `count` more fit; returns where the new entries start.
+  std::size_t make_timeline_room(std::size_t count);
+  /// Restore (time, seq) order after entries were appended from `first`:
+  /// sort them, then merge them with the undispatched entries before.
+  void order_timeline(std::size_t first);
 
   std::uint32_t acquire_slot(EventFn fn);
   void release_slot(std::uint32_t slot);
@@ -180,6 +234,9 @@ class Simulator {
   std::vector<Slot> slots_;                // slab of callbacks
   std::vector<std::uint32_t> free_slots_;  // LIFO recycler (deterministic)
   std::vector<Entry> heap_;                // 4-ary min-heap on (time, seq)
+  std::vector<TimelineEntry> timeline_;    // sorted on (time, seq)
+  std::size_t head_ = 0;                   // first undispatched entry
+  ArrivalHandler on_arrival_ = nullptr;
 };
 
 }  // namespace rtcm::sim

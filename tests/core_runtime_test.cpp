@@ -226,6 +226,44 @@ TEST(RuntimeLifecycleTest, InjectUnknownTaskIsRefused) {
   EXPECT_NE(s.message().find("unknown task"), std::string::npos);
 }
 
+// A trace is checked whole before any of it is injected: a refused trace
+// leaves nothing pending and assigns no job id, so the good trace injected
+// next renders exactly as it does on a fresh runtime.
+TEST(RuntimeLifecycleTest, RefusedTraceInjectsNothing) {
+  SystemConfig config;
+  config.enable_trace = true;
+  SystemRuntime runtime(config, testing::make_imbalanced_workload(1));
+  ASSERT_TRUE(runtime.assemble().is_ok());
+  const Status unknown =
+      runtime.inject_arrivals({{TaskId(0), Time(0)}, {TaskId(999), Time(5)}});
+  EXPECT_FALSE(unknown.is_ok());
+  EXPECT_NE(unknown.message().find("unknown task T999"), std::string::npos);
+  EXPECT_EQ(runtime.simulator().pending(), 0u);
+
+  const std::vector<Arrival> good = {{TaskId(1), Time(0)},
+                                     {TaskId(0), Time(0)},
+                                     {TaskId(0), Time(300000)}};
+  SystemRuntime fresh(config, testing::make_imbalanced_workload(1));
+  ASSERT_TRUE(fresh.assemble().is_ok());
+  RTCM_EXPECT_OK(runtime.inject_arrivals(good));
+  RTCM_EXPECT_OK(fresh.inject_arrivals(good));
+  EXPECT_EQ(runtime.simulator().pending(), good.size());
+  const Time end(Duration::seconds(2).usec());
+  runtime.run_until(end);
+  fresh.run_until(end);
+  EXPECT_EQ(runtime.metrics().total().arrivals, good.size());
+  EXPECT_FALSE(runtime.trace().render().empty());
+  EXPECT_TRUE(runtime.trace().render() == fresh.trace().render());
+
+  // An arrival before now() is refused the same way.
+  const std::size_t pending = runtime.simulator().pending();
+  const Status past = runtime.inject_arrivals(
+      {{TaskId(0), end}, {TaskId(0), end - Duration(1)}});
+  EXPECT_FALSE(past.is_ok());
+  EXPECT_NE(past.message().find("before now"), std::string::npos);
+  EXPECT_EQ(runtime.simulator().pending(), pending);
+}
+
 // Task ids at both ends of the id range run end to end, and arrivals of
 // absent ids (unknown, negative, the invalid marker) fail with a Status.
 TEST(RuntimeLifecycleTest, ExtremeTaskIdsRunAndUnknownIdsFailCleanly) {

@@ -115,20 +115,31 @@ TEST(SimAllocTest, InlineCaptureScheduleAndDispatchAllocationFree) {
   EXPECT_EQ(sink, 2u * 2048u * 4u);  // both passes dispatched everything
 }
 
-// Injecting a trace reserves the slab and heap up front, so even the first
-// pass of scheduling (no rehearsal) allocates nothing.
-TEST(SimAllocTest, ReservedSchedulingAllocationFree) {
+// Injected arrivals take no slot, callback or heap entry.  A trace of
+// 30,000 (burst-overload's queue peaks near that many pending events) costs
+// one block, the arrival timeline's, and dispatching it allocates nothing.
+TEST(SimAllocTest, InjectedArrivalsTakeOneBlockAndDispatchFree) {
   Simulator sim;
+  sim.set_arrival_handler([](void* target, std::uint64_t payload) {
+    *static_cast<std::uint64_t*>(target) += payload;
+  });
   std::uint64_t sink = 0;
-  constexpr int kEvents = 3000;
-  sim.reserve(kEvents);
-  const std::uint64_t before = allocation_count();
-  for (int i = 0; i < kEvents; ++i) {
-    sim.schedule_at(sim.now() + Duration(1 + i), [&sink] { ++sink; });
-  }
-  EXPECT_EQ(allocation_count() - before, 0u);
+  constexpr std::size_t kArrivals = 30000;
+  std::uint64_t before = allocation_count();
+  sim.inject_arrivals(kArrivals, [&sink](std::size_t i) {
+    return Simulator::Arrival{Time(static_cast<std::int64_t>(i / 3)), &sink,
+                              1};
+  });
+  EXPECT_LE(allocation_count() - before, 1u);
+  EXPECT_EQ(sim.pending(), kArrivals);
+  EXPECT_EQ(sim.queue_entries(), 0u);
+
+  before = allocation_count();
   sim.run_all();
-  EXPECT_EQ(sink, static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(sink, kArrivals);
+  EXPECT_EQ(sim.executed(), kArrivals);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(SimAllocTest, CapacityEdgeCaptureStaysInline) {

@@ -7,7 +7,11 @@
 // run churn scripts against both — including same-instant ties, events
 // scheduled from inside callbacks, horizons beyond 64^6 microseconds and
 // run_until jumps over an empty queue — and require identical dispatch
-// sequences and now() trajectories.
+// sequences and now() trajectories.  Arrivals the Simulator keeps on its
+// timeline are ordinary events to the reference: scripts that inject
+// sorted and unsorted batches (tied with scheduled events, injected after
+// run_until and from inside callbacks and arrival handlers) must also
+// leave pending() and executed() identical after every operation.
 //
 // Also here: the dead-entry regression tests.  cancel()/reschedule() used
 // to leave dead entries queued until they surfaced at the front, so a
@@ -43,6 +47,21 @@ class ReferenceKernel {
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+
+  void set_arrival_handler(Simulator::ArrivalHandler handler) {
+    on_arrival_ = handler;
+  }
+
+  /// Each arrival is scheduled as one ordinary event, in injection order.
+  template <typename Make>
+  void inject_arrivals(std::size_t count, Make&& make) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const Simulator::Arrival a = make(i);
+      schedule_at(a.at, [handler = on_arrival_, a] {
+        handler(a.target, a.payload);
+      });
+    }
+  }
 
   Handle schedule_at(Time at, std::function<void()> fn) {
     const Handle id = next_id_++;
@@ -104,38 +123,56 @@ class ReferenceKernel {
   std::uint64_t next_seq_ = 1;
   Handle next_id_ = 1;
   std::uint64_t executed_ = 0;
+  Simulator::ArrivalHandler on_arrival_ = nullptr;
 };
 
 /// One externally-applied operation of a churn script.  Scripts are
 /// generated once per seed and replayed verbatim against each kernel, so
 /// both see exactly the same call sequence.
 struct Op {
-  enum Kind { kSchedule, kCancel, kReschedule, kRunUntil, kStep } kind;
+  enum Kind { kSchedule, kCancel, kReschedule, kRunUntil, kStep, kInject } kind;
   std::int64_t a = 0;  // schedule/reschedule/run_until: time offset
   std::size_t target = 0;  // cancel/reschedule: index into issued handles
-  std::uint64_t id = 0;    // schedule: event identity for the dispatch log
+  std::uint64_t id = 0;    // schedule/inject: (first) event identity
+  std::vector<std::int64_t> batch = {};  // inject: one time offset each
 };
 
 using Log = std::vector<std::pair<std::int64_t, std::uint64_t>>;
 
-std::vector<Op> make_script(std::uint64_t seed, int ops) {
+/// Offsets span six orders of magnitude and (rarely) the far horizon, and
+/// land on few enough distinct values to force same-time ties.
+std::int64_t random_offset(Rng& rng) {
+  static constexpr std::int64_t kSpans[] = {63, 4095, 262143, 16777215,
+                                            kFarUsec * 2};
+  const auto span = kSpans[static_cast<std::size_t>(rng.uniform_int(0, 4)) %
+                           (rng.uniform_int(0, 9) == 0 ? 5 : 4)];
+  return rng.uniform_int(0, span) & ~3LL;
+}
+
+/// With `arrivals`, about one op in ten injects a batch of 1-40 arrivals:
+/// a third of the batches sorted, the rest in random order.
+std::vector<Op> make_script(std::uint64_t seed, int ops,
+                            bool arrivals = false) {
   Rng rng(seed);
   std::vector<Op> script;
   script.reserve(static_cast<std::size_t>(ops));
   std::uint64_t next_id = 1;
   std::size_t handles = 0;
   for (int i = 0; i < ops; ++i) {
+    if (arrivals && rng.uniform_int(0, 9) == 0) {
+      Op op{Op::kInject, 0, 0, next_id};
+      op.batch.resize(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+      for (std::int64_t& offset : op.batch) offset = random_offset(rng);
+      if (rng.uniform_int(0, 2) == 0) {
+        std::sort(op.batch.begin(), op.batch.end());
+      }
+      next_id += op.batch.size();
+      script.push_back(std::move(op));
+      continue;
+    }
     const std::int64_t roll = rng.uniform_int(0, 99);
     if (roll < 55 || handles == 0) {
-      // Offsets span six orders of magnitude and (rarely) the far horizon,
-      // and land on few enough distinct values to force same-time ties.
-      static constexpr std::int64_t kSpans[] = {63, 4095, 262143, 16777215,
-                                                kFarUsec * 2};
-      const auto span =
-          kSpans[static_cast<std::size_t>(rng.uniform_int(0, 4)) %
-                 (rng.uniform_int(0, 9) == 0 ? 5 : 4)];
-      script.push_back({Op::kSchedule, rng.uniform_int(0, span) & ~3LL, 0,
-                        next_id++});
+      script.push_back({Op::kSchedule, random_offset(rng), 0, next_id++});
       ++handles;
     } else if (roll < 70) {
       script.push_back(
@@ -156,32 +193,70 @@ std::vector<Op> make_script(std::uint64_t seed, int ops) {
   return script;
 }
 
-/// Replay a script and return the dispatch log: (time, id) per executed
-/// event, plus a now() sample after every run op.  Callbacks for ids
-/// divisible by 7 schedule a child event mid-dispatch, exercising the
-/// schedule-at-current-instant path.
-template <typename Kernel, typename Handle>
-Log replay(const std::vector<Op>& script) {
+/// Ids at or above this were spawned mid-run, not issued by the script.
+constexpr std::uint64_t kSpawned = 1000000;
+
+template <typename Kernel>
+struct Replay {
   Kernel sim;
   Log log;
+};
+
+/// A scheduled event: logs (time, id).  Ids divisible by 7 schedule a
+/// child event mid-dispatch, exercising the schedule-at-current-instant
+/// path; script ids divisible by 5 inject an arrival mid-dispatch.
+template <typename Kernel>
+struct Recorder {
+  Replay<Kernel>* r;
+  std::uint64_t id;
+  void operator()() const;
+};
+
+/// The arrival handler: logs (time, payload).  Payloads divisible by 3
+/// schedule an event at or just after their own instant, as a TE's Task
+/// Arrive push does.
+template <typename Kernel>
+void arrive(void* target, std::uint64_t payload) {
+  auto* r = static_cast<Replay<Kernel>*>(target);
+  r->log.emplace_back(r->sim.now().usec(), payload);
+  if (payload % 3 == 0) {
+    r->sim.schedule_at(r->sim.now() + Duration(static_cast<std::int64_t>(
+                                          payload % 4 * 4)),
+                       Recorder<Kernel>{r, payload + kSpawned});
+  }
+}
+
+template <typename Kernel>
+void Recorder<Kernel>::operator()() const {
+  r->log.emplace_back(r->sim.now().usec(), id);
+  if (id % 7 == 0) {
+    r->sim.schedule_at(r->sim.now() + Duration(id % 977),
+                       Recorder{r, id + kSpawned});
+  }
+  if (id < kSpawned && id % 5 == 0) {
+    const Time at = r->sim.now() + Duration(static_cast<std::int64_t>(
+                                       id % 613 & ~3ULL));
+    r->sim.inject_arrivals(1, [this, at](std::size_t) {
+      return Simulator::Arrival{at, r, id + 3 * kSpawned};
+    });
+  }
+}
+
+/// Replay a script and return the dispatch log: (time, id) per executed
+/// event, a now() sample after every run op, and (pending, executed)
+/// after every op.
+template <typename Kernel, typename Handle>
+Log replay(const std::vector<Op>& script) {
+  Replay<Kernel> r;
+  Kernel& sim = r.sim;
+  Log& log = r.log;
+  sim.set_arrival_handler(&arrive<Kernel>);
   std::vector<Handle> handles;
-  struct Recorder {
-    Kernel* sim;
-    Log* log;
-    std::uint64_t id;
-    void operator()() const {
-      log->emplace_back(sim->now().usec(), id);
-      if (id % 7 == 0) {
-        sim->schedule_at(sim->now() + Duration(id % 977),
-                         Recorder{sim, log, id + 1000000});
-      }
-    }
-  };
   for (const Op& op : script) {
     switch (op.kind) {
       case Op::kSchedule:
         handles.push_back(sim.schedule_at(sim.now() + Duration(op.a),
-                                          Recorder{&sim, &log, op.id}));
+                                          Recorder<Kernel>{&r, op.id}));
         break;
       case Op::kCancel:
         sim.cancel(handles[op.target]);
@@ -198,7 +273,15 @@ Log replay(const std::vector<Op>& script) {
           if (!sim.step()) break;
         }
         break;
+      case Op::kInject:
+        sim.inject_arrivals(op.batch.size(), [&](std::size_t i) {
+          return Simulator::Arrival{sim.now() + Duration(op.batch[i]), &r,
+                                    op.id + i};
+        });
+        break;
     }
+    log.emplace_back(static_cast<std::int64_t>(sim.pending()),
+                     sim.executed());
   }
   sim.run_all();
   log.emplace_back(sim.now().usec(), sim.executed());  // totals agree too
@@ -222,6 +305,17 @@ TEST(KernelReferenceTest, RandomChurnMatchesReference) {
     const Log log = expect_matches_reference(make_script(seed, 600), seed);
     EXPECT_GT(log.size(), 100u) << "seed " << seed;
   }
+}
+
+TEST(KernelReferenceTest, RandomChurnWithArrivalsMatchesReference) {
+  std::uint64_t injected = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<Op> script = make_script(seed, 600, true);
+    for (const Op& op : script) injected += op.batch.size();
+    const Log log = expect_matches_reference(script, seed);
+    EXPECT_GT(log.size(), 100u) << "seed " << seed;
+  }
+  EXPECT_GT(injected, 10000u);
 }
 
 TEST(KernelReferenceTest, FarHorizonChurnMatchesReference) {
