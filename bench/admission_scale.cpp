@@ -1,7 +1,7 @@
 // Admission throughput at scale: arrivals/sec against 10^3..10^6 resident
 // tasks.
 //
-// The reference admission test re-evaluates Equation (1) for every admitted
+// A full-rescan admission test re-evaluates Equation (1) for every admitted
 // footprint on every arrival, so per-arrival cost grows with the resident
 // population and a cell stalls long before 10^5 tasks.  The AdmissionIndex
 // (sched/admission_index.h) makes the decision O(candidate footprint x
@@ -10,9 +10,10 @@
 // paths per scale point:
 //
 //   incremental_nN    AdmissionIndex::admission_test (the production path)
-//   full_rescan_nN    current_footprints() + aub_admission_test (the old
-//                     per-arrival rescan, kept as the in-bench baseline and
-//                     as the reference tests/oracle_differential_test.cpp
+//   full_rescan_nN    reference::current_footprints() +
+//                     reference::aub_admission_test (tests/reference/aub.h:
+//                     the per-arrival rescan, kept as the in-bench baseline
+//                     and as the reference tests/oracle_differential_test.cpp
 //                     holds the index to)
 //   admit_expire_nN   steady-state book churn: expire one resident job and
 //                     admit a replacement, holding the population constant
@@ -51,6 +52,7 @@
 
 #include "bench_common.h"
 #include "core/scheduling_state.h"
+#include "reference/aub.h"
 #include "sched/aub.h"
 #include "sweep/report.h"
 #include "util/flags.h"
@@ -63,7 +65,7 @@ namespace {
 constexpr std::size_t kStages = 2;
 /// Aggregate synthetic-utilization target per processor once the whole
 /// resident population is admitted; every resident footprint must itself
-/// satisfy Equation (1) — 2 x aub_term(U) <= 1 requires U below
+/// satisfy Equation (1) — 2 x term(U) <= 1 requires U below
 /// (3 - sqrt(5)) / 2 ~= 0.382 — so the candidate stream keeps being
 /// accepted and both paths do the full amount of checking work.
 constexpr double kTargetUtilization = 0.3;
@@ -243,8 +245,8 @@ int main(int argc, char** argv) {
         "full_rescan_n" + std::to_string(resident), resident, repeats,
         old_arrivals, [&](std::uint64_t n) {
           for (std::uint64_t i = 0; i < n; ++i) {
-            const auto footprints = state.current_footprints();
-            const auto decision = sched::aub_admission_test(
+            const auto footprints = reference::current_footprints(state);
+            const auto decision = reference::aub_admission_test(
                 state.ledger(), TaskId(resident + i),
                 make_candidate(i, point.processors), footprints);
             all_admitted = all_admitted && decision.admitted;

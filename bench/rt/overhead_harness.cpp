@@ -3,10 +3,10 @@
 #include <cassert>
 
 #include "core/runtime.h"
+#include "core/scheduling_state.h"
 #include "events/placement.h"
 #include "rt/loopback.h"
 #include "rt/stopwatch.h"
-#include "sched/analysis.h"
 #include "sched/aub.h"
 #include "sched/load_balancer.h"
 #include "workload/generator.h"
@@ -90,31 +90,32 @@ OverheadReport measure_overheads(const OverheadParams& params) {
 
   // --- Operations (3) and (4): scheduler-level costs -----------------------
   {
-    sched::UtilizationLedger ledger;
-    std::vector<sched::TaskFootprint> footprints;
+    // A live book of record holding the resident jobs, each at a quarter of
+    // its utilization (deadline x 4) so the measured tests exercise the
+    // full Equation (1) path instead of the early-out "rejected" path.
+    // Both operations time the production test, the book's
+    // AdmissionIndex::admission_test.
+    core::SchedulingState book;
     for (std::size_t i = 0; i < params.resident_jobs; ++i) {
-      const sched::TaskSpec& spec = specs[i % specs.size()];
-      // Scale the resident contributions down so the measured tests exercise
-      // the full Equation (1) path instead of the early-out "rejected" path.
-      for (std::size_t j = 0; j < spec.subtasks.size(); ++j) {
-        (void)ledger.add(spec.subtasks[j].primary,
-                         spec.subtask_utilization(j) * 0.25);
-      }
-      footprints.push_back(sched::primary_footprint(spec));
+      sched::TaskSpec resident = specs[i % specs.size()];
+      resident.deadline = resident.deadline * 4;
+      book.admit_job(resident, JobId(static_cast<std::int32_t>(i)),
+                     primaries(resident), Time::epoch() + resident.deadline);
     }
+    const sched::AdmissionIndex& index = book.admission_index();
     sched::LoadBalancer balancer;
     for (std::size_t i = 0; i < params.iterations; ++i) {
       const sched::TaskSpec& spec = specs[i % specs.size()];
       const auto stages = candidate_stages(spec, primaries(spec));
       report.op4_admission_test.add(time_call_us([&] {
-        (void)sched::aub_admission_test(ledger, spec.id, stages, footprints);
+        (void)index.admission_test(book.ledger(), spec.id, stages);
       }));
       // (3): the paper's LB "returns an assignment plan that is acceptable",
       // i.e. placement plus the schedulability check.
       report.op3_plan.add(time_call_us([&] {
-        const auto placement = balancer.place(spec, ledger);
-        (void)sched::aub_admission_test(
-            ledger, spec.id, candidate_stages(spec, placement), footprints);
+        const auto placement = balancer.place(spec, book.ledger());
+        (void)index.admission_test(book.ledger(), spec.id,
+                                   candidate_stages(spec, placement));
       }));
     }
   }
@@ -218,10 +219,10 @@ OverheadReport measure_overheads(const OverheadParams& params) {
           arrival, runtime.simulator().now(),
           events::TaskArrivePayload{spec.id, job, arrival,
                                     runtime.simulator().now(), false}});
-      events::IdleResetPayload payload;
-      payload.processor = arrival;
+      events::IdleResetPayload payload{
+          arrival, events::CompletedSubjobs(spec.subtasks.size())};
       for (std::size_t j = 0; j < spec.subtasks.size(); ++j) {
-        payload.completed.push_back(events::SubjobRef{spec.id, job, j});
+        payload.completed[j] = events::SubjobRef{spec.id, job, j};
       }
       const events::Event reset{arrival, runtime.simulator().now(),
                                 std::move(payload)};

@@ -10,6 +10,9 @@
 //       plan                             (the paper's LB returns plans that
 //                                        are already acceptable)
 //   (4) apply the admission test         AUB Equation (1) alone
+//
+// (3) and (4) run the production test, AdmissionIndex::admission_test,
+// against a live SchedulingState holding the resident jobs.
 //   (5) release the task                 Accept delivery -> local release
 //   (6) release the duplicate task       Accept delivery -> remote release
 //   (7) report completed subtask         IR idle-detector report

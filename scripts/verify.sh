@@ -4,7 +4,8 @@
 #
 # Usage: scripts/verify.sh [build-dir] [--lint]
 #   --lint   additionally run the static-analysis layer: rtcm-lint over
-#            src/ plus its fixture self-test, and clang-tidy over every
+#            src/ and tests/reference/ plus its fixture self-test, and
+#            clang-tidy over every
 #            library TU (skipped with a note when no clang-tidy binary is
 #            installed — CI runs it with --require so the gate holds there)
 set -euo pipefail
@@ -35,8 +36,8 @@ echo "== ctest =="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
 if [[ "${LINT}" == 1 ]]; then
-  echo "== rtcm-lint (src/ + fixture self-test) =="
-  python3 scripts/rtcm_lint.py --verbose src
+  echo "== rtcm-lint (src/ + tests/reference/ + fixture self-test) =="
+  python3 scripts/rtcm_lint.py --verbose src tests/reference
   python3 scripts/rtcm_lint.py --self-test tests/data/lint
   echo "== clang-tidy =="
   scripts/run_clang_tidy.sh "${BUILD_DIR}"

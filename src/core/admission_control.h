@@ -132,8 +132,7 @@ class AdmissionControl final : public ccm::Component {
   /// Run Equation (1) for `spec` placed on `placement`, incrementally: only
   /// footprints intersecting the placement are re-checked (the book's
   /// AdmissionIndex).  tests/oracle_differential_test.cpp holds this to the
-  /// full-task-set rescan (sched::aub_admission_test) on every library
-  /// grid.
+  /// full-task-set rescan (tests/reference/aub.h) on every library grid.
   [[nodiscard]] sched::AdmissionDecision test(
       const sched::TaskSpec& spec, const events::Placement& placement);
 

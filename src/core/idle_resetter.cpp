@@ -55,12 +55,14 @@ void IdleResetter::on_processor_idle() {
     pending_.clear();
     return;
   }
-  // The report's list is the one allocation an idle report makes.
-  IdleResetPayload payload;
-  payload.processor = context().processor;
-  payload.completed.reserve(static_cast<std::size_t>(live));
+  // A report of more than CompletedSubjobs::kInline subjobs allocates its
+  // list; that is the one allocation an idle report can make.
+  IdleResetPayload payload{context().processor,
+                           events::CompletedSubjobs(
+                               static_cast<std::size_t>(live))};
+  std::size_t filled = 0;
   for (const Pending& p : pending_) {
-    if (p.absolute_deadline > now) payload.completed.push_back(p.ref);
+    if (p.absolute_deadline > now) payload.completed[filled++] = p.ref;
   }
   pending_.clear();
 

@@ -17,20 +17,6 @@ void erase_row(Column& column, std::uint32_t row) {
 
 }  // namespace
 
-std::vector<sched::TaskFootprint> SchedulingState::current_footprints() const {
-  std::vector<sched::TaskFootprint> out;
-  out.reserve(job_ids_.size() + res_ids_.size());
-  for (std::uint32_t row = 0; row < job_ids_.size(); ++row) {
-    out.push_back({job_task_[row],
-                   {job_placement_[row].begin(), job_placement_[row].end()}});
-  }
-  for (std::uint32_t row = 0; row < res_ids_.size(); ++row) {
-    out.push_back({res_ids_[row],
-                   {res_placement_[row].begin(), res_placement_[row].end()}});
-  }
-  return out;
-}
-
 void SchedulingState::refresh_placement(
     std::span<const ProcessorId> placement) {
   // Placements are short chains; a linear first-occurrence scan keeps each
@@ -131,9 +117,9 @@ bool SchedulingState::reset_subjob(JobId job, std::size_t stage) {
   if (stage >= units.size() || units[stage] == 0) return false;
   const ProcessorId proc = job_placement_[row][stage];
   ledger_.remove(proc, std::exchange(units[stage], 0));
-  // The job's footprint stays registered in full (matching the reference
-  // test, which re-checks the whole placement until expiry); only the
-  // stage's processor total — and so its cached term — changed.
+  // The job's footprint stays registered in full (Equation (1) re-checks
+  // the whole placement until expiry); only the stage's processor total —
+  // and so its cached term — changed.
   index_.refresh(proc, ledger_);
   return true;
 }

@@ -8,8 +8,8 @@
 //   - the footprints of everything currently admitted, mirrored into an
 //     incremental AdmissionIndex so an arrival only re-tests the footprints
 //     its placement intersects (sched/admission_index.h).  The full
-//     footprint list is built only on request, for the full-rescan
-//     differential tests and bench/admission_scale.cpp.
+//     footprint list is built only by the full-rescan reference
+//     (tests/reference/aub.h), from for_each_job and for_each_reservation.
 //
 // The book owns every contribution: each row keeps the ledger units its
 // stages added (0 once reset), and expiry, reset and release hand exactly
@@ -46,7 +46,6 @@
 
 #include "events/placement.h"
 #include "sched/admission_index.h"
-#include "sched/aub.h"
 #include "sched/task.h"
 #include "sched/utilization_ledger.h"
 #include "util/ids.h"
@@ -87,16 +86,10 @@ class SchedulingState {
 
   /// The incremental admission aggregates, kept in lockstep with the ledger
   /// by every mutator below; AdmissionControl runs Equation (1) against
-  /// this instead of rescanning current_footprints().
+  /// this instead of rescanning every admitted footprint.
   [[nodiscard]] const sched::AdmissionIndex& admission_index() const {
     return index_;
   }
-
-  /// Footprints of every admitted-and-unexpired job plus every reservation,
-  /// as Equation (1) must keep holding for all of them.  The incremental
-  /// path never materializes this list; the full-rescan differential tests
-  /// and bench/admission_scale.cpp do.
-  [[nodiscard]] std::vector<sched::TaskFootprint> current_footprints() const;
 
   // --- Per-job admissions --------------------------------------------------
 
@@ -118,6 +111,16 @@ class SchedulingState {
   }
   [[nodiscard]] std::optional<JobView> job(JobId job) const;
   [[nodiscard]] std::size_t active_jobs() const { return job_ids_.size(); }
+
+  /// Visit every admitted-and-unexpired job.  Rows come in slab order —
+  /// callers needing a canonical order sort what they collect.  `fn` must
+  /// not mutate this state.
+  template <typename Fn>
+  void for_each_job(Fn&& fn) const {
+    for (std::uint32_t row = 0; row < job_ids_.size(); ++row) {
+      fn(job_view(row));
+    }
+  }
 
   /// Remove all remaining contributions of a job (deadline expiry).  No-op
   /// for unknown jobs, so expiry timers and resets compose safely.

@@ -11,10 +11,10 @@
 #include <cstdint>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "events/placement.h"
 #include "util/ids.h"
+#include "util/inline_list.h"
 #include "util/time.h"
 
 namespace rtcm::events {
@@ -85,11 +85,17 @@ struct TriggerPayload {
   Time release_time;  // when the job was released by the TE
 };
 
+/// An idle report's completed subjobs.  Up to 2 (most reports: 98% of
+/// Figure 5's) live inline; a longer list spills to one heap block.  Two
+/// keep IdleResetPayload no larger than TriggerPayload, so Event stays 80
+/// bytes (asserted below).
+using CompletedSubjobs = util::InlineList<SubjobRef, 2>;
+
 /// IR -> AC: processor went idle; these completed subjobs' contributions can
 /// be removed (the resetting rule).
 struct IdleResetPayload {
   ProcessorId processor;
-  std::vector<SubjobRef> completed;
+  CompletedSubjobs completed;
 };
 
 using EventPayload = std::variant<TaskArrivePayload, AcceptPayload,
@@ -106,6 +112,10 @@ struct Event {
   }
   [[nodiscard]] std::string to_string() const;
 };
+
+// A larger Event would overflow sim::EventFn's inline capture of one
+// per-destination copy (federated_channel.cpp) and allocate per delivery.
+static_assert(sizeof(Event) == 80);
 
 /// The processors an addressed payload names as its destinations: Accept
 /// goes to the arrival processor and placement[0], Reject to the arrival

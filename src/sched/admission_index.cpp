@@ -5,26 +5,13 @@
 
 namespace rtcm::sched {
 
-namespace {
-
-/// Cached-term form of the lhs_with_overlay() saturation guard: a processor
-/// at (or numerically beyond) full utilization carries the sentinel.
-bool is_saturated(double total) { return total >= 1.0 - kAubEpsilon; }
-
-double term_of(double total) {
-  return is_saturated(total) ? kAubUnsatisfiable : aub_term(total);
-}
-
-}  // namespace
-
 std::uint32_t AdmissionIndex::intern(ProcessorId proc) {
   const std::uint32_t found = proc_index_.lookup(proc.value());
   if (found != kNoEntry) return found;
   const auto entry = static_cast<std::uint32_t>(proc_ids_.size());
   proc_index_.insert(proc.value(), entry);
   proc_ids_.push_back(proc);
-  term_.push_back(0.0);
-  proc_saturated_.push_back(0);
+  term_.push_back(0);
   members_.emplace_back();
   return entry;
 }
@@ -69,9 +56,7 @@ FootprintId AdmissionIndex::add_footprint(
     if (members.empty()) {
       // First member (again): sync the entry's term from the ledger.  A
       // memberless entry skips refresh(), so its term may be stale.
-      const double total = ledger.total(proc_ids_[v.entry]);
-      term_[v.entry] = term_of(total);
-      proc_saturated_[v.entry] = is_saturated(total) ? 1 : 0;
+      term_[v.entry] = aub_term_units(ledger.total_units(proc_ids_[v.entry]));
     }
     v.member_slot = static_cast<std::uint32_t>(members.size());
     members.push_back(slot);
@@ -109,21 +94,18 @@ void AdmissionIndex::refresh(ProcessorId proc,
   const std::uint32_t entry = proc_index_.lookup(proc.value());
   if (entry == kNoEntry) return;
   if (members_[entry].empty()) return;  // re-synced on the next join
-  const double total = ledger.total(proc);
-  term_[entry] = term_of(total);
-  proc_saturated_[entry] = is_saturated(total) ? 1 : 0;
+  term_[entry] = aub_term_units(ledger.total_units(proc));
 }
 
 double AdmissionIndex::cached_lhs(FootprintId id) const {
   const std::uint32_t slot = slots_.slot_of(id.v_);
   assert(slot != util::SlotAllocator::kNoSlot);
   if (slot == util::SlotAllocator::kNoSlot) return 0.0;
-  double lhs = 0.0;
+  AubUnits lhs = 0;
   for (const Visit& v : visits_[slot]) {
-    if (proc_saturated_[v.entry] != 0) return kAubUnsatisfiable;
     lhs += v.count * term_[v.entry];
   }
-  return lhs;
+  return aub_value(lhs);
 }
 
 std::size_t AdmissionIndex::fanout(ProcessorId proc) const {
@@ -138,7 +120,7 @@ std::size_t AdmissionIndex::footprint_bytes() const {
       visits_.capacity() * sizeof(VisitList) +
       proc_index_.footprint_bytes() +
       proc_ids_.capacity() * sizeof(ProcessorId) +
-      term_.capacity() * sizeof(double) + proc_saturated_.capacity() +
+      term_.capacity() * sizeof(AubUnits) +
       members_.capacity() * sizeof(std::vector<std::uint32_t>);
   for (const VisitList& v : visits_) bytes += v.heap_bytes();
   for (const std::vector<std::uint32_t>& m : members_) {
@@ -166,15 +148,12 @@ AdmissionDecision AdmissionIndex::admission_test(
     if (it != overlay_.end()) {
       it->amount += units;
     } else {
-      overlay_.push_back({s.processor, units, 0, false, 0.0});
+      overlay_.push_back({s.processor, units, 0, 0});
     }
   }
   for (OverlayEntry& o : overlay_) {
     o.entry = proc_index_.lookup(o.proc.value());
-    const double u =
-        UtilizationLedger::utilization(ledger.total_units(o.proc) + o.amount);
-    o.saturated = is_saturated(u);
-    if (!o.saturated) o.term = aub_term(u);
+    o.term = aub_term_units(ledger.total_units(o.proc) + o.amount);
   }
   const auto overlaid = [this](ProcessorId proc) -> const OverlayEntry& {
     return *std::find_if(
@@ -182,29 +161,23 @@ AdmissionDecision AdmissionIndex::admission_test(
         [proc](const OverlayEntry& o) { return o.proc == proc; });
   };
 
-  // The candidate itself, with the same per-stage arithmetic as the
-  // reference aub_admission_test (so candidate_lhs is bit-identical).
-  double candidate_lhs = 0.0;
+  // The candidate itself: one term per stage.
+  AubUnits candidate_lhs = 0;
   for (const CandidateStage& s : stages) {
-    const OverlayEntry& o = overlaid(s.processor);
-    if (o.saturated) {
-      candidate_lhs = kAubUnsatisfiable;
-      break;
-    }
-    candidate_lhs += o.term;
+    candidate_lhs += overlaid(s.processor).term;
   }
-  decision.candidate_lhs = candidate_lhs;
-  if (candidate_lhs > 1.0 + kAubEpsilon) {
+  decision.candidate_lhs = aub_value(candidate_lhs);
+  if (candidate_lhs > kAubBound) {
     decision.admitted = false;
     decision.blocking_task = candidate;
     return decision;
   }
 
   // Only footprints sharing a processor with the candidate can change LHS;
-  // everything else passed when it was last affected and is bitwise
-  // unchanged by this overlay.  Each affected footprint's LHS is summed
-  // from its visit list — overlaid processors at their tentative terms,
-  // the rest at their (always current) cached terms.  A kNoEntry overlay
+  // everything else passed when it was last affected and is unchanged by
+  // this overlay.  Each affected footprint's LHS is summed from its visit
+  // list — overlaid processors at their tentative terms, the rest at their
+  // (always current) cached terms.  A kNoEntry overlay
   // entry (a processor the index has never seen) matches no visit.
   ++round_counter_;
   for (const OverlayEntry& o : overlay_) {
@@ -212,21 +185,14 @@ AdmissionDecision AdmissionIndex::admission_test(
     for (const std::uint32_t slot : members_[o.entry]) {
       if (round_[slot] == round_counter_) continue;
       round_[slot] = round_counter_;
-      double lhs = 0.0;
+      AubUnits lhs = 0;
       for (const Visit& v : visits_[slot]) {
         const auto a = std::find_if(
             overlay_.begin(), overlay_.end(),
             [&v](const OverlayEntry& e) { return e.entry == v.entry; });
-        const bool saturated = a != overlay_.end()
-                                   ? a->saturated
-                                   : proc_saturated_[v.entry] != 0;
-        if (saturated) {
-          lhs = kAubUnsatisfiable;
-          break;
-        }
         lhs += v.count * (a != overlay_.end() ? a->term : term_[v.entry]);
       }
-      if (lhs > 1.0 + kAubEpsilon) {
+      if (lhs > kAubBound) {
         decision.admitted = false;
         decision.failed_on_existing = true;
         decision.blocking_task = task_[slot];

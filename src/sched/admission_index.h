@@ -1,15 +1,15 @@
 // Incremental AUB admission aggregates.
 //
-// The reference admission test (sched/aub.h) re-evaluates Equation (1) for
-// *every* admitted footprint on *every* arrival, so per-arrival cost grows
+// A full-rescan admission test re-evaluates Equation (1) for *every*
+// admitted footprint on *every* arrival, so per-arrival cost grows
 // O(task set x footprint) and a cell stalls long before 10^5 resident
 // tasks.  The condition only depends on per-processor synthetic-utilization
 // totals, so almost all of that rescan is redundant: a candidate can only
 // change the LHS of footprints that share a processor with it.
 //
 // This index maintains, on top of the ledger's totals:
-//   - per-processor aUB-term aggregates: aub_term(U_p), recomputed exactly
-//     once — in O(1) — whenever a processor's total changes;
+//   - per-processor aUB terms in units, aub_term_units(total), recomputed
+//     exactly once — in O(1) — whenever a processor's total changes;
 //   - an inverted processor -> footprints index, so the footprints affected
 //     by a candidate are found in O(candidate footprint), not O(task set);
 //   - per-footprint visit lists (distinct processor, visit count), from
@@ -29,20 +29,21 @@
 // the affected footprints.  Skipping the rest is sound because the book of
 // record preserves the invariant "every registered footprint satisfies
 // Equation (1)": admissions re-check every footprint they affect, removals
-// only lower totals (aub_term is monotone), and an untouched footprint's
-// LHS is bitwise unchanged by a candidate that shares no processor with it.
-// The reference test stays in src/ because it is Equation (1) itself;
+// only lower totals (aub_term_units is monotone), and an untouched
+// footprint's LHS is unchanged by a candidate that shares no processor
+// with it.  Every sum is an integer, so the order of a sum never matters.
+// The full-rescan reference lives in tests/reference/aub.h;
 // tests/oracle_differential_test.cpp steps every library grid and holds
-// admission_test() to it bitwise (decision and candidate LHS).
+// admission_test() to it exactly (decision and candidate LHS).
 //
 // Storage is struct-of-arrays: footprints live in a generation-counted
-// slab (parallel task / lhs / saturation / visit columns; FootprintId is
-// the packed slab handle), processors in dense entries addressed by an
-// id -> slot table, and each footprint's visit list is a util::InlineList
-// of 5 in its row.  Admit/expire churn at fixed capacity is allocation-free
-// once the slab is warm for footprints of up to 5 distinct processors
-// (every shipped shape); a longer visit list allocates one block per
-// registration and frees it on removal.
+// slab (parallel task / round / visit columns; FootprintId is the packed
+// slab handle), processors in dense entries (id and term columns)
+// addressed by an id -> slot table, and each footprint's visit list is a
+// util::InlineList of 5 in its row.  Admit/expire churn at fixed capacity
+// is allocation-free once the slab is warm for footprints of up to 5
+// distinct processors (every shipped shape); a longer visit list allocates
+// one block per registration and frees it on removal.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +78,7 @@ class AdmissionIndex {
   /// Register an admitted footprint (the ledger contributions for it must
   /// already be in place and refresh()ed, so its processors' cached terms
   /// are current).  Repeated processors are allowed and weigh the per-visit
-  /// terms accordingly, exactly like aub_lhs().
+  /// terms accordingly: a processor visited k times counts k terms.
   [[nodiscard]] FootprintId add_footprint(
       TaskId task, std::span<const ProcessorId> processors,
       const UtilizationLedger& ledger);
@@ -92,7 +93,7 @@ class AdmissionIndex {
 
   /// Equation (1) for `candidate` placed per `stages`, re-checked only for
   /// the footprints whose processors intersect the candidate's.  Decision-
-  /// equivalent to aub_admission_test() over all registered footprints
+  /// equivalent to a full rescan of all registered footprints
   /// (blocking_task may name a different witness when several would fail).
   /// Allocation-free once warm: the overlay lives in a reused scratch
   /// buffer.
@@ -108,9 +109,9 @@ class AdmissionIndex {
   }
 
   /// LHS of a registered footprint at the current ledger totals, summed
-  /// from its visit list and the cached per-processor terms
-  /// (kAubUnsatisfiable when it visits a saturated processor).  The
-  /// property tests compare this against a fresh aub_lhs() recompute.
+  /// from its visit list and the cached per-processor terms, as the
+  /// reported double.  The property tests compare this against a fresh
+  /// recompute.
   [[nodiscard]] double cached_lhs(FootprintId id) const;
 
   /// Number of registered footprints.
@@ -130,9 +131,8 @@ class AdmissionIndex {
   struct OverlayEntry {
     ProcessorId proc;
     UtilizationLedger::Units amount = 0;  // the candidate's stages on proc
-    std::uint32_t entry = 0;   // dense proc-entry index, or kNoEntry
-    bool saturated = false;    // total + amount at or past full utilization
-    double term = 0.0;         // aub_term(total + amount) unless saturated
+    std::uint32_t entry = 0;  // dense proc-entry index, or kNoEntry
+    AubUnits term = 0;        // aub_term_units(total + amount)
   };
 
   struct Visit {
@@ -159,12 +159,10 @@ class AdmissionIndex {
   // Dense proc entries (persistent: a processor keeps its entry — and its
   // members vector's grown capacity — after its last member leaves, so
   // steady-state churn never reallocates).  term is recomputed from the
-  // ledger whenever a footprint joins an empty entry, exactly like the
-  // map-backed index recomputed it on (re)insert.
+  // ledger whenever a footprint joins an empty entry.
   util::IdSlotMap proc_index_;
   std::vector<ProcessorId> proc_ids_;
-  std::vector<double> term_;  // aub_term(total), or kAubUnsatisfiable
-  std::vector<std::uint8_t> proc_saturated_;
+  std::vector<AubUnits> term_;  // aub_term_units(total)
   std::vector<std::vector<std::uint32_t>> members_;  // footprint slots
 
   mutable std::uint64_t round_counter_ = 0;

@@ -13,8 +13,9 @@
 // came and went in.  The ledger keeps no per-contribution record: add()
 // returns the units it added, and the owner (core::SchedulingState) hands
 // exactly those back to remove().  total() is the exact double of the
-// integer total; Equation (1) itself stays in double (sched/aub.h).  Both
-// scale factors are powers of two, so a conversion is one multiply.
+// integer total; Equation (1) is evaluated on total_units() in these same
+// units (sched/aub.h).  Both scale factors are powers of two, so a
+// conversion is one multiply.
 //
 // Processors are interned into dense slots (an id -> slot remap plus a
 // flat totals array, never recycled), so nothing here allocates once every

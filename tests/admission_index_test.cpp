@@ -1,9 +1,10 @@
 // Incremental aUB admission aggregates (sched/admission_index.h).
 //
 // The index's contract is equivalence: against any reachable book of
-// record, its cached per-footprint LHS partials must match a fresh
-// Equation-(1) recompute, and its admission decisions must match the
-// reference full-task-set rescan.  The unit tests pin the aggregate
+// record, its cached per-footprint LHS must equal a fresh Equation-(1)
+// recompute, and its admission decisions must match the reference
+// full-task-set rescan (tests/reference/aub.h).  Both sum integer unit
+// terms, so every LHS comparison is exact.  The unit tests pin the aggregate
 // mechanics (visit weights, term deltas, saturation, swap-removal); the
 // IncrementalAub property tests drive randomized interleavings of every
 // SchedulingState mutation path and compare against the reference at each
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/scheduling_state.h"
+#include "reference/aub.h"
 #include "sched/admission_index.h"
 #include "sched/aub.h"
 #include "sched/utilization_ledger.h"
@@ -38,7 +40,7 @@ TEST(IncrementalAubIndex, EmptyIndexMatchesReferenceOnCandidate) {
   const auto incremental =
       index.admission_test(ledger, TaskId(7), stages);
   const auto reference =
-      sched::aub_admission_test(ledger, TaskId(7), stages, {});
+      reference::aub_admission_test(ledger, TaskId(7), stages, {});
   EXPECT_EQ(incremental.admitted, reference.admitted);
   EXPECT_EQ(incremental.candidate_lhs, reference.candidate_lhs);
 }
@@ -50,7 +52,7 @@ TEST(IncrementalAubIndex, CachedLhsMatchesFreshRecompute) {
   sched::AdmissionIndex index;
   const std::vector<ProcessorId> footprint = {ProcessorId(0), ProcessorId(1)};
   const auto id = index.add_footprint(TaskId(1), footprint, ledger);
-  EXPECT_DOUBLE_EQ(index.cached_lhs(id), sched::aub_lhs(ledger, footprint));
+  EXPECT_EQ(index.cached_lhs(id), reference::aub_lhs(ledger, footprint));
   EXPECT_EQ(index.footprint_count(), 1u);
   EXPECT_EQ(index.fanout(ProcessorId(0)), 1u);
   index.remove_footprint(id);
@@ -67,8 +69,10 @@ TEST(IncrementalAubIndex, RepeatedProcessorWeighsEveryVisit) {
   const std::vector<ProcessorId> footprint = {ProcessorId(2), ProcessorId(2),
                                               ProcessorId(2)};
   const auto id = index.add_footprint(TaskId(1), footprint, ledger);
-  EXPECT_DOUBLE_EQ(index.cached_lhs(id), sched::aub_lhs(ledger, footprint));
-  EXPECT_NEAR(index.cached_lhs(id), 3.0 * sched::aub_term(0.3), 1e-12);
+  EXPECT_EQ(index.cached_lhs(id), reference::aub_lhs(ledger, footprint));
+  EXPECT_EQ(index.cached_lhs(id),
+            sched::aub_value(3 * sched::aub_term_units(
+                                     sched::UtilizationLedger::units(0.3))));
 }
 
 TEST(IncrementalAubIndex, RefreshPushesTermDeltasIntoMembers) {
@@ -80,11 +84,11 @@ TEST(IncrementalAubIndex, RefreshPushesTermDeltasIntoMembers) {
 
   (void)ledger.add(ProcessorId(0), 0.3);
   index.refresh(ProcessorId(0), ledger);
-  EXPECT_NEAR(index.cached_lhs(id), sched::aub_lhs(ledger, footprint), 1e-12);
+  EXPECT_EQ(index.cached_lhs(id), reference::aub_lhs(ledger, footprint));
 
   ledger.remove(ProcessorId(0), contribution);
   index.refresh(ProcessorId(0), ledger);
-  EXPECT_NEAR(index.cached_lhs(id), sched::aub_lhs(ledger, footprint), 1e-12);
+  EXPECT_EQ(index.cached_lhs(id), reference::aub_lhs(ledger, footprint));
 }
 
 TEST(IncrementalAubIndex, SaturatedProcessorCarriesTheSentinel) {
@@ -95,8 +99,8 @@ TEST(IncrementalAubIndex, SaturatedProcessorCarriesTheSentinel) {
 
   const auto heavy = ledger.add(ProcessorId(0), 1.0);
   index.refresh(ProcessorId(0), ledger);
-  EXPECT_EQ(index.cached_lhs(id), sched::kAubUnsatisfiable);
-  EXPECT_EQ(index.cached_lhs(id), sched::aub_lhs(ledger, footprint));
+  EXPECT_EQ(index.cached_lhs(id), sched::aub_value(sched::kAubSaturated));
+  EXPECT_EQ(index.cached_lhs(id), reference::aub_lhs(ledger, footprint));
 
   // A candidate elsewhere is blocked by the saturated footprint...
   const auto blocked = index.admission_test(ledger, TaskId(9),
@@ -105,10 +109,10 @@ TEST(IncrementalAubIndex, SaturatedProcessorCarriesTheSentinel) {
   EXPECT_TRUE(blocked.failed_on_existing);
   EXPECT_EQ(blocked.blocking_task, TaskId(1));
 
-  // ...and desaturating restores the exact finite partial.
+  // ...and desaturating restores the exact finite sum.
   ledger.remove(ProcessorId(0), heavy);
   index.refresh(ProcessorId(0), ledger);
-  EXPECT_NEAR(index.cached_lhs(id), sched::aub_lhs(ledger, footprint), 1e-12);
+  EXPECT_EQ(index.cached_lhs(id), reference::aub_lhs(ledger, footprint));
   EXPECT_TRUE(
       index.admission_test(ledger, TaskId(9), {{ProcessorId(1), 0.1}})
           .admitted);
@@ -131,8 +135,7 @@ TEST(IncrementalAubIndex, SwapRemovalKeepsBackPointersConsistent) {
   (void)ledger.add(ProcessorId(0), 0.4);
   index.refresh(ProcessorId(0), ledger);
   for (const int i : {0, 2, 4}) {
-    EXPECT_NEAR(index.cached_lhs(ids[i]), sched::aub_lhs(ledger, footprint),
-                1e-12)
+    EXPECT_EQ(index.cached_lhs(ids[i]), reference::aub_lhs(ledger, footprint))
         << "footprint " << i;
   }
 }
@@ -214,20 +217,18 @@ class ChurnDriver {
     for (const auto& [job, spec] : jobs_) {
       const auto admission = state_.job(job);
       ASSERT_TRUE(admission.has_value());
-      EXPECT_NEAR(state_.admission_index().cached_lhs(admission->footprint),
-                  sched::aub_lhs(state_.ledger(),
-                                 {admission->placement.begin(),
-                                  admission->placement.end()}),
-                  1e-12);
+      EXPECT_EQ(state_.admission_index().cached_lhs(admission->footprint),
+                reference::aub_lhs(state_.ledger(),
+                                   {admission->placement.begin(),
+                                    admission->placement.end()}));
     }
     state_.for_each_reservation(
         [&](const core::SchedulingState::ReservationView& reservation) {
-          EXPECT_NEAR(
+          EXPECT_EQ(
               state_.admission_index().cached_lhs(reservation.footprint),
-              sched::aub_lhs(state_.ledger(),
-                             {reservation.placement.begin(),
-                              reservation.placement.end()}),
-              1e-12);
+              reference::aub_lhs(state_.ledger(),
+                                 {reservation.placement.begin(),
+                                  reservation.placement.end()}));
         });
   }
 
@@ -244,15 +245,16 @@ class ChurnDriver {
     const TaskId candidate(99000 + static_cast<std::int32_t>(rng_.index(64)));
     const auto incremental = state_.admission_index().admission_test(
         state_.ledger(), candidate, stages);
-    const auto reference = sched::aub_admission_test(
-        state_.ledger(), candidate, stages, state_.current_footprints());
-    ASSERT_EQ(incremental.admitted, reference.admitted);
-    ASSERT_EQ(incremental.candidate_lhs, reference.candidate_lhs);
-    if (!reference.admitted) {
+    const auto full = reference::aub_admission_test(
+        state_.ledger(), candidate, stages,
+        reference::current_footprints(state_));
+    ASSERT_EQ(incremental.admitted, full.admitted);
+    ASSERT_EQ(incremental.candidate_lhs, full.candidate_lhs);
+    if (!full.admitted) {
       // The failure side must agree; the blocking witness may differ when
       // several footprints fail, but both must then name *some* existing
       // footprint.
-      ASSERT_EQ(incremental.failed_on_existing, reference.failed_on_existing);
+      ASSERT_EQ(incremental.failed_on_existing, full.failed_on_existing);
     }
   }
 
@@ -338,7 +340,7 @@ class ChurnDriver {
 
   void background() {
     // Mostly small load; occasionally enough to saturate a processor, so
-    // the sentinel paths get exercised too.
+    // the saturated terms get exercised too.
     const double amount =
         rng_.bernoulli(0.1) ? 1.2 : rng_.uniform_real(0.0, 0.05);
     state_.add_background(

@@ -2,7 +2,7 @@
 //
 // Admission.  AdmissionControl decides Equation (1) incrementally through
 // the book's AdmissionIndex, which re-checks only the footprints a
-// candidate touches.  sched::aub_admission_test is Equation (1) itself: it
+// candidate touches.  reference::aub_admission_test (tests/reference/aub.h)
 // re-checks every admitted footprint.  Every grid of the scenario library
 // is stepped event by event at seed 1 over a 10 s horizon; after each step
 // that changed the AC's counters, every task's all-primaries placement is
@@ -11,8 +11,8 @@
 //
 // Book.  The struct-of-arrays book of record runs under the map-backed
 // shadow of tests/shadow_book.h over churn drawn from every library
-// grid's task set: totals bitwise, rows field for field, the index's
-// cached LHS against a fresh recompute.
+// grid's task set: totals and the index's cached LHS against a fresh
+// recompute exactly, rows field for field.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -27,7 +27,7 @@
 #include "reconfig/manager.h"
 #include "scenario/library.h"
 #include "scenario/scenario.h"
-#include "sched/aub.h"
+#include "reference/aub.h"
 #include "shadow_book.h"
 #include "sweep/sweep.h"
 #include "util/rng.h"
@@ -118,14 +118,14 @@ AdmissionRun step_and_compare(const scenario::ScenarioSpec& spec) {
     last = now;
     ++out.checked_steps;
     const core::SchedulingState& state = ac->state();
-    const std::vector<sched::TaskFootprint> footprints =
-        state.current_footprints();
+    const std::vector<reference::TaskFootprint> footprints =
+        reference::current_footprints(state);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const TaskId task = runtime.tasks().tasks()[i].id;
       const sched::AdmissionDecision incremental =
           state.admission_index().admission_test(state.ledger(), task,
                                                  candidates[i]);
-      const sched::AdmissionDecision full = sched::aub_admission_test(
+      const sched::AdmissionDecision full = reference::aub_admission_test(
           state.ledger(), task, candidates[i], footprints);
       ++out.comparisons;
       if (!full.admitted) ++out.rejections;

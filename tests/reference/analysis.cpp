@@ -1,10 +1,13 @@
-#include "sched/analysis.h"
+#include "reference/analysis.h"
 
 #include <algorithm>
 
 #include "sched/utilization_ledger.h"
 
-namespace rtcm::sched {
+namespace rtcm::reference {
+
+using sched::TaskSet;
+using sched::TaskSpec;
 
 std::map<ProcessorId, double> simultaneous_utilization(const TaskSet& set) {
   std::map<ProcessorId, double> out;
@@ -33,7 +36,7 @@ TaskFootprint primary_footprint(const TaskSpec& task) {
 }
 
 FeasibilityReport analyze_feasibility(const TaskSet& set) {
-  UtilizationLedger ledger;
+  sched::UtilizationLedger ledger;
   for (const TaskSpec& t : set.tasks()) {
     for (std::size_t j = 0; j < t.subtasks.size(); ++j) {
       (void)ledger.add(t.subtasks[j].primary, t.subtask_utilization(j));
@@ -45,6 +48,7 @@ FeasibilityReport analyze_feasibility(const TaskSet& set) {
   for (const TaskSpec& t : set.tasks()) {
     const double lhs = aub_lhs(ledger, primary_footprint(t).processors);
     report.lhs.push_back(lhs);
+    // Exact: an LHS of 2^40 + 1 units or more converts to a double > 1.
     if (lhs > 1.0 && report.feasible) {
       report.feasible = false;
       report.first_violation = t.id;
@@ -53,4 +57,4 @@ FeasibilityReport analyze_feasibility(const TaskSet& set) {
   return report;
 }
 
-}  // namespace rtcm::sched
+}  // namespace rtcm::reference

@@ -1,4 +1,4 @@
-// Offline analysis helpers for task sets.
+// Offline analysis helpers for task sets, for tests.
 //
 // These answer "paper-shaped" questions about a static workload before any
 // simulation runs: the per-processor synthetic utilization if every task
@@ -9,10 +9,10 @@
 #include <map>
 #include <vector>
 
-#include "sched/aub.h"
+#include "reference/aub.h"
 #include "sched/task.h"
 
-namespace rtcm::sched {
+namespace rtcm::reference {
 
 /// Synthetic utilization each processor would carry if every task in `set`
 /// released one job at the same instant, with every subtask on its primary.
@@ -20,10 +20,10 @@ namespace rtcm::sched {
 /// these totals into reports and assertions (rtcm-lint's
 /// unordered-iteration rule is why this is not an unordered_map).
 [[nodiscard]] std::map<ProcessorId, double> simultaneous_utilization(
-    const TaskSet& set);
+    const sched::TaskSet& set);
 
 /// Largest per-processor value from simultaneous_utilization().
-[[nodiscard]] double peak_simultaneous_utilization(const TaskSet& set);
+[[nodiscard]] double peak_simultaneous_utilization(const sched::TaskSet& set);
 
 /// Whole-set feasibility: with all tasks' contributions in place (primaries
 /// only), does Equation (1) hold for every task?  This is the offline analog
@@ -36,9 +36,9 @@ struct FeasibilityReport {
   TaskId first_violation;
 };
 
-[[nodiscard]] FeasibilityReport analyze_feasibility(const TaskSet& set);
+[[nodiscard]] FeasibilityReport analyze_feasibility(const sched::TaskSet& set);
 
 /// A task's footprint on its primary processors (stage order).
-[[nodiscard]] TaskFootprint primary_footprint(const TaskSpec& task);
+[[nodiscard]] TaskFootprint primary_footprint(const sched::TaskSpec& task);
 
-}  // namespace rtcm::sched
+}  // namespace rtcm::reference

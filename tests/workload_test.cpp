@@ -4,7 +4,7 @@
 #include <map>
 #include <ostream>
 
-#include "sched/analysis.h"
+#include "reference/analysis.h"
 #include "test_helpers.h"
 #include "workload/arrival.h"
 #include "workload/generator.h"
@@ -56,7 +56,7 @@ TEST_P(RandomWorkloadTest, MatchesPaperSection71Parameters) {
 TEST_P(RandomWorkloadTest, SimultaneousUtilizationIsCalibrated) {
   Rng rng(GetParam());
   const sched::TaskSet set = generate_workload(random_workload_shape(), rng);
-  const auto utils = sched::simultaneous_utilization(set);
+  const auto utils = reference::simultaneous_utilization(set);
   // Every application processor carries (close to) the 0.5 target; rounding
   // execution times to whole microseconds introduces only tiny error.
   ASSERT_EQ(utils.size(), 5u);
@@ -95,7 +95,7 @@ TEST_P(ImbalancedWorkloadTest, MatchesPaperSection72Parameters) {
   Rng rng(GetParam());
   const sched::TaskSet set =
       generate_workload(imbalanced_workload_shape(), rng);
-  const auto utils = sched::simultaneous_utilization(set);
+  const auto utils = reference::simultaneous_utilization(set);
   // Three primary processors at 0.7; replicas only on P3/P4.
   for (std::int32_t p = 0; p <= 2; ++p) {
     EXPECT_NEAR(utils.at(ProcessorId(p)), 0.7, 0.01);
@@ -138,7 +138,7 @@ TEST_P(ImbalancedBuilderTest, CalibratedOnEveryPrimaryProcessor) {
   opt.replicas = p.replicas;
   opt.utilization = p.utilization;
   const sched::TaskSet set = rtcm::testing::make_imbalanced_workload(77, opt);
-  const auto utils = sched::simultaneous_utilization(set);
+  const auto utils = reference::simultaneous_utilization(set);
   for (std::size_t proc = 0; proc < p.primaries; ++proc) {
     EXPECT_NEAR(utils.at(ProcessorId(static_cast<std::int32_t>(proc))),
                 p.utilization, 0.01);
